@@ -81,13 +81,16 @@ def _cmd_encode(args) -> int:
     if len(data) % FRAME_BYTES:
         data += bytes(FRAME_BYTES - len(data) % FRAME_BYTES)
     encoder = _ENCODER_NAMES[args.encoder]
+    # Check every record first, so a bad one leaves no partial output file.
+    padding = (1 << (8 * FRAME_BYTES - INFO_BITS_PER_FRAME)) - 1  # low bits, big-endian
+    for pos in range(0, len(data), FRAME_BYTES):
+        if int.from_bytes(data[pos:pos + FRAME_BYTES], "big") & padding:
+            raise ValueError(
+                f"payload record at byte {pos} has nonzero padding bits "
+                f"(bits {INFO_BITS_PER_FRAME}..319 must be zero)")
     with open(args.output, "wb") as fh:
         for pos in range(0, len(data), FRAME_BYTES):
             bits = bytes_to_frame(data[pos:pos + FRAME_BYTES])
-            if any(bits[INFO_BITS_PER_FRAME:]):
-                raise ValueError(
-                    f"payload record at byte {pos} has nonzero padding bits "
-                    f"(bits {INFO_BITS_PER_FRAME}..319 must be zero)")
             frame = build_frame(bits[:INFO_BITS_PER_FRAME], encoder=encoder)
             fh.write(frame_to_bytes(frame))
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf32 import EXP, GROUP_ORDER, MUL, gf_div
-from .rs_core import FIRST_ROOT, K_SYMBOLS, N_PARITY, N_SYMBOLS, T_CORRECT, is_codeword
+from .rs_core import K_SYMBOLS, N_SYMBOLS, T_CORRECT, compute_syndromes, is_codeword, poly_eval
 
 OK = "ok"
 CORRECTED = "corrected"
@@ -35,20 +35,6 @@ class DecodeResult:
     message: list[int]
     corrected_symbols: int
     status: str
-
-
-def compute_syndromes(received: list[int]) -> list[int]:
-    """s[i] = r(alpha^(i+1)) by Horner's rule over the 31 received symbols."""
-    if len(received) != N_SYMBOLS:
-        raise ValueError(f"received word must have {N_SYMBOLS} symbols, got {len(received)}")
-    out = []
-    for i in range(FIRST_ROOT, FIRST_ROOT + N_PARITY):
-        point = EXP[i % GROUP_ORDER]
-        acc = 0
-        for sym in received:
-            acc = MUL[acc][point] ^ sym
-        out.append(acc)
-    return out
 
 
 def solve_locator(synd: list[int]) -> ErrorLocator:
@@ -91,13 +77,6 @@ def _trim(poly) -> list[int]:
     return out
 
 
-def _poly_eval(coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = MUL[acc][x] ^ c
-    return acc
-
-
 def chien_search(lam) -> list[int]:
     """Positions j where lam vanishes at alpha^-(30-j), i.e. alpha^(j+1).
 
@@ -128,9 +107,9 @@ def forney(lam, omega, position: int) -> int:
     is asserted away rather than handled.
     """
     point = EXP[(position + 1) % GROUP_ORDER]  # X^-1 for position j
-    num = _poly_eval(omega, point)
+    num = poly_eval(omega[::-1], point)
     deriv = [c if d % 2 else 0 for d, c in enumerate(lam)][1:]
-    den = _poly_eval(deriv, point)
+    den = poly_eval(deriv[::-1], point)
     assert den != 0, "locator derivative vanished at a verified simple root"
     return gf_div(num, den)
 

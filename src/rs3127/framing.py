@@ -1,10 +1,12 @@
 """Transmitter/receiver chain: scramble, dual encode, symbol-interleave
 into 310 payload bits, prepend the 10-bit header — and the exact inverse.
 
-Frame layout (320 bits): bits 0..9 header; payload bit 10*s + i (relative
-to the payload start) is bit 4-i of symbol s of codeword A, and
+Frame layout (320 bits): bits 0..9 header, MSB first; payload bit 10*s + i
+(relative to the payload start) is bit 4-i of symbol s of codeword A, and
 10*s + 5 + i is bit 4-i of symbol s of codeword B — 5-bit symbols of the
-two codewords alternate, MSB first on the wire. The scrambler is additive
+two codewords alternate, MSB first on the wire. A frame is thus 64 five-bit
+wire slots; parallel_gen's symbols_to_bits/bits_to_symbols convert them and
+are the one owner of the symbol bit order. The scrambler is additive
 and frame-synchronous (x^7 + x^6 + 1, reseeded to all-ones each frame),
 so descrambling is the same operation and channel bit errors do not
 multiply.
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 from .decoder import DecodeResult, decode
 from .parallel_encoder import bits_to_message, encode_parallel, message_to_bits
-from .parallel_gen import default_parity_matrix
+from .parallel_gen import (BITS_PER_SYMBOL, bits_to_symbols, default_parity_matrix,
+                           symbols_to_bits)
 from .rs_core import N_SYMBOLS, encode_reference
 from .serial_encoder import lfsr_encode
 
@@ -26,6 +29,8 @@ PAYLOAD_BITS = 310
 INFO_BITS_PER_FRAME = 270
 HALF_INFO_BITS = 135
 FRAME_BYTES = 40
+# Offset of each wire slot in the frame read as one big-endian integer.
+_SLOT_SHIFTS = tuple(range(FRAME_BITS - BITS_PER_SYMBOL, -1, -BITS_PER_SYMBOL))
 
 DEFAULT_SYNC_HEADER = 0b1101010010
 
@@ -74,33 +79,23 @@ def interleave(a: list[int], b: list[int]) -> list[int]:
     """310 wire bits from two 31-symbol codewords, symbols alternating."""
     if len(a) != N_SYMBOLS or len(b) != N_SYMBOLS:
         raise ValueError(f"both codewords must have {N_SYMBOLS} symbols")
-    out = []
-    for s in range(N_SYMBOLS):
-        out.extend((a[s] >> (4 - i)) & 1 for i in range(5))
-        out.extend((b[s] >> (4 - i)) & 1 for i in range(5))
-    return out
+    slots = [0] * (2 * N_SYMBOLS)
+    slots[0::2] = a
+    slots[1::2] = b
+    return symbols_to_bits(slots, msb_first=True)
 
 
 def deinterleave(bits: list[int]) -> tuple[list[int], list[int]]:
     if len(bits) != PAYLOAD_BITS:
         raise ValueError(f"expected {PAYLOAD_BITS} bits, got {len(bits)}")
-    a, b = [], []
-    for s in range(N_SYMBOLS):
-        base = 10 * s
-        a.append(_pack_msb(bits[base:base + 5]))
-        b.append(_pack_msb(bits[base + 5:base + 10]))
-    return a, b
-
-
-def _pack_msb(bits: list[int]) -> int:
-    sym = 0
-    for bit in bits:
-        sym = (sym << 1) | bit
-    return sym
+    slots = bits_to_symbols(bits, msb_first=True)
+    return slots[0::2], slots[1::2]
 
 
 def _header_bits(header: int) -> list[int]:
-    return [(header >> (HEADER_BITS - 1 - i)) & 1 for i in range(HEADER_BITS)]
+    """The header's low 10 bits as two wire slots, MSB first."""
+    return symbols_to_bits([(header >> BITS_PER_SYMBOL) & 0x1F, header & 0x1F],
+                           msb_first=True)
 
 
 def _encode_half(bits: list[int], encoder: str) -> list[int]:
@@ -151,14 +146,15 @@ def frame_to_bytes(frame: list[int]) -> bytes:
     """Pack 320 bits big-endian: frame bit 0 is the MSB of byte 0."""
     if len(frame) != FRAME_BITS:
         raise ValueError(f"expected {FRAME_BITS} bits, got {len(frame)}")
-    out = bytearray(FRAME_BYTES)
-    for i, bit in enumerate(frame):
-        if bit:
-            out[i >> 3] |= 0x80 >> (i & 7)
-    return bytes(out)
+    value = 0
+    for slot in bits_to_symbols(frame, msb_first=True):
+        value = value << BITS_PER_SYMBOL | slot
+    return value.to_bytes(FRAME_BYTES, "big")
 
 
 def bytes_to_frame(data: bytes) -> list[int]:
     if len(data) != FRAME_BYTES:
         raise ValueError(f"expected {FRAME_BYTES} bytes, got {len(data)}")
-    return [(data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(FRAME_BITS)]
+    value = int.from_bytes(data, "big")
+    return symbols_to_bits([value >> shift & 0x1F for shift in _SLOT_SHIFTS],
+                           msb_first=True)

@@ -8,36 +8,22 @@ two serial encoders) bit-identical.
 
 from __future__ import annotations
 
-from .parallel_gen import BITS_PER_SYMBOL, N_INFO_BITS, ParityMatrix, XorNetwork
-from .rs_core import K_SYMBOLS, N_PARITY
-
-N_PARITY_BITS = N_PARITY * BITS_PER_SYMBOL
+from .parallel_gen import (N_INFO_BITS, N_PARITY_BITS, ParityMatrix, XorNetwork,
+                           bits_to_symbols, symbols_to_bits)
+from .rs_core import K_SYMBOLS
 
 
 def message_to_bits(msg: list[int]) -> list[int]:
     """Bit 5*j + i is bit i (LSB = x^0 coefficient) of symbol j."""
     if len(msg) != K_SYMBOLS:
         raise ValueError(f"message must have {K_SYMBOLS} symbols, got {len(msg)}")
-    bits = []
-    for s in msg:
-        bits.extend((s >> i) & 1 for i in range(BITS_PER_SYMBOL))
-    return bits
+    return symbols_to_bits(msg)
 
 
 def bits_to_message(bits: list[int]) -> list[int]:
     if len(bits) != N_INFO_BITS:
         raise ValueError(f"expected {N_INFO_BITS} bits, got {len(bits)}")
-    return _pack_symbols(bits)
-
-
-def _pack_symbols(bits: list[int]) -> list[int]:
-    out = []
-    for j in range(0, len(bits), BITS_PER_SYMBOL):
-        sym = 0
-        for i in range(BITS_PER_SYMBOL):
-            sym |= bits[j + i] << i
-        out.append(sym)
-    return out
+    return bits_to_symbols(bits)
 
 
 def parity_bits(info: list[int], matrix: ParityMatrix) -> list[int]:
@@ -53,10 +39,10 @@ def parity_bits(info: list[int], matrix: ParityMatrix) -> list[int]:
 
 def encode_parallel(info: list[int], matrix: ParityMatrix) -> list[int]:
     """Full 31-symbol systematic codeword from 135 information bits."""
-    return _pack_symbols(info) + _pack_symbols(parity_bits(info, matrix))
+    return bits_to_symbols(info) + bits_to_symbols(parity_bits(info, matrix))
 
 
 def encode_via_network(info: list[int], net: XorNetwork) -> list[int]:
     """Same result as encode_parallel, computed by the gate-level netlist."""
     pbits = net.evaluate(info)
-    return _pack_symbols(list(info)) + _pack_symbols(pbits)
+    return bits_to_symbols(info) + bits_to_symbols(pbits)

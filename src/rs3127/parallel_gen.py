@@ -8,9 +8,11 @@ bit as a plain XOR of information bits. The four drain cycles only move
 registers and add no dependencies, so they are skipped; the result is
 verified bit-for-bit against the reference encoder by the test suite.
 
-Bit indexing (shared with the parallel encoder and framing): information
-bit 5*j + i is bit i (LSB = x^0 coefficient) of message symbol j; parity
-bit 5*jp + i likewise for parity symbol jp.
+Bit indexing: information bit 5*j + i is bit i (LSB = x^0 coefficient)
+of message symbol j; parity bit 5*jp + i likewise for parity symbol jp.
+On the wire each symbol goes MSB first instead. `symbols_to_bits` and
+`bits_to_symbols` are the one owner of both orders; the parallel encoder
+and framing convert through them and never shift symbol bits themselves.
 
 Netlist text format (one item per line, `#` starts a comment)::
 
@@ -32,6 +34,7 @@ import functools
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .gf32 import MUL, PRIMITIVE_POLY
 from .rs_core import FIRST_ROOT, GENERATOR_POLY, K_SYMBOLS, N_PARITY
@@ -39,6 +42,25 @@ from .rs_core import FIRST_ROOT, GENERATOR_POLY, K_SYMBOLS, N_PARITY
 BITS_PER_SYMBOL = 5
 N_INFO_BITS = K_SYMBOLS * BITS_PER_SYMBOL  # 135
 N_PARITY_BITS = N_PARITY * BITS_PER_SYMBOL  # 20
+
+# The five bits of every symbol value, x^0 coefficient first / x^4 first.
+_LSB_FIRST = [tuple(s >> i & 1 for i in range(BITS_PER_SYMBOL)) for s in range(32)]
+_MSB_FIRST = [bits[::-1] for bits in _LSB_FIRST]
+
+
+def symbols_to_bits(symbols, msb_first: bool = False) -> list[int]:
+    """Bit 5*j + i is bit i of symbol j (0..31), or bit 4 - i if msb_first."""
+    table = _MSB_FIRST if msb_first else _LSB_FIRST
+    return list(chain.from_iterable(map(table.__getitem__, symbols)))
+
+
+def bits_to_symbols(bits, msb_first: bool = False) -> list[int]:
+    """Exact inverse of symbols_to_bits; len(bits) must be a multiple of 5."""
+    groups = zip(*[iter(bits)] * BITS_PER_SYMBOL, strict=True)
+    if msb_first:
+        return [b0 << 4 | b1 << 3 | b2 << 2 | b3 << 1 | b4 for b0, b1, b2, b3, b4 in groups]
+    return [b0 | b1 << 1 | b2 << 2 | b3 << 3 | b4 << 4 for b0, b1, b2, b3, b4 in groups]
+
 
 ZERO = "ZERO"
 

@@ -52,15 +52,25 @@ def encode_reference(msg: list[int]) -> list[int]:
     return list(msg) + work[K_SYMBOLS:]
 
 
+def poly_eval(coeffs, x: int) -> int:
+    """Horner's rule; coeffs run from the highest-degree term down."""
+    row = MUL[x]
+    acc = 0
+    for c in coeffs:
+        acc = row[acc] ^ c
+    return acc
+
+
+def compute_syndromes(received: list[int]) -> list[int]:
+    """s[i] = r(alpha^(i+1)), symbol 0 being the highest-degree coefficient."""
+    if len(received) != N_SYMBOLS:
+        raise ValueError(f"received word must have {N_SYMBOLS} symbols, got {len(received)}")
+    return [poly_eval(received, EXP[i % GROUP_ORDER])
+            for i in range(FIRST_ROOT, FIRST_ROOT + N_PARITY)]
+
+
 def is_codeword(word: list[int]) -> bool:
     """True iff the word evaluates to zero at all four generator roots."""
     if len(word) != N_SYMBOLS:
         raise ValueError(f"codeword must have {N_SYMBOLS} symbols, got {len(word)}")
-    for i in range(FIRST_ROOT, FIRST_ROOT + N_PARITY):
-        point = EXP[i % GROUP_ORDER]
-        acc = 0
-        for sym in word:
-            acc = MUL[acc][point] ^ sym
-        if acc:
-            return False
-    return True
+    return not any(compute_syndromes(word))

@@ -100,6 +100,39 @@ def prbs_reference(n: int) -> list[int]:
     return out
 
 
+SYNC_HEADER = 0b1101010010
+
+
+def rs_encode_reference(msg: list[int]) -> list[int]:
+    """Systematic RS(31,27) codeword: remainder of m(x) * x^4 by g(x),
+    with symbol j the coefficient of x^(30-j)."""
+    g = expand_generator([alpha_power(i) for i in range(1, 5)])
+    rem = [0] * 4 + msg[::-1]  # ascending: rem[d] is the x^d coefficient
+    for d in range(30, 3, -1):
+        c = rem[d]
+        for k in range(5):
+            rem[d - 4 + k] ^= clmul_reduce(c, g[k])
+    return msg + [rem[3 - p] for p in range(4)]
+
+
+def frame_reference(info: list[int]) -> list[int]:
+    """The 320-bit frame for 270 info bits, written bit by bit from the
+    layout in the framing module docstring: scramble with the PRBS,
+    info bits 5*j + i -> bit i of message symbol j (first 135 bits feed
+    codeword A), 10-bit header MSB first, then symbol s of A and of B as
+    five bits each, MSB first."""
+    scrambled = [b ^ p for b, p in zip(info, prbs_reference(270))]
+    words = []
+    for half in (scrambled[:135], scrambled[135:]):
+        msg = [sum(half[5 * j + i] << i for i in range(5)) for j in range(27)]
+        words.append(rs_encode_reference(msg))
+    frame = [(SYNC_HEADER >> (9 - k)) & 1 for k in range(10)]
+    for s in range(31):
+        for word in words:
+            frame += [(word[s] >> (4 - i)) & 1 for i in range(5)]
+    return frame
+
+
 def binom_tail(n: int, p: float, k: int) -> float:
     """P(X >= k) for X ~ Binomial(n, p)."""
     return sum(comb(n, i) * p**i * (1 - p)**(n - i) for i in range(k, n + 1))

@@ -79,9 +79,16 @@ def test_partial_record_is_zero_padded(tmp_path):
 
 def test_encode_rejects_nonzero_padding_bits(tmp_path, capsys):
     payload = tmp_path / "p.bin"
+    frames = tmp_path / "f.bin"
     payload.write_bytes(bytes(39) + bytes([1]))  # bit 319 set
-    assert main(["encode", "-i", str(payload), "-o", str(tmp_path / "f.bin")]) == 2
+    assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 2
     assert "nonzero padding" in capsys.readouterr().err
+    assert not frames.exists()
+    # a good record ahead of the bad one must not leave a partial file either
+    payload.write_bytes(bytes(40) + bytes(33) + bytes([0x02]) + bytes(6))  # bit 270 set
+    assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 2
+    assert "record at byte 40 has nonzero padding" in capsys.readouterr().err
+    assert not frames.exists()
 
 
 def test_decode_rejects_misaligned_stream(tmp_path, capsys):
@@ -123,6 +130,28 @@ def test_simulate_replay_is_byte_identical(capsys):
     first = capsys.readouterr().out
     assert main(argv + ["--jobs", "2"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_simulate_and_sweep_records_are_pinned(capsys):
+    # the criterion-10 configs; a change here is a change of random stream
+    assert main(["simulate", "--ber", "0.002", "--burst-len", "6",
+                 "--burst-rate", "0.1", "--frames", "400", "--seed", "42"]) == 0
+    assert capsys.readouterr().out == (
+        "ber=0.002 burst_len=6 burst_rate=0.1 seed=42 frames=400 frames_total=400"
+        " frames_err_pre=210 frames_err_post=7 frames_recovered=203 miscorrections=6"
+        " detected_uncorrectable=2 bit_err_pre=514 bit_err_post=64\n")
+    assert main(["sweep", "--ber-list", "0.0005,0.002,0.008",
+                 "--frames", "150", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "ber=0.0005 burst_len=0 burst_rate=0.0 seed=7 frames=150 frames_total=150"
+        " frames_err_pre=20 frames_err_post=0 frames_recovered=20 miscorrections=0"
+        " detected_uncorrectable=0 bit_err_pre=21 bit_err_post=0\n"
+        "ber=0.002 burst_len=0 burst_rate=0.0 seed=7 frames=150 frames_total=150"
+        " frames_err_pre=71 frames_err_post=0 frames_recovered=71 miscorrections=0"
+        " detected_uncorrectable=0 bit_err_pre=89 bit_err_post=0\n"
+        "ber=0.008 burst_len=0 burst_rate=0.0 seed=7 frames=150 frames_total=150"
+        " frames_err_pre=132 frames_err_post=33 frames_recovered=99 miscorrections=12"
+        " detected_uncorrectable=23 bit_err_pre=365 bit_err_post=149\n")
 
 
 def test_sweep_emits_one_record_per_ber(capsys):

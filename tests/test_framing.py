@@ -9,7 +9,7 @@ from rs3127 import (OK, DEFAULT_SYNC_HEADER, Scrambler, build_frame,
                     frame_to_bytes, interleave, scramble, unframe)
 from rs3127.framing import HEADER_BITS, PAYLOAD_BITS, _header_bits
 
-from oracles import prbs_reference
+from oracles import frame_reference, prbs_reference
 
 bit_lists_270 = st.lists(st.integers(0, 1), min_size=270, max_size=270)
 codewords = st.lists(st.integers(0, 31), min_size=31, max_size=31)
@@ -212,6 +212,18 @@ def test_byte_packing_is_big_endian():
 @given(st.lists(st.integers(0, 1), min_size=320, max_size=320))
 def test_byte_round_trip(frame):
     assert bytes_to_frame(frame_to_bytes(frame)) == frame
+
+
+@given(bit_lists_270)
+def test_frame_and_bytes_match_the_layout_oracle(info):
+    want = frame_reference(info)
+    want_bytes = bytes(sum(want[8 * k + j] << (7 - j) for j in range(8))
+                       for k in range(40))
+    for encoder in ("parallel", "reference", "lfsr"):
+        assert build_frame(info, encoder=encoder) == want
+    assert frame_to_bytes(want) == want_bytes
+    assert bytes_to_frame(want_bytes) == want
+    assert unframe(want).info == info
 
 
 def test_byte_length_contracts():
