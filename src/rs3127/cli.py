@@ -5,6 +5,8 @@ Payload files are streamed in 40-byte records: the 270 payload bits of
 one frame occupy record bits 0..269 (big-endian bit order) and the
 trailing 50 bits must be zero. A final partial record is zero-padded.
 With that convention `encode | decode` round-trips byte-identically.
+Both commands push the records through the batch kernels in blocks of
+framing.BLOCK_FRAMES frames.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error.
 """
@@ -16,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .framing import (FRAME_BYTES, INFO_BITS_PER_FRAME, build_frame,
-                      bytes_to_frame, frame_to_bytes, unframe)
+from .framing import (FRAME_BYTES, INFO_BITS_PER_FRAME, decode_frames,
+                      encode_frames, frame_blocks)
 from .harness import ChannelConfig, emit_stats, run_simulation, run_sweep
 from .parallel_encoder import parity_bits
 from .parallel_gen import (build_xor3_network, derive_parity_matrix,
@@ -75,24 +77,30 @@ def _cmd_check_netlist(args) -> int:
     return 0
 
 
+# Record bits INFO_BITS_PER_FRAME..319 (the low bits, big-endian) must be zero.
+_PADDING_MASK = np.frombuffer(
+    ((1 << (8 * FRAME_BYTES - INFO_BITS_PER_FRAME)) - 1).to_bytes(FRAME_BYTES, "big"),
+    np.uint8)
+
+
 def _cmd_encode(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
     if len(data) % FRAME_BYTES:
         data += bytes(FRAME_BYTES - len(data) % FRAME_BYTES)
+    records = np.frombuffer(data, np.uint8).reshape(-1, FRAME_BYTES)
     encoder = _ENCODER_NAMES[args.encoder]
     # Check every record first, so a bad one leaves no partial output file.
-    padding = (1 << (8 * FRAME_BYTES - INFO_BITS_PER_FRAME)) - 1  # low bits, big-endian
-    for pos in range(0, len(data), FRAME_BYTES):
-        if int.from_bytes(data[pos:pos + FRAME_BYTES], "big") & padding:
-            raise ValueError(
-                f"payload record at byte {pos} has nonzero padding bits "
-                f"(bits {INFO_BITS_PER_FRAME}..319 must be zero)")
+    bad = np.flatnonzero((records & _PADDING_MASK).any(axis=1))
+    if len(bad):
+        raise ValueError(
+            f"payload record at byte {bad[0] * FRAME_BYTES} has nonzero padding bits "
+            f"(bits {INFO_BITS_PER_FRAME}..319 must be zero)")
     with open(args.output, "wb") as fh:
-        for pos in range(0, len(data), FRAME_BYTES):
-            bits = bytes_to_frame(data[pos:pos + FRAME_BYTES])
-            frame = build_frame(bits[:INFO_BITS_PER_FRAME], encoder=encoder)
-            fh.write(frame_to_bytes(frame))
+        for block in frame_blocks(0, len(records)):
+            info = np.unpackbits(records[block.start:block.stop], axis=1)
+            frames = encode_frames(info[:, :INFO_BITS_PER_FRAME], encoder=encoder)
+            fh.write(np.packbits(frames, axis=1).tobytes())
     return 0
 
 
@@ -101,16 +109,22 @@ def _cmd_decode(args) -> int:
         data = fh.read()
     if len(data) % FRAME_BYTES:
         raise ValueError(f"frame stream length {len(data)} is not a multiple of {FRAME_BYTES}")
+    frames = np.frombuffer(data, np.uint8).reshape(-1, FRAME_BYTES)
     stats_lines = []
     with open(args.output, "wb") as fh:
-        for index, pos in enumerate(range(0, len(data), FRAME_BYTES)):
-            res = unframe(bytes_to_frame(data[pos:pos + FRAME_BYTES]))
-            fh.write(frame_to_bytes(res.info + [0] * (8 * FRAME_BYTES - INFO_BITS_PER_FRAME)))
-            stats_lines.append(
-                f"frame={index}"
-                f" status_a={res.result_a.status} corrected_a={res.result_a.corrected_symbols}"
-                f" status_b={res.result_b.status} corrected_b={res.result_b.corrected_symbols}"
-                f" header_ok={int(res.header_ok)}")
+        for block in frame_blocks(0, len(frames)):
+            info, results, header_ok = decode_frames(
+                np.unpackbits(frames[block.start:block.stop], axis=1))
+            packed = np.packbits(info, axis=1)  # the last byte zero-filled
+            fh.write(np.pad(packed, ((0, 0), (0, FRAME_BYTES - packed.shape[1]))).tobytes())
+            if args.stats:
+                stats_lines += [
+                    f"frame={index}"
+                    f" status_a={res_a.status} corrected_a={res_a.corrected_symbols}"
+                    f" status_b={res_b.status} corrected_b={res_b.corrected_symbols}"
+                    f" header_ok={int(ok)}"
+                    for index, res_a, res_b, ok in zip(block, results[0::2], results[1::2],
+                                                       header_ok.tolist())]
     if args.stats:
         with open(args.stats, "w", encoding="ascii") as fh:
             fh.write("\n".join(stats_lines) + ("\n" if stats_lines else ""))

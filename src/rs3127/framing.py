@@ -10,13 +10,29 @@ are the one owner of the symbol bit order. The scrambler is additive
 and frame-synchronous (x^7 + x^6 + 1, reseeded to all-ones each frame),
 so descrambling is the same operation and channel bit errors do not
 multiply.
+
+Two forms compute this chain. `build_frame`/`unframe` (with `scramble`,
+`interleave` and the byte converters) take one frame as lists of bits;
+they are the bit-for-bit reference. The batch kernels
+`encode_frames`/`decode_frames` take `uint8[N, 270]` info and
+`uint8[N, 320]` frames and turn each layer into one array operation:
+scrambling is an XOR with the PRBS, parity is one GF(2) matrix
+product, and header plus interleaving is one gather. The code is
+systematic, so a received codeword has a zero syndrome exactly when its
+parity bits equal the parity of its message bits; codewords that fail
+that check still go through the scalar `decode`. The kernels always use
+the default sync header. The CLI and the simulator feed them in blocks
+of at most BLOCK_FRAMES frames, which bounds their memory.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .decoder import DecodeResult, decode
+import numpy as np
+
+from .decoder import OK, DecodeResult, decode
 from .parallel_encoder import bits_to_message, encode_parallel, message_to_bits
 from .parallel_gen import (BITS_PER_SYMBOL, bits_to_symbols, default_parity_matrix,
                            symbols_to_bits)
@@ -33,6 +49,12 @@ FRAME_BYTES = 40
 _SLOT_SHIFTS = tuple(range(FRAME_BITS - BITS_PER_SYMBOL, -1, -BITS_PER_SYMBOL))
 
 DEFAULT_SYNC_HEADER = 0b1101010010
+
+# Frames per kernel call in the CLI and the simulator. A block's parity
+# product then has at most 256 rows, which numpy's bundled OpenBLAS runs
+# on the calling thread; at 512 rows it wakes a second thread, which
+# slows `simulate --jobs 2`.
+BLOCK_FRAMES = 128
 
 SCRAMBLER_BITS = 7  # x^7 + x^6 + 1
 
@@ -158,3 +180,98 @@ def bytes_to_frame(data: bytes) -> list[int]:
     value = int.from_bytes(data, "big")
     return symbols_to_bits([value >> shift & 0x1F for shift in _SLOT_SHIFTS],
                            msb_first=True)
+
+
+# --- batch kernels -------------------------------------------------------------
+
+_PRBS_ARRAY = np.array(_PRBS_FRAME, dtype=np.uint8)
+_HEADER_ARRAY = np.array(_header_bits(DEFAULT_SYNC_HEADER), np.uint8)
+WORD_BITS = N_SYMBOLS * BITS_PER_SYMBOL  # 155
+# One codeword's bits in info/parity order (bit 5*s + i is bit i of symbol
+# s), as tables probed from the converter pair that owns that order.
+_SYMBOL_BITS = np.array(symbols_to_bits(range(32)), np.uint8).reshape(32, BITS_PER_SYMBOL)
+_BIT_WEIGHTS = np.array(bits_to_symbols(np.eye(BITS_PER_SYMBOL, dtype=int).ravel().tolist()))
+
+
+def frame_blocks(start: int, stop: int):
+    """Consecutive ranges of at most BLOCK_FRAMES frame indices."""
+    for lo in range(start, stop, BLOCK_FRAMES):
+        yield range(lo, min(lo + BLOCK_FRAMES, stop))
+
+
+@functools.cache
+def _wire_order() -> tuple[np.ndarray, np.ndarray]:
+    """Gather index from [header bits | codeword A bits | codeword B bits]
+    (each codeword in info/parity order) to the 320 frame bits, and its
+    inverse. Found by feeding `interleave` one unit symbol at a time."""
+    order = np.empty(FRAME_BITS, np.intp)
+    order[:HEADER_BITS] = np.arange(HEADER_BITS)
+    zeros = [0] * N_SYMBOLS
+    for half in range(2):
+        for s in range(N_SYMBOLS):
+            for i in range(BITS_PER_SYMBOL):
+                unit = zeros.copy()
+                unit[s] = 1 << i
+                wire = interleave(unit, zeros) if half == 0 else interleave(zeros, unit)
+                order[HEADER_BITS + wire.index(1)] = (
+                    HEADER_BITS + half * WORD_BITS + BITS_PER_SYMBOL * s + i)
+    return order, np.argsort(order)
+
+
+def _to_symbols(bits: np.ndarray) -> np.ndarray:
+    """Symbols from bits in info/parity order along the last axis."""
+    return bits.reshape(*bits.shape[:-1], bits.shape[-1] // BITS_PER_SYMBOL,
+                        BITS_PER_SYMBOL) @ _BIT_WEIGHTS
+
+
+def _parity(messages: np.ndarray) -> np.ndarray:
+    """uint8[M, 20] parity bits of uint8[M, 135] message bits."""
+    products = messages.astype(np.float32) @ default_parity_matrix().array
+    return products.astype(np.uint8) & 1
+
+
+def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
+    """uint8[N, 320] frames from uint8[N, 270] info bits; row n equals
+    build_frame(info[n], encoder=encoder). `reference` and `lfsr` still
+    run their per-codeword algorithm; only the bit conversion around it is
+    batched."""
+    info = np.asarray(info, dtype=np.uint8)
+    if info.ndim != 2 or info.shape[1] != INFO_BITS_PER_FRAME:
+        raise ValueError(f"expected shape (N, {INFO_BITS_PER_FRAME}), got {info.shape}")
+    n = len(info)
+    halves = (info ^ _PRBS_ARRAY).reshape(2 * n, HALF_INFO_BITS)
+    if encoder == "parallel":
+        words = np.concatenate([halves, _parity(halves)], axis=1)
+    elif encoder in ("reference", "lfsr"):
+        encode = encode_reference if encoder == "reference" else lfsr_encode
+        symbols = [encode(msg) for msg in _to_symbols(halves).tolist()]
+        words = _SYMBOL_BITS[np.array(symbols, np.intp).reshape(2 * n, N_SYMBOLS)]
+    else:
+        raise ValueError(f"unknown encoder {encoder!r}")
+    source = np.empty((n, FRAME_BITS), np.uint8)
+    source[:, :HEADER_BITS] = _HEADER_ARRAY
+    source[:, HEADER_BITS:] = words.reshape(n, PAYLOAD_BITS)
+    return source[:, _wire_order()[0]]
+
+
+def decode_frames(frames) -> tuple[np.ndarray, list[DecodeResult], np.ndarray]:
+    """Batch unframe: (info uint8[N, 270], DecodeResults of A and B of each
+    frame in turn, header_ok bool[N]). A codeword whose parity bits match
+    its message bits has a zero syndrome; it gets its message bits as
+    received and DecodeResult(message, 0, OK), which is what decode
+    returns for it. Any other goes through decode."""
+    frames = np.asarray(frames, dtype=np.uint8)
+    if frames.ndim != 2 or frames.shape[1] != FRAME_BITS:
+        raise ValueError(f"expected shape (N, {FRAME_BITS}), got {frames.shape}")
+    n = len(frames)
+    source = frames[:, _wire_order()[1]]
+    header_ok = (source[:, :HEADER_BITS] == _HEADER_ARRAY).all(axis=1)
+    words = source[:, HEADER_BITS:].reshape(2 * n, WORD_BITS)
+    messages = words[:, :HALF_INFO_BITS]
+    dirty = (_parity(messages) != words[:, HALF_INFO_BITS:]).any(axis=1)
+    results = [DecodeResult(msg, 0, OK) for msg in _to_symbols(messages).tolist()]
+    for row in np.flatnonzero(dirty).tolist():
+        res = results[row] = decode(_to_symbols(words[row]).tolist())
+        messages[row] = _SYMBOL_BITS[res.message].ravel()
+    info = messages.reshape(n, INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
+    return info, results, header_ok

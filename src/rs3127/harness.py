@@ -4,6 +4,12 @@ Each frame's payload and corruption stream come from a Philox generator
 keyed by (seed, frame index), so trials are replay-identical and
 independent of execution order — worker-pool runs merge to the same
 counters as a serial run.
+
+The simulator draws each frame's payload and channel flips from its own
+stream, gathers them into blocks of framing.BLOCK_FRAMES frames, and runs
+each block through the batch kernels `encode_frames`/`decode_frames`;
+`apply_channel` and the scalar `build_frame`/`unframe` give the same
+frames and decodes one at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .framing import (FRAME_BITS, HALF_INFO_BITS, HEADER_BITS,
-                      INFO_BITS_PER_FRAME, build_frame, unframe)
+                      INFO_BITS_PER_FRAME, decode_frames, encode_frames,
+                      frame_blocks)
 from .decoder import UNCORRECTABLE
 
 
@@ -62,52 +69,52 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def apply_channel(frame: list[int], cfg: ChannelConfig,
-                  rng: np.random.Generator) -> list[int]:
-    """Independent bit flips at probability ber, plus Poisson(burst_rate)
-    all-flip bursts of burst_len bits at uniform offsets. The header is
-    exposed to the channel like everything else."""
-    bits = list(frame)
+def channel_flips(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
+    """uint8[320], 1 where the channel flips a frame bit: independent flips
+    at probability ber, plus Poisson(burst_rate) all-flip bursts of
+    burst_len bits at uniform offsets. The header is exposed to the
+    channel like everything else."""
+    flips = np.zeros(FRAME_BITS, np.uint8)
     if cfg.ber > 0:
-        mask = rng.random(FRAME_BITS) < cfg.ber
-        bits = [b ^ int(m) for b, m in zip(bits, mask)]
+        flips[:] = rng.random(FRAME_BITS) < cfg.ber
     if cfg.burst_rate > 0 and cfg.burst_len > 0:
         span = min(cfg.burst_len, FRAME_BITS)
         for _ in range(rng.poisson(cfg.burst_rate)):
             off = int(rng.integers(0, FRAME_BITS - span + 1))
-            for i in range(off, off + span):
-                bits[i] ^= 1
-    return bits
+            flips[off:off + span] ^= 1
+    return flips
+
+
+def apply_channel(frame: list[int], cfg: ChannelConfig,
+                  rng: np.random.Generator) -> list[int]:
+    """The frame with the bits of channel_flips flipped."""
+    return (np.array(frame, np.uint8) ^ channel_flips(cfg, rng)).tolist()
 
 
 def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
     stats = TrialStats()
-    for idx in range(start, start + count):
-        rng = frame_rng(cfg.seed, idx)
-        payload = rng.integers(0, 2, size=INFO_BITS_PER_FRAME).tolist()
-        frame = build_frame(payload)
-        received = apply_channel(frame, cfg, rng)
-        res = unframe(received)
+    for block in frame_blocks(start, start + count):
+        payload = np.empty((len(block), INFO_BITS_PER_FRAME), np.uint8)
+        flips = np.empty((len(block), FRAME_BITS), np.uint8)
+        for row, idx in enumerate(block):
+            rng = frame_rng(cfg.seed, idx)
+            payload[row] = rng.integers(0, 2, size=INFO_BITS_PER_FRAME)
+            flips[row] = channel_flips(cfg, rng)
+        info, results, _ = decode_frames(encode_frames(payload) ^ flips)
 
-        pre_bits = sum(x != y for x, y in
-                       zip(frame[HEADER_BITS:], received[HEADER_BITS:]))
-        post_bits = sum(x != y for x, y in zip(payload, res.info))
-        stats.frames_total += 1
-        stats.bit_err_pre += pre_bits
-        stats.bit_err_post += post_bits
-        if pre_bits:
-            stats.frames_err_pre += 1
-        if post_bits:
-            stats.frames_err_post += 1
-        if pre_bits and not post_bits:
-            stats.frames_recovered += 1
-        for half, dec in ((0, res.result_a), (1, res.result_b)):
-            lo = half * HALF_INFO_BITS
-            wrong = res.info[lo:lo + HALF_INFO_BITS] != payload[lo:lo + HALF_INFO_BITS]
-            if dec.status == UNCORRECTABLE:
-                stats.detected_uncorrectable += 1
-            elif wrong:
-                stats.miscorrections += 1
+        pre_bits = flips[:, HEADER_BITS:].sum(axis=1)
+        wrong = info != payload
+        post_bits = wrong.sum(axis=1)
+        wrong_half = wrong.reshape(-1, HALF_INFO_BITS).any(axis=1)
+        uncorrectable = np.array([res.status == UNCORRECTABLE for res in results], bool)
+        stats.frames_total += len(block)
+        stats.bit_err_pre += int(pre_bits.sum())
+        stats.bit_err_post += int(post_bits.sum())
+        stats.frames_err_pre += int(np.count_nonzero(pre_bits))
+        stats.frames_err_post += int(np.count_nonzero(post_bits))
+        stats.frames_recovered += int(np.count_nonzero((pre_bits > 0) & (post_bits == 0)))
+        stats.detected_uncorrectable += int(uncorrectable.sum())
+        stats.miscorrections += int(np.count_nonzero(wrong_half & ~uncorrectable))
     return stats
 
 

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
+import numpy as np
+
 from .gf32 import MUL, PRIMITIVE_POLY
 from .rs_core import FIRST_ROOT, GENERATOR_POLY, K_SYMBOLS, N_PARITY
 
@@ -104,6 +106,17 @@ class ParityMatrix:
     def bitmasks(self) -> tuple[int, ...]:
         """Each row packed into a 135-bit int (bit c set iff c in row)."""
         return tuple(sum(1 << t for t in row) for row in self.rows)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """float32 [135, 20], entry [c, r] = 1 iff information bit c feeds
+        parity bit r: `(bits.astype(np.float32) @ array)` then `& 1` gives
+        the parity bits of a batch. float32 sums of at most 135 ones are
+        exact, and the product runs in BLAS."""
+        out = np.zeros((N_INFO_BITS, N_PARITY_BITS), np.float32)
+        for r, row in enumerate(self.rows):
+            out[sorted(row), r] = 1
+        return out
 
     @property
     def max_fanin(self) -> int:

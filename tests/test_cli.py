@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from rs3127 import matrix_from_text, parse_netlist, derive_parity_matrix
+from rs3127 import framing, matrix_from_text, parse_netlist, derive_parity_matrix
 from rs3127.cli import main
 
 
@@ -183,3 +184,67 @@ def test_sweep_rejects_bad_ber_list(capsys):
     assert main(["sweep", "--ber-list", "a,b", "--frames", "10", "--seed", "1"]) == 2
     assert main(["sweep", "--ber-list", ",", "--frames", "10", "--seed", "1"]) == 2
     capsys.readouterr()
+
+
+def test_empty_input_gives_empty_output(tmp_path):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    frames, out, stats = tmp_path / "f.bin", tmp_path / "o.bin", tmp_path / "s.txt"
+    assert main(["encode", "-i", str(empty), "-o", str(frames)]) == 0
+    assert frames.read_bytes() == b""
+    assert main(["decode", "-i", str(empty), "-o", str(out), "--stats", str(stats)]) == 0
+    assert out.read_bytes() == b"" and stats.read_text() == ""
+
+
+def test_bad_record_in_a_later_block_leaves_no_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(framing, "BLOCK_FRAMES", 3)
+    payload, frames = tmp_path / "p.bin", tmp_path / "f.bin"
+    records = bytearray(5 * 40)
+    records[4 * 40 + 39] = 1  # record 4, in the second block, has bit 319 set
+    payload.write_bytes(bytes(records))
+    assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 2
+    assert "record at byte 160 has nonzero padding" in capsys.readouterr().err
+    assert not frames.exists()
+
+
+def test_misaligned_decode_stream_leaves_no_output(tmp_path, capsys):
+    frames, out, stats = tmp_path / "f.bin", tmp_path / "o.bin", tmp_path / "s.txt"
+    frames.write_bytes(bytes(3 * 40 + 1))
+    assert main(["decode", "-i", str(frames), "-o", str(out), "--stats", str(stats)]) == 2
+    assert "multiple of 40" in capsys.readouterr().err
+    assert not out.exists() and not stats.exists()
+
+
+def _codec_and_simulate_outputs(tmp_path, capsys):
+    """Every encoder's frames, decode output and stats of a noisy stream,
+    and the pinned simulate record."""
+    tmp_path.mkdir()
+    rng = np.random.default_rng(8)
+    records = rng.integers(0, 2, (10, 320), dtype=np.uint8)
+    records[:, 270:] = 0
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(np.packbits(records, axis=1).tobytes())
+    outputs = []
+    for encoder in ("parallel", "ref", "lfsr"):
+        frames = tmp_path / f"f_{encoder}.bin"
+        assert main(["encode", "-i", str(payload), "-o", str(frames),
+                     "--encoder", encoder]) == 0
+        outputs.append(frames.read_bytes())
+    bits = np.unpackbits(np.frombuffer(outputs[0], np.uint8))
+    noisy = tmp_path / "noisy.bin"
+    noisy.write_bytes(np.packbits(bits ^ (rng.random(bits.size) < 0.01)).tobytes())
+    out, stats = tmp_path / "o.bin", tmp_path / "s.txt"
+    assert main(["decode", "-i", str(noisy), "-o", str(out), "--stats", str(stats)]) == 0
+    outputs += [out.read_bytes(), stats.read_text()]
+    capsys.readouterr()
+    assert main(["simulate", "--ber", "0.002", "--burst-len", "6",
+                 "--burst-rate", "0.1", "--frames", "400", "--seed", "42"]) == 0
+    return outputs + [capsys.readouterr().out]
+
+
+def test_block_size_changes_no_output(tmp_path, capsys, monkeypatch):
+    whole = _codec_and_simulate_outputs(tmp_path / "whole", capsys)
+    statuses = {tok.split("=")[1] for tok in whole[4].split() if tok.startswith("status_")}
+    assert statuses == {"ok", "corrected", "uncorrectable"}
+    monkeypatch.setattr(framing, "BLOCK_FRAMES", 3)
+    assert _codec_and_simulate_outputs(tmp_path / "blocks", capsys) == whole

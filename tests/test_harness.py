@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from rs3127 import (ChannelConfig, TrialStats, apply_channel, build_frame,
                     emit_stats, frame_rng, run_simulation, run_sweep)
+from rs3127.harness import channel_flips
 
 
 def test_config_validation():
@@ -109,3 +111,33 @@ def test_stats_merge_adds_counters():
     a.merge(b)
     assert a == TrialStats(frames_total=5, frames_err_pre=3, bit_err_pre=5,
                            miscorrections=1)
+
+
+def _channel_reference(frame, cfg, rng):
+    """The per-bit channel loop the simulator's random stream was pinned with."""
+    bits = list(frame)
+    if cfg.ber > 0:
+        mask = rng.random(320) < cfg.ber
+        bits = [b ^ int(m) for b, m in zip(bits, mask)]
+    if cfg.burst_rate > 0 and cfg.burst_len > 0:
+        span = min(cfg.burst_len, 320)
+        for _ in range(rng.poisson(cfg.burst_rate)):
+            off = int(rng.integers(0, 320 - span + 1))
+            for i in range(off, off + span):
+                bits[i] ^= 1
+    return bits
+
+
+def test_apply_channel_is_the_frame_xor_the_channel_flips():
+    frame = build_frame([1, 0] * 135)
+    cfg = ChannelConfig(ber=0.02, burst_len=6, burst_rate=1.5, seed=9, frames=1)
+    no_bursts = ChannelConfig(ber=0.02, seed=9, frames=1)
+    bursty = 0
+    for i in range(40):
+        flips = channel_flips(cfg, frame_rng(9, i))
+        assert flips.dtype == np.uint8 and flips.shape == (320,)
+        want = (np.array(frame, np.uint8) ^ flips).tolist()
+        assert apply_channel(frame, cfg, frame_rng(9, i)) == want
+        assert _channel_reference(frame, cfg, frame_rng(9, i)) == want
+        bursty += not np.array_equal(flips, channel_flips(no_bursts, frame_rng(9, i)))
+    assert bursty
