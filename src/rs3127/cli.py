@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 data/format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -166,7 +167,10 @@ def _add_channel_flags(sub) -> None:
     sub.add_argument("--csv", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser; parse_args makes a new namespace on every call, so
+    main builds it once per process."""
     parser = _Parser(prog="rs3127", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True,

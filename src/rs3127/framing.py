@@ -16,13 +16,14 @@ Two forms compute this chain. `build_frame`/`unframe` (with `scramble`,
 they are the bit-for-bit reference. The batch kernels
 `encode_frames`/`decode_frames` take `uint8[N, 270]` info and
 `uint8[N, 320]` frames and turn each layer into one array operation:
-scrambling is an XOR with the PRBS, parity is one GF(2) matrix
-product, and header plus interleaving is one gather. The code is
-systematic, so a received codeword has a zero syndrome exactly when its
-parity bits equal the parity of its message bits; codewords that fail
-that check still go through the scalar `decode`. The kernels always use
-the default sync header. The CLI and the simulator feed them in blocks
-of at most BLOCK_FRAMES frames, which bounds their memory.
+scrambling is an XOR with the PRBS, parity and syndromes are each one
+GF(2) matrix product, and header plus interleaving is one gather.
+`decode_frames` corrects every codeword at once with the closed-form
+t = 2 Peterson-Gorenstein-Zierler solution (`_correct`): table gathers
+in GF(32), no per-codeword loop and no call of the scalar `decode`. The
+kernels always use the default sync header. The CLI and the simulator
+feed them in blocks of at most BLOCK_FRAMES frames, which bounds their
+memory.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import OK, DecodeResult, decode
+from .decoder import CORRECTED, OK, UNCORRECTABLE, DecodeResult, decode
+from .gf32 import MUL, gf_inv
 from .parallel_encoder import bits_to_message, encode_parallel, message_to_bits
 from .parallel_gen import (BITS_PER_SYMBOL, bits_to_symbols, default_parity_matrix,
                            symbols_to_bits)
-from .rs_core import N_SYMBOLS, encode_reference
+from .rs_core import K_SYMBOLS, N_PARITY, N_SYMBOLS, compute_syndromes, encode_reference
 from .serial_encoder import lfsr_encode
 
 FRAME_BITS = 320
@@ -51,9 +53,9 @@ _SLOT_SHIFTS = tuple(range(FRAME_BITS - BITS_PER_SYMBOL, -1, -BITS_PER_SYMBOL))
 DEFAULT_SYNC_HEADER = 0b1101010010
 
 # Frames per kernel call in the CLI and the simulator. A block's parity
-# product then has at most 256 rows, which numpy's bundled OpenBLAS runs
-# on the calling thread; at 512 rows it wakes a second thread, which
-# slows `simulate --jobs 2`.
+# or syndrome product then has at most 256 rows, which numpy's bundled
+# OpenBLAS runs on the calling thread; at 512 rows it wakes a second
+# thread, which slows `simulate --jobs 2`.
 BLOCK_FRAMES = 128
 
 SCRAMBLER_BITS = 7  # x^7 + x^6 + 1
@@ -191,6 +193,10 @@ WORD_BITS = N_SYMBOLS * BITS_PER_SYMBOL  # 155
 # s), as tables probed from the converter pair that owns that order.
 _SYMBOL_BITS = np.array(symbols_to_bits(range(32)), np.uint8).reshape(32, BITS_PER_SYMBOL)
 _BIT_WEIGHTS = np.array(bits_to_symbols(np.eye(BITS_PER_SYMBOL, dtype=int).ravel().tolist()))
+# GF(32) products and inverses as arrays, so field arithmetic over many
+# codewords is a gather; the inverse of 0 reads as 0.
+_GF_MUL = np.array(MUL, np.uint8)
+_GF_INV = np.array([0] + [gf_inv(a) for a in range(1, 32)], np.uint8)
 
 
 def frame_blocks(start: int, stop: int):
@@ -254,24 +260,95 @@ def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     return source[:, _wire_order()[0]]
 
 
+@functools.cache
+def _syndrome_map() -> np.ndarray:
+    """float32[155, 20]: column 5*i + b is bit b of syndrome S(i+1) of a
+    codeword in info/parity bit order. Found by feeding compute_syndromes
+    one unit bit at a time; syndromes are GF(2)-linear in the bits."""
+    units = _to_symbols(np.eye(WORD_BITS, dtype=np.uint8)).tolist()
+    synd = np.array([compute_syndromes(word) for word in units])
+    return _SYMBOL_BITS[synd].reshape(WORD_BITS, N_PARITY * BITS_PER_SYMBOL).astype(np.float32)
+
+
+@functools.cache
+def _locator_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(powers uint8[31, 4], roots uint8[32, 32, 3]).
+
+    powers[j] is X, X^2, X^3, X^4 for the error locator X of position j:
+    the syndromes of symbol value 1 at j, read off the syndrome map.
+    roots[l1, l2] is (count, first, last) of the positions j, ascending,
+    where 1 + l1*x + l2*x^2 vanishes at x = 1/X, as chien_search reports
+    them; first == last when there is one root."""
+    rows = _syndrome_map()[::BITS_PER_SYMBOL].astype(np.uint8)
+    powers = _to_symbols(rows).astype(np.uint8)
+    x = powers[:, 0]
+    field = np.arange(32, dtype=np.uint8)
+    l1, l2 = field[:, None, None], field[None, :, None]
+    is_root = (_GF_MUL[x, x] ^ _GF_MUL[l1, x] ^ l2) == 0  # X^2 * lambda(1/X)
+    first = is_root.argmax(axis=2)
+    last = N_SYMBOLS - 1 - is_root[..., ::-1].argmax(axis=2)
+    roots = np.stack([is_root.sum(axis=2), first, last], axis=2).astype(np.uint8)
+    return powers, roots
+
+
+def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode uint8[M, 155] codewords in info/parity bit order at once:
+    (ok bool[M], symbols uint8[M, 31], nu int[M]).
+
+    Closed-form Peterson-Gorenstein-Zierler for t = 2. With
+    det = S2^2 + S1*S3, the locator 1 + l1*x + l2*x^2 solves the Newton
+    identities: l1 = (S2*S3 + S1*S4)/det, l2 = (S3^2 + S2*S4)/det if
+    det != 0, else l1 = S2/S1, l2 = 0. Its roots come from one table.
+    The magnitudes of errors at locators X1, X2 solve S1 = Y1*X1 + Y2*X2,
+    S2 = Y1*X1^2 + Y2*X2^2; one error is the case X2 = 0, which gives
+    Y1 = S2/X1^2 and Y2 = 0 through the inverse of 0 reading as 0.
+    A dirty codeword is corrected exactly when the locator degree nu is 1
+    or 2, it has nu roots, and the corrected word has zero syndrome (the
+    re-check decode makes with is_codeword; syndromes are linear, so it is
+    S minus the syndrome of the error). ok is False only for the others,
+    which keep their received symbols; nu is the number of symbols
+    corrected. Row for row this is what decode returns."""
+    products = words.astype(np.float32) @ _syndrome_map()
+    synd = _to_symbols(products.astype(np.uint8) & 1)
+    s1, s2, s3, s4 = synd.T
+    mul, inv = _GF_MUL, _GF_INV
+    det = mul[s2, s2] ^ mul[s1, s3]
+    two = det != 0
+    l1 = np.where(two, mul[mul[s2, s3] ^ mul[s1, s4], inv[det]], mul[s2, inv[s1]])
+    l2 = np.where(two, mul[mul[s3, s3] ^ mul[s2, s4], inv[det]], 0)
+    nu = np.where(l2 != 0, 2, (l1 != 0).astype(int))
+
+    powers, roots = _locator_tables()
+    count, first, last = roots[l1, l2].T
+    x1 = powers[first, 0]
+    x2 = np.where(nu == 2, powers[last, 0], 0)
+    y1 = mul[mul[s1, x2] ^ s2, inv[mul[x1, x1 ^ x2]]]
+    y2 = mul[mul[s1, x1] ^ s2, inv[mul[x2, x1 ^ x2]]]
+    residual = synd ^ mul[y1[:, None], powers[first]] ^ mul[y2[:, None], powers[last]]
+    fixed = (nu > 0) & (count == nu) & ~residual.any(axis=1)
+
+    symbols = _to_symbols(words).astype(np.uint8)
+    rows = np.flatnonzero(fixed)
+    symbols[rows, first[rows]] ^= y1[rows]
+    symbols[rows, last[rows]] ^= y2[rows]
+    return fixed | ~synd.any(axis=1), symbols, np.where(fixed, nu, 0)
+
+
 def decode_frames(frames) -> tuple[np.ndarray, list[DecodeResult], np.ndarray]:
     """Batch unframe: (info uint8[N, 270], DecodeResults of A and B of each
-    frame in turn, header_ok bool[N]). A codeword whose parity bits match
-    its message bits has a zero syndrome; it gets its message bits as
-    received and DecodeResult(message, 0, OK), which is what decode
-    returns for it. Any other goes through decode."""
+    frame in turn, header_ok bool[N]). All 2N codewords go through
+    `_correct` together; each result equals what decode returns for that
+    codeword, and uncorrectable codewords pass their received message
+    through."""
     frames = np.asarray(frames, dtype=np.uint8)
     if frames.ndim != 2 or frames.shape[1] != FRAME_BITS:
         raise ValueError(f"expected shape (N, {FRAME_BITS}), got {frames.shape}")
     n = len(frames)
     source = frames[:, _wire_order()[1]]
     header_ok = (source[:, :HEADER_BITS] == _HEADER_ARRAY).all(axis=1)
-    words = source[:, HEADER_BITS:].reshape(2 * n, WORD_BITS)
-    messages = words[:, :HALF_INFO_BITS]
-    dirty = (_parity(messages) != words[:, HALF_INFO_BITS:]).any(axis=1)
-    results = [DecodeResult(msg, 0, OK) for msg in _to_symbols(messages).tolist()]
-    for row in np.flatnonzero(dirty).tolist():
-        res = results[row] = decode(_to_symbols(words[row]).tolist())
-        messages[row] = _SYMBOL_BITS[res.message].ravel()
-    info = messages.reshape(n, INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
+    ok, symbols, nu = _correct(source[:, HEADER_BITS:].reshape(2 * n, WORD_BITS))
+    messages = symbols[:, :K_SYMBOLS]
+    results = [DecodeResult(msg, count, (CORRECTED if count else OK) if good else UNCORRECTABLE)
+               for msg, good, count in zip(messages.tolist(), ok.tolist(), nu.tolist())]
+    info = _SYMBOL_BITS[messages].reshape(n, INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
     return info, results, header_ok

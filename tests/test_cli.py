@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rs3127 import framing, matrix_from_text, parse_netlist, derive_parity_matrix
-from rs3127.cli import main
+from rs3127.cli import build_parser, main
 
 
 def test_gen_matrix(tmp_path):
@@ -116,6 +116,25 @@ def test_decode_stats_file(tmp_path):
     assert lines[0].startswith("frame=0 status_a=")
     assert "header_ok=1" in lines[1]
     assert "status_a=ok" in lines[1] and "status_b=ok" in lines[1]
+
+
+def test_main_reuses_one_parser_with_a_fresh_namespace_per_call(tmp_path, capsys, monkeypatch):
+    payload, frames, out, stats = (tmp_path / name for name in ("p.bin", "f.bin", "o.bin", "s.txt"))
+    payload.write_bytes(bytes(80))
+    assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 0
+    parser = build_parser()
+    assert build_parser() is parser
+    parse_args, seen = parser.parse_args, []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(parse_args(argv)) or seen[-1])
+    assert main(["decode", "-i", str(frames), "-o", str(out), "--stats", str(stats)]) == 0
+    assert len(stats.read_text().splitlines()) == 2
+    stats.unlink()
+    assert main(["decode", "-i", str(frames), "-o", str(out)]) == 0
+    assert not stats.exists()
+    assert main(["decode", "-i", str(frames)]) == 1  # missing -o
+    assert "required" in capsys.readouterr().err
+    assert len(seen) == 2 and seen[0] is not seen[1]
+    assert seen[0].stats == str(stats) and seen[1].stats is None
 
 
 def test_simulate_zero_ber(capsys):
