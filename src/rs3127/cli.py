@@ -19,8 +19,8 @@ import sys
 
 import numpy as np
 
-from .framing import (FRAME_BYTES, INFO_BITS_PER_FRAME, decode_frames,
-                      encode_frames, frame_blocks)
+from .framing import (FRAME_BYTES, INFO_BITS_PER_FRAME, _decode_arrays,
+                      codeword_statuses, encode_frames, frame_blocks)
 from .harness import ChannelConfig, emit_stats, run_simulation, run_sweep
 from .parallel_encoder import parity_bits
 from .parallel_gen import (build_xor3_network, derive_parity_matrix,
@@ -114,18 +114,20 @@ def _cmd_decode(args) -> int:
     stats_lines = []
     with open(args.output, "wb") as fh:
         for block in frame_blocks(0, len(frames)):
-            info, results, header_ok = decode_frames(
+            info, ok, nu, header_ok = _decode_arrays(
                 np.unpackbits(frames[block.start:block.stop], axis=1))
             packed = np.packbits(info, axis=1)  # the last byte zero-filled
             fh.write(np.pad(packed, ((0, 0), (0, FRAME_BYTES - packed.shape[1]))).tobytes())
             if args.stats:
+                status, count = codeword_statuses(ok, nu), nu.tolist()
                 stats_lines += [
                     f"frame={index}"
-                    f" status_a={res_a.status} corrected_a={res_a.corrected_symbols}"
-                    f" status_b={res_b.status} corrected_b={res_b.corrected_symbols}"
-                    f" header_ok={int(ok)}"
-                    for index, res_a, res_b, ok in zip(block, results[0::2], results[1::2],
-                                                       header_ok.tolist())]
+                    f" status_a={status_a} corrected_a={count_a}"
+                    f" status_b={status_b} corrected_b={count_b}"
+                    f" header_ok={int(good)}"
+                    for index, status_a, count_a, status_b, count_b, good in zip(
+                        block, status[0::2], count[0::2], status[1::2], count[1::2],
+                        header_ok.tolist())]
     if args.stats:
         with open(args.stats, "w", encoding="ascii") as fh:
             fh.write("\n".join(stats_lines) + ("\n" if stats_lines else ""))

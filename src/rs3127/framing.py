@@ -334,12 +334,13 @@ def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fixed | ~synd.any(axis=1), symbols, np.where(fixed, nu, 0)
 
 
-def decode_frames(frames) -> tuple[np.ndarray, list[DecodeResult], np.ndarray]:
-    """Batch unframe: (info uint8[N, 270], DecodeResults of A and B of each
-    frame in turn, header_ok bool[N]). All 2N codewords go through
-    `_correct` together; each result equals what decode returns for that
-    codeword, and uncorrectable codewords pass their received message
-    through."""
+def _decode_arrays(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batch unframe as arrays: (info uint8[N, 270], ok bool[2N],
+    nu int[2N], header_ok bool[N]), codewords A and B of each frame in
+    turn. All 2N codewords go through `_correct` together; ok is False
+    exactly for the codewords decode reports uncorrectable, whose
+    received message passes through, and nu is the number of symbols
+    corrected."""
     frames = np.asarray(frames, dtype=np.uint8)
     if frames.ndim != 2 or frames.shape[1] != FRAME_BITS:
         raise ValueError(f"expected shape (N, {FRAME_BITS}), got {frames.shape}")
@@ -347,8 +348,26 @@ def decode_frames(frames) -> tuple[np.ndarray, list[DecodeResult], np.ndarray]:
     source = frames[:, _wire_order()[1]]
     header_ok = (source[:, :HEADER_BITS] == _HEADER_ARRAY).all(axis=1)
     ok, symbols, nu = _correct(source[:, HEADER_BITS:].reshape(2 * n, WORD_BITS))
-    messages = symbols[:, :K_SYMBOLS]
-    results = [DecodeResult(msg, count, (CORRECTED if count else OK) if good else UNCORRECTABLE)
-               for msg, good, count in zip(messages.tolist(), ok.tolist(), nu.tolist())]
-    info = _SYMBOL_BITS[messages].reshape(n, INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
+    info = _SYMBOL_BITS[symbols[:, :K_SYMBOLS]].reshape(n, INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
+    return info, ok, nu, header_ok
+
+
+_STATUS_NAMES = (UNCORRECTABLE, OK, CORRECTED)
+
+
+def codeword_statuses(ok: np.ndarray, nu: np.ndarray) -> list[str]:
+    """decode's status string for each codeword of `_decode_arrays`."""
+    return [_STATUS_NAMES[i] for i in (ok.astype(np.intp) + (nu > 0)).tolist()]
+
+
+def decode_frames(frames) -> tuple[np.ndarray, list[DecodeResult], np.ndarray]:
+    """Batch unframe: (info uint8[N, 270], DecodeResults of A and B of each
+    frame in turn, header_ok bool[N]). The results are `_decode_arrays`'
+    outcomes as objects; each equals what decode returns for that
+    codeword, and uncorrectable codewords pass their received message
+    through."""
+    info, ok, nu, header_ok = _decode_arrays(frames)
+    messages = _to_symbols((info ^ _PRBS_ARRAY).reshape(-1, HALF_INFO_BITS)).tolist()
+    results = [DecodeResult(msg, count, status) for msg, count, status
+               in zip(messages, nu.tolist(), codeword_statuses(ok, nu))]
     return info, results, header_ok

@@ -5,24 +5,33 @@ keyed by (seed, frame index), so trials are replay-identical and
 independent of execution order — worker-pool runs merge to the same
 counters as a serial run.
 
-The simulator draws each frame's payload and channel flips from its own
-stream, gathers them into blocks of framing.BLOCK_FRAMES frames, and runs
-each block through the batch kernels `encode_frames`/`decode_frames`;
-`apply_channel` and the scalar `build_frame`/`unframe` give the same
-frames and decodes one at a time.
+`frame_rng` and `channel_flips` define that stream: the payload is
+`integers(0, 2, 270)` on frame_rng(seed, index), and the flips are
+channel_flips on the same generator. The simulator draws the same bits
+in blocks of framing.BLOCK_FRAMES frames (`_draw_block`). It keeps one
+Philox per call, re-keys it to (seed, index) at counter 0 for each frame,
+and reads the block's payloads and independent flips off the raw 64-bit
+words in a few array operations; bursts alone are drawn per frame,
+continuing each frame's stream. Each block then runs through the batch
+kernels `encode_frames` and `_decode_arrays`; `apply_channel` and the
+scalar `build_frame`/`unframe` give the same frames and decodes one at
+a time.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .framing import (FRAME_BITS, HALF_INFO_BITS, HEADER_BITS,
-                      INFO_BITS_PER_FRAME, decode_frames, encode_frames,
+                      INFO_BITS_PER_FRAME, _decode_arrays, encode_frames,
                       frame_blocks)
-from .decoder import UNCORRECTABLE
+
+# Raw words of a frame's payload draw: one per two payload bits.
+_PAYLOAD_WORDS = INFO_BITS_PER_FRAME // 2
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,8 @@ class ChannelConfig:
             raise ValueError(f"ber must be in [0, 1], got {self.ber}")
         if self.burst_len < 0 or self.burst_rate < 0 or self.frames < 0:
             raise ValueError("burst_len, burst_rate and frames must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -91,30 +102,71 @@ def apply_channel(frame: list[int], cfg: ChannelConfig,
     return (np.array(frame, np.uint8) ^ channel_flips(cfg, rng)).tolist()
 
 
+def _draw_block(cfg: ChannelConfig, block: range,
+                gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(payload uint8[n, 270], flips uint8[n, 320]) of the frames in block:
+    row r equals frame_rng(cfg.seed, block[r]).integers(0, 2, 270)
+    followed by channel_flips(cfg, rng) on the same generator.
+
+    gen's Philox is re-keyed to (seed, frame index) at counter 0 for each
+    frame, which is the generator frame_rng builds, and its first
+    135 + 320 raw words (320 only when ber > 0) land in one array. numpy
+    draws an integer in [0, 2) from one uint32, low half of a word first,
+    as the uint32's top bit, and random() as (word >> 11) * 2**-53, which
+    is below ber exactly when word >> 11 is below ceil(ber * 2**53).
+    Bursts are drawn through gen, so they continue each frame's stream
+    right after those words."""
+    n = len(block)
+    n_words = _PAYLOAD_WORDS + (FRAME_BITS if cfg.ber > 0 else 0)
+    words = np.empty((n, n_words), np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": [cfg.seed, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = state["state"]["key"]
+    bursty = cfg.burst_rate > 0 and cfg.burst_len > 0
+    span = min(cfg.burst_len, FRAME_BITS)
+    bursts = []
+    bitgen = gen.bit_generator
+    for row, idx in enumerate(block):
+        key[1] = idx
+        bitgen.state = state
+        words[row] = bitgen.random_raw(n_words)
+        if bursty:
+            for _ in range(gen.poisson(cfg.burst_rate)):
+                bursts.append((row, int(gen.integers(0, FRAME_BITS - span + 1))))
+
+    # Little-endian view: the low half of each word first on any host.
+    halves = words[:, :_PAYLOAD_WORDS].astype("<u8", copy=False).view("<u4")
+    payload = halves >= 2**31
+    if cfg.ber > 0:
+        flips = (words[:, _PAYLOAD_WORDS:] >> 11) < math.ceil(cfg.ber * 2.0**53)
+    else:
+        flips = np.zeros((n, FRAME_BITS), bool)
+    flips = flips.view(np.uint8)
+    for row, off in bursts:
+        flips[row, off:off + span] ^= 1
+    return payload.view(np.uint8), flips
+
+
 def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
     stats = TrialStats()
+    gen = np.random.Generator(np.random.Philox(key=0))  # re-keyed for every frame
     for block in frame_blocks(start, start + count):
-        payload = np.empty((len(block), INFO_BITS_PER_FRAME), np.uint8)
-        flips = np.empty((len(block), FRAME_BITS), np.uint8)
-        for row, idx in enumerate(block):
-            rng = frame_rng(cfg.seed, idx)
-            payload[row] = rng.integers(0, 2, size=INFO_BITS_PER_FRAME)
-            flips[row] = channel_flips(cfg, rng)
-        info, results, _ = decode_frames(encode_frames(payload) ^ flips)
+        payload, flips = _draw_block(cfg, block, gen)
+        info, ok, _, _ = _decode_arrays(encode_frames(payload) ^ flips)
 
         pre_bits = flips[:, HEADER_BITS:].sum(axis=1)
         wrong = info != payload
         post_bits = wrong.sum(axis=1)
         wrong_half = wrong.reshape(-1, HALF_INFO_BITS).any(axis=1)
-        uncorrectable = np.array([res.status == UNCORRECTABLE for res in results], bool)
         stats.frames_total += len(block)
         stats.bit_err_pre += int(pre_bits.sum())
         stats.bit_err_post += int(post_bits.sum())
         stats.frames_err_pre += int(np.count_nonzero(pre_bits))
         stats.frames_err_post += int(np.count_nonzero(post_bits))
         stats.frames_recovered += int(np.count_nonzero((pre_bits > 0) & (post_bits == 0)))
-        stats.detected_uncorrectable += int(uncorrectable.sum())
-        stats.miscorrections += int(np.count_nonzero(wrong_half & ~uncorrectable))
+        stats.detected_uncorrectable += int(np.count_nonzero(~ok))
+        stats.miscorrections += int(np.count_nonzero(wrong_half & ok))
     return stats
 
 

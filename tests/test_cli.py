@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rs3127
 from rs3127 import framing, matrix_from_text, parse_netlist, derive_parity_matrix
 from rs3127.cli import build_parser, main
 
@@ -267,3 +273,25 @@ def test_block_size_changes_no_output(tmp_path, capsys, monkeypatch):
     assert statuses == {"ok", "corrected", "uncorrectable"}
     monkeypatch.setattr(framing, "BLOCK_FRAMES", 3)
     assert _codec_and_simulate_outputs(tmp_path / "blocks", capsys) == whole
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_is_a_data_error(seed, capsys):
+    assert main(["simulate", "--ber", "1e-3", "--frames", "2", "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rs3127: error: seed must be in [0, 2**64)")
+    assert "Traceback" not in err
+    assert main(["sweep", "--ber-list", "1e-3", "--frames", "2", "--seed", seed]) == 2
+    assert main(["simulate", "--ber", "1e-3", "--frames", "2", "--seed", str(2**64 - 1)]) == 0
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["simulate", "--ber", "1e-3", "--burst-len", "6", "--burst-rate", "0.1",
+            "--frames", "50", "--seed", "3"]
+    assert main(argv) == 0
+    src = str(Path(rs3127.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "rs3127", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out

@@ -1,9 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from rs3127 import (ChannelConfig, TrialStats, apply_channel, build_frame,
-                    emit_stats, frame_rng, run_simulation, run_sweep)
-from rs3127.harness import channel_flips
+from rs3127 import (UNCORRECTABLE, ChannelConfig, TrialStats, apply_channel,
+                    build_frame, emit_stats, frame_rng, run_simulation, run_sweep,
+                    unframe)
+from rs3127.framing import BLOCK_FRAMES, frame_blocks
+from rs3127.harness import _draw_block, channel_flips
 
 
 def test_config_validation():
@@ -141,3 +146,73 @@ def test_apply_channel_is_the_frame_xor_the_channel_flips():
         assert _channel_reference(frame, cfg, frame_rng(9, i)) == want
         bursty += not np.array_equal(flips, channel_flips(no_bursts, frame_rng(9, i)))
     assert bursty
+
+
+def test_numpy_draws_are_the_raw_word_bits_the_block_draw_reads():
+    """The two numpy identities the block draw relies on: an integer in
+    [0, 2) is the top bit of one uint32, low half of a raw word first, and
+    random() is the top 53 bits of one raw word times 2**-53; so
+    random() < ber is those 53 bits < ceil(ber * 2**53), also when ber is
+    a drawn value."""
+    for seed, index in ((0, 0), (42, 7), (2**64 - 1, 2**64 - 1)):
+        raw = frame_rng(seed, index).bit_generator.random_raw(135 + 320)
+        rng = frame_rng(seed, index)
+        halves = np.stack([raw[:135] & 0xFFFFFFFF, raw[:135] >> 32], axis=1).ravel()
+        assert np.array_equal(rng.integers(0, 2, size=270), halves >> 31)
+        uniform = rng.random(320)
+        assert np.array_equal(uniform, (raw[135:] >> 11) * 2.0**-53)
+        for ber in (1e-3, 0.5, 1.0, float(uniform[0]), float(uniform[1])):
+            assert np.array_equal((raw[135:] >> 11) < math.ceil(ber * 2.0**53), uniform < ber)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_block_draw_is_the_per_frame_stream(seed):
+    start, stop = 5, 5 + BLOCK_FRAMES + 3
+    blocks = list(frame_blocks(start, stop))
+    assert len(blocks) == 2
+    for ber, burst_len, burst_rate in itertools.product(
+            (0.0, 1e-3, 0.5, 1.0), (0, 6, 400), (0.0, 0.1, 3.0)):
+        cfg = ChannelConfig(ber=ber, burst_len=burst_len, burst_rate=burst_rate,
+                            seed=seed, frames=stop)
+        gen = np.random.Generator(np.random.Philox(key=0))
+        drawn = [_draw_block(cfg, block, gen) for block in blocks]
+        payload = np.concatenate([p for p, _ in drawn])
+        flips = np.concatenate([f for _, f in drawn])
+        assert payload.dtype == flips.dtype == np.uint8
+        for row, index in enumerate(range(start, stop)):
+            rng = frame_rng(seed, index)
+            assert np.array_equal(payload[row], rng.integers(0, 2, size=270))
+            assert np.array_equal(flips[row], channel_flips(cfg, rng))
+
+
+def _scalar_simulation(cfg):
+    """Counters from the per-frame chain: frame_rng, the payload draw,
+    apply_channel on build_frame, unframe."""
+    stats = TrialStats(frames_total=cfg.frames)
+    for index in range(cfg.frames):
+        rng = frame_rng(cfg.seed, index)
+        payload = rng.integers(0, 2, size=270).tolist()
+        frame = build_frame(payload)
+        received = apply_channel(frame, cfg, rng)
+        out = unframe(received)
+        pre = sum(a != b for a, b in zip(frame[10:], received[10:]))
+        post = sum(a != b for a, b in zip(out.info, payload))
+        stats.bit_err_pre += pre
+        stats.bit_err_post += post
+        stats.frames_err_pre += pre > 0
+        stats.frames_err_post += post > 0
+        stats.frames_recovered += pre > 0 and post == 0
+        for half, res in enumerate((out.result_a, out.result_b)):
+            wrong = out.info[135 * half:135 * (half + 1)] != payload[135 * half:135 * (half + 1)]
+            stats.detected_uncorrectable += res.status == UNCORRECTABLE
+            stats.miscorrections += wrong and res.status != UNCORRECTABLE
+    return stats
+
+
+def test_block_path_equals_the_scalar_chain():
+    cfg = ChannelConfig(ber=5e-3, burst_len=6, burst_rate=0.3, seed=29, frames=300)
+    assert cfg.frames > 2 * BLOCK_FRAMES
+    want = _scalar_simulation(cfg)
+    assert want.frames_recovered and want.miscorrections and want.detected_uncorrectable
+    assert run_simulation(cfg) == want
+    assert run_simulation(cfg, jobs=3) == want

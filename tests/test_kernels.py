@@ -262,6 +262,25 @@ def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
     assert (got[0] == want[0]).all() and got[1] == want[1] and (got[2] == want[2]).all()
 
 
+def test_array_core_matches_decode_frames_row_for_row():
+    rnd = random.Random(17)
+    frames = encode_frames(np.array([[rnd.getrandbits(1) for _ in range(270)]
+                                     for _ in range(12)], np.uint8))
+    frames[0, 4] ^= 1  # header bit
+    for row in range(12):
+        for pos in rnd.sample(range(HEADER_BITS, 320), row):
+            frames[row, pos] ^= 1
+    info, ok, nu, header_ok = framing._decode_arrays(frames)
+    want_info, results, want_header_ok = decode_frames(frames)
+    assert {r.status for r in results} == {OK, CORRECTED, UNCORRECTABLE}
+    assert ok.dtype == bool and ok.shape == nu.shape == (24,)
+    assert np.array_equal(info, want_info) and np.array_equal(header_ok, want_header_ok)
+    assert [(bool(good), int(count)) for good, count in zip(ok, nu)] == [
+        (r.status != UNCORRECTABLE, r.corrected_symbols) for r in results]
+    assert framing.codeword_statuses(ok, nu) == [r.status for r in results]
+    _assert_matches_unframe(frames)
+
+
 # --- the parity map ------------------------------------------------------------
 
 def test_parity_array_equals_the_rows_and_parity_bits():
