@@ -6,24 +6,25 @@ Frame layout (320 bits): bits 0..9 header, MSB first; payload bit 10*s + i
 10*s + 5 + i is bit 4-i of symbol s of codeword B — 5-bit symbols of the
 two codewords alternate, MSB first on the wire. A frame is thus 64 five-bit
 wire slots; parallel_gen's symbols_to_bits/bits_to_symbols convert them and
-are the one owner of the symbol bit order. The scrambler is additive
+are the one owner of the symbol bit order. The header is always
+DEFAULT_SYNC_HEADER. The scrambler is additive
 and frame-synchronous (x^7 + x^6 + 1, reseeded to all-ones each frame),
 so descrambling is the same operation and channel bit errors do not
 multiply.
 
 Two forms compute this chain. `build_frame`/`unframe` (with `scramble`,
 `interleave` and the byte converters) take one frame as lists of bits;
-they are the bit-for-bit reference. The batch kernels
-`encode_frames`/`decode_frames` take `uint8[N, 270]` info and
-`uint8[N, 320]` frames and turn each layer into one array operation:
-scrambling is an XOR with the PRBS, parity and syndromes are each one
-GF(2) matrix product, and header plus interleaving is one gather.
-`decode_frames` corrects every codeword at once with the closed-form
-t = 2 Peterson-Gorenstein-Zierler solution (`_correct`): table gathers
-in GF(32), no per-codeword loop and no call of the scalar `decode`. The
-kernels always use the default sync header. The CLI and the simulator
-feed them in blocks of at most BLOCK_FRAMES frames, which bounds their
-memory.
+they are the bit-for-bit reference and encode with the parallel encoder.
+The batch kernels `encode_frames`/`decode_frames` take `uint8[N, 270]`
+info and `uint8[N, 320]` frames and turn each layer into one array
+operation: scrambling is an XOR with the PRBS, parity and syndromes are
+each one GF(2) matrix product, and header plus interleaving is one
+gather. `encode_frames` is where an encoder is chosen; all three give
+the same frames. `decode_frames` corrects every codeword at once with
+the closed-form t = 2 Peterson-Gorenstein-Zierler solution (`_correct`):
+table gathers in GF(32), no per-codeword loop and no call of the scalar
+`decode`. The CLI and the simulator feed the kernels in blocks of at
+most BLOCK_FRAMES frames, which bounds their memory.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import CORRECTED, OK, UNCORRECTABLE, DecodeResult, decode
+from .decoder import DecodeResult, decode
 from .gf32 import MUL, gf_inv
-from .parallel_encoder import bits_to_message, encode_parallel, message_to_bits
+from .parallel_encoder import encode_parallel, message_to_bits
 from .parallel_gen import (BITS_PER_SYMBOL, bits_to_symbols, default_parity_matrix,
                            symbols_to_bits)
 from .rs_core import K_SYMBOLS, N_PARITY, N_SYMBOLS, compute_syndromes, encode_reference
@@ -51,6 +52,8 @@ FRAME_BYTES = 40
 _SLOT_SHIFTS = tuple(range(FRAME_BITS - BITS_PER_SYMBOL, -1, -BITS_PER_SYMBOL))
 
 DEFAULT_SYNC_HEADER = 0b1101010010
+# Its 10 bits as two wire slots, MSB first: the first 10 bits of every frame.
+_HEADER = symbols_to_bits(divmod(DEFAULT_SYNC_HEADER, 1 << BITS_PER_SYMBOL), msb_first=True)
 
 # Frames per kernel call in the CLI and the simulator. A block's parity
 # or syndrome product then has at most 256 rows, which numpy's bundled
@@ -116,32 +119,16 @@ def deinterleave(bits: list[int]) -> tuple[list[int], list[int]]:
     return slots[0::2], slots[1::2]
 
 
-def _header_bits(header: int) -> list[int]:
-    """The header's low 10 bits as two wire slots, MSB first."""
-    return symbols_to_bits([(header >> BITS_PER_SYMBOL) & 0x1F, header & 0x1F],
-                           msb_first=True)
-
-
-def _encode_half(bits: list[int], encoder: str) -> list[int]:
-    if encoder == "parallel":
-        return encode_parallel(bits, default_parity_matrix())
-    if encoder == "reference":
-        return encode_reference(bits_to_message(bits))
-    if encoder == "lfsr":
-        return lfsr_encode(bits_to_message(bits))
-    raise ValueError(f"unknown encoder {encoder!r}")
-
-
-def build_frame(info: list[int], header: int = DEFAULT_SYNC_HEADER,
-                encoder: str = "parallel") -> list[int]:
+def build_frame(info: list[int]) -> list[int]:
     """Scramble, encode both halves (first half -> codeword A), interleave,
     prepend the sync header."""
     if len(info) != INFO_BITS_PER_FRAME:
         raise ValueError(f"expected {INFO_BITS_PER_FRAME} bits, got {len(info)}")
     scrambled = scramble(info)
-    cw_a = _encode_half(scrambled[:HALF_INFO_BITS], encoder)
-    cw_b = _encode_half(scrambled[HALF_INFO_BITS:], encoder)
-    return _header_bits(header) + interleave(cw_a, cw_b)
+    matrix = default_parity_matrix()
+    cw_a = encode_parallel(scrambled[:HALF_INFO_BITS], matrix)
+    cw_b = encode_parallel(scrambled[HALF_INFO_BITS:], matrix)
+    return _HEADER + interleave(cw_a, cw_b)
 
 
 @dataclass
@@ -152,13 +139,13 @@ class UnframeResult:
     header_ok: bool
 
 
-def unframe(frame: list[int], header: int = DEFAULT_SYNC_HEADER) -> UnframeResult:
+def unframe(frame: list[int]) -> UnframeResult:
     """Inverse chain. A header mismatch is reported, not fatal — the
     channel may corrupt it. Uncorrectable codewords pass their received
     message region through unmodified."""
     if len(frame) != FRAME_BITS:
         raise ValueError(f"expected {FRAME_BITS} bits, got {len(frame)}")
-    header_ok = frame[:HEADER_BITS] == _header_bits(header)
+    header_ok = frame[:HEADER_BITS] == _HEADER
     word_a, word_b = deinterleave(frame[HEADER_BITS:])
     res_a = decode(word_a)
     res_b = decode(word_b)
@@ -187,7 +174,7 @@ def bytes_to_frame(data: bytes) -> list[int]:
 # --- batch kernels -------------------------------------------------------------
 
 _PRBS_ARRAY = np.array(_PRBS_FRAME, dtype=np.uint8)
-_HEADER_ARRAY = np.array(_header_bits(DEFAULT_SYNC_HEADER), np.uint8)
+_HEADER_ARRAY = np.array(_HEADER, np.uint8)
 WORD_BITS = N_SYMBOLS * BITS_PER_SYMBOL  # 155
 # One codeword's bits in info/parity order (bit 5*s + i is bit i of symbol
 # s), as tables probed from the converter pair that owns that order.
@@ -238,9 +225,10 @@ def _parity(messages: np.ndarray) -> np.ndarray:
 
 def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     """uint8[N, 320] frames from uint8[N, 270] info bits; row n equals
-    build_frame(info[n], encoder=encoder). `reference` and `lfsr` still
-    run their per-codeword algorithm; only the bit conversion around it is
-    batched."""
+    build_frame(info[n]) whichever encoder computes the parity.
+    `parallel` is one matrix product; `reference` and `lfsr` still run
+    their per-codeword algorithm, and only the bit conversion around it
+    is batched."""
     info = np.asarray(info, dtype=np.uint8)
     if info.ndim != 2 or info.shape[1] != INFO_BITS_PER_FRAME:
         raise ValueError(f"expected shape (N, {INFO_BITS_PER_FRAME}), got {info.shape}")
@@ -334,13 +322,12 @@ def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fixed | ~synd.any(axis=1), symbols, np.where(fixed, nu, 0)
 
 
-def _decode_arrays(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batch unframe as arrays: (info uint8[N, 270], ok bool[2N],
-    nu int[2N], header_ok bool[N]), codewords A and B of each frame in
-    turn. All 2N codewords go through `_correct` together; ok is False
-    exactly for the codewords decode reports uncorrectable, whose
-    received message passes through, and nu is the number of symbols
-    corrected."""
+def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batch unframe: (info uint8[N, 270], ok bool[2N], nu int[2N],
+    header_ok bool[N]), codewords A and B of each frame in turn. All 2N
+    codewords go through `_correct` together; ok is False exactly for the
+    codewords decode reports uncorrectable, whose received message passes
+    through, and nu is the number of symbols corrected."""
     frames = np.asarray(frames, dtype=np.uint8)
     if frames.ndim != 2 or frames.shape[1] != FRAME_BITS:
         raise ValueError(f"expected shape (N, {FRAME_BITS}), got {frames.shape}")
@@ -350,24 +337,3 @@ def _decode_arrays(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     ok, symbols, nu = _correct(source[:, HEADER_BITS:].reshape(2 * n, WORD_BITS))
     info = _SYMBOL_BITS[symbols[:, :K_SYMBOLS]].reshape(n, INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
     return info, ok, nu, header_ok
-
-
-_STATUS_NAMES = (UNCORRECTABLE, OK, CORRECTED)
-
-
-def codeword_statuses(ok: np.ndarray, nu: np.ndarray) -> list[str]:
-    """decode's status string for each codeword of `_decode_arrays`."""
-    return [_STATUS_NAMES[i] for i in (ok.astype(np.intp) + (nu > 0)).tolist()]
-
-
-def decode_frames(frames) -> tuple[np.ndarray, list[DecodeResult], np.ndarray]:
-    """Batch unframe: (info uint8[N, 270], DecodeResults of A and B of each
-    frame in turn, header_ok bool[N]). The results are `_decode_arrays`'
-    outcomes as objects; each equals what decode returns for that
-    codeword, and uncorrectable codewords pass their received message
-    through."""
-    info, ok, nu, header_ok = _decode_arrays(frames)
-    messages = _to_symbols((info ^ _PRBS_ARRAY).reshape(-1, HALF_INFO_BITS)).tolist()
-    results = [DecodeResult(msg, count, status) for msg, count, status
-               in zip(messages, nu.tolist(), codeword_statuses(ok, nu))]
-    return info, results, header_ok

@@ -13,7 +13,7 @@ Philox per call, re-keys it to (seed, index) at counter 0 for each frame,
 and reads the block's payloads and independent flips off the raw 64-bit
 words in a few array operations; bursts alone are drawn per frame,
 continuing each frame's stream. Each block then runs through the batch
-kernels `encode_frames` and `_decode_arrays`; `apply_channel` and the
+kernels `encode_frames` and `decode_frames`; `apply_channel` and the
 scalar `build_frame`/`unframe` give the same frames and decodes one at
 a time.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .framing import (FRAME_BITS, HALF_INFO_BITS, HEADER_BITS,
-                      INFO_BITS_PER_FRAME, _decode_arrays, encode_frames,
+                      INFO_BITS_PER_FRAME, decode_frames, encode_frames,
                       frame_blocks)
 
 # Raw words of a frame's payload draw: one per two payload bits.
@@ -153,7 +153,7 @@ def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
     gen = np.random.Generator(np.random.Philox(key=0))  # re-keyed for every frame
     for block in frame_blocks(start, start + count):
         payload, flips = _draw_block(cfg, block, gen)
-        info, ok, _, _ = _decode_arrays(encode_frames(payload) ^ flips)
+        info, ok, _, _ = decode_frames(encode_frames(payload) ^ flips)
 
         pre_bits = flips[:, HEADER_BITS:].sum(axis=1)
         wrong = info != payload

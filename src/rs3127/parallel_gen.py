@@ -179,7 +179,19 @@ class XorNetwork:
 
     gates: tuple[tuple[str, str, str], ...]
     outputs: tuple[str, ...]
-    depths: tuple[int, ...]
+
+    @cached_property
+    def depths(self) -> tuple[int, ...]:
+        """XOR3 levels between the inputs and each output, read off the
+        structure."""
+        gate_depth: list[int] = []
+
+        def ref_depth(ref: str) -> int:
+            return gate_depth[int(ref[1:])] if ref[0] == "w" else 0
+
+        for gate in self.gates:
+            gate_depth.append(1 + max(map(ref_depth, gate)))
+        return tuple(map(ref_depth, self.outputs))
 
     @property
     def max_depth(self) -> int:
@@ -221,10 +233,8 @@ def build_xor3_network(matrix: ParityMatrix) -> XorNetwork:
     """
     gates: list[tuple[str, str, str]] = []
     outputs = []
-    depths = []
     for row in matrix.rows:
         level = [f"d{t}" for t in sorted(row)]
-        depth = 0
         while len(level) > 1:
             nxt = []
             for i in range(0, len(level), 3):
@@ -233,10 +243,8 @@ def build_xor3_network(matrix: ParityMatrix) -> XorNetwork:
                 gates.append((chunk[0], chunk[1], chunk[2]))
                 nxt.append(f"w{len(gates) - 1}")
             level = nxt
-            depth += 1
         outputs.append(level[0])
-        depths.append(depth)
-    return XorNetwork(tuple(gates), tuple(outputs), tuple(depths))
+    return XorNetwork(tuple(gates), tuple(outputs))
 
 
 def emit_netlist(net: XorNetwork) -> str:
@@ -275,8 +283,9 @@ def parse_netlist(text: str) -> XorNetwork:
     """Parse the netlist grammar back into an XorNetwork.
 
     Enforces dense ascending gate ids and topological order, so cycles and
-    forward references are reported as undefined wires. Depths are
-    recomputed from the structure.
+    forward references are reported as undefined wires. Every gate is an
+    XOR3 of inputs, earlier wires and ZERO, so every parsed netlist is
+    GF(2)-linear.
     """
     gates: list[tuple[str, str, str]] = []
     outputs: dict[int, str] = {}
@@ -310,19 +319,7 @@ def parse_netlist(text: str) -> XorNetwork:
     missing = [k for k in range(N_PARITY_BITS) if k not in outputs]
     if missing:
         raise ValueError(f"missing outputs: {['p%d' % k for k in missing]}")
-    out_refs = tuple(outputs[k] for k in range(N_PARITY_BITS))
-    return XorNetwork(tuple(gates), out_refs, _structural_depths(gates, out_refs))
-
-
-def _structural_depths(gates, out_refs) -> tuple[int, ...]:
-    gate_depth: list[int] = []
-
-    def ref_depth(ref: str) -> int:
-        return gate_depth[int(ref[1:])] if ref[0] == "w" else 0
-
-    for a, b, c in gates:
-        gate_depth.append(1 + max(ref_depth(a), ref_depth(b), ref_depth(c)))
-    return tuple(ref_depth(ref) for ref in out_refs)
+    return XorNetwork(tuple(gates), tuple(outputs[k] for k in range(N_PARITY_BITS)))
 
 
 def expected_depth(fanin: int) -> int:

@@ -27,9 +27,8 @@ def test_emit_and_check_netlist(tmp_path, capsys):
     assert "max XOR3 depth: 4" in printed
     parse_netlist(nfile.read_text())
 
-    assert main(["check-netlist", "-n", str(nfile), "-m", str(mfile),
-                 "--trials", "300"]) == 0
-    assert "equivalent on 300 random inputs" in capsys.readouterr().out
+    assert main(["check-netlist", "-n", str(nfile), "-m", str(mfile)]) == 0
+    assert "equivalent on all 2^135 inputs" in capsys.readouterr().out
 
 
 def test_check_netlist_catches_a_wrong_gate(tmp_path, capsys):
@@ -44,7 +43,28 @@ def test_check_netlist_catches_a_wrong_gate(tmp_path, capsys):
     nfile.write_text(text.replace(first_gate,
                                   f"wire w0 = XOR3({spare}, {inputs[1]}, {inputs[2]})"))
     capsys.readouterr()
-    assert main(["check-netlist", "-n", str(nfile), "--trials", "300"]) == 2
+    assert main(["check-netlist", "-n", str(nfile)]) == 2
+    assert "mismatch: output p" in capsys.readouterr().err
+
+
+def test_check_netlist_proves_and_names_a_one_column_difference(tmp_path, capsys):
+    """Output p0 with one extra input d134 differs from the matrix in one
+    column only, so each random input vector catches it with probability
+    1/2; the unit-vector proof always does, and names the bit. Sampling
+    options are gone: a trial count is a usage error."""
+    nfile = tmp_path / "n.txt"
+    assert main(["emit-netlist", "-o", str(nfile)]) == 0
+    lines = nfile.read_text().splitlines()
+    n_gates = sum(line.startswith("wire ") for line in lines)
+    at = next(i for i, line in enumerate(lines) if line.startswith("out p0 = "))
+    lines[at:at + 1] = [f"wire w{n_gates} = XOR3({lines[at].split()[-1]}, d134, ZERO)",
+                        f"out p0 = w{n_gates}"]
+    nfile.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check-netlist", "-n", str(nfile)]) == 2
+    assert "mismatch: output p0 on information bit d134" in capsys.readouterr().err
+    assert main(["check-netlist", "-n", str(nfile), "--trials", "5"]) == 1
+    capsys.readouterr()
 
 
 def test_encode_decode_round_trip(tmp_path):

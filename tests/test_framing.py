@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rs3127 import (OK, DEFAULT_SYNC_HEADER, Scrambler, build_frame,
                     bytes_to_frame, deinterleave, descramble, encode_reference,
                     frame_to_bytes, interleave, scramble, unframe)
-from rs3127.framing import HEADER_BITS, PAYLOAD_BITS, _header_bits
+from rs3127.framing import HEADER_BITS, PAYLOAD_BITS
 
 from oracles import frame_reference, prbs_reference
 
@@ -90,21 +90,14 @@ def test_frame_is_320_bits_with_the_sync_header():
     rnd = random.Random(6002)
     frame = build_frame(random_payload(rnd))
     assert len(frame) == 320
-    assert frame[:HEADER_BITS] == _header_bits(DEFAULT_SYNC_HEADER)
+    assert frame[:HEADER_BITS] == [DEFAULT_SYNC_HEADER >> (HEADER_BITS - 1 - i) & 1
+                                   for i in range(HEADER_BITS)]
 
 
 def test_frame_build_is_stateless():
     rnd = random.Random(6003)
     payload = random_payload(rnd)
     assert build_frame(payload) == build_frame(payload)
-
-
-def test_all_encoder_variants_build_identical_frames():
-    rnd = random.Random(6004)
-    payload = random_payload(rnd)
-    assert build_frame(payload, encoder="parallel") \
-        == build_frame(payload, encoder="reference") \
-        == build_frame(payload, encoder="lfsr")
 
 
 def test_clean_round_trip():
@@ -125,14 +118,6 @@ def test_header_corruption_is_flagged_but_payload_still_decodes():
     res = unframe(frame)
     assert not res.header_ok
     assert res.info == payload
-
-
-def test_configurable_header():
-    rnd = random.Random(6007)
-    payload = random_payload(rnd)
-    frame = build_frame(payload, header=0b0000011111)
-    assert unframe(frame, header=0b0000011111).header_ok
-    assert not unframe(frame).header_ok
 
 
 def burst_recovery(payload, offset, length):
@@ -219,8 +204,7 @@ def test_frame_and_bytes_match_the_layout_oracle(info):
     want = frame_reference(info)
     want_bytes = bytes(sum(want[8 * k + j] << (7 - j) for j in range(8))
                        for k in range(40))
-    for encoder in ("parallel", "reference", "lfsr"):
-        assert build_frame(info, encoder=encoder) == want
+    assert build_frame(info) == want
     assert frame_to_bytes(want) == want_bytes
     assert bytes_to_frame(want_bytes) == want
     assert unframe(want).info == info

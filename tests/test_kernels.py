@@ -35,7 +35,7 @@ def test_encode_frames_equals_build_frame_and_the_layout_oracle(rows):
     for encoder in ENCODERS:
         frames = encode_frames(_as_block(rows, 270), encoder=encoder)
         assert frames.dtype == np.uint8 and frames.shape == (len(rows), 320)
-        assert frames.tolist() == [build_frame(info, encoder=encoder) for info in rows]
+        assert frames.tolist() == [build_frame(info) for info in rows]
         assert frames.tolist() == want
 
 
@@ -53,14 +53,22 @@ def test_kernel_contracts():
 # --- decode_frames -----------------------------------------------------------
 
 def _assert_matches_unframe(frames):
-    info, results, header_ok = decode_frames(frames)
+    """decode_frames against unframe row for row. Equal info means equal
+    messages, and (ok, nu) pins decode's status: uncorrectable exactly
+    when not ok, corrected exactly when nu > 0. Returns unframe's
+    DecodeResults of A and B of each frame in turn, and header_ok."""
+    info, ok, nu, header_ok = decode_frames(frames)
     assert info.dtype == np.uint8 and info.shape == (len(frames), 270)
-    assert len(results) == 2 * len(frames) and header_ok.shape == (len(frames),)
+    assert ok.dtype == bool and ok.shape == nu.shape == (2 * len(frames),)
+    assert header_ok.shape == (len(frames),)
+    results = []
     for k, frame in enumerate(frames.tolist()):
         want = unframe(frame)
         assert info[k].tolist() == want.info
-        assert results[2 * k] == want.result_a and results[2 * k + 1] == want.result_b
         assert bool(header_ok[k]) == want.header_ok
+        results += [want.result_a, want.result_b]
+    assert [(bool(good), int(count)) for good, count in zip(ok, nu)] == [
+        (r.status != UNCORRECTABLE, r.corrected_symbols) for r in results]
     return results, header_ok
 
 
@@ -105,9 +113,9 @@ def test_decode_frames_corrects_every_single_symbol_error():
             err[pos] = value
             errors.append([0] * HEADER_BITS + interleave(err, err[::-1]))
     frames = np.array(build_frame(info), np.uint8) ^ np.array(errors, np.uint8)
-    got, results, header_ok = decode_frames(frames)
+    got, ok, nu, header_ok = decode_frames(frames)
     assert (got == np.array(info, np.uint8)).all() and header_ok.all()
-    assert {r.status for r in results} == {CORRECTED}
+    assert ok.all() and (nu == 1).all()
 
 
 # --- the t = 2 corrector -------------------------------------------------------
@@ -249,36 +257,16 @@ def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
     for row in range(8):
         for pos in rnd.sample(range(HEADER_BITS, 320), 2 * row):
             frames[row, pos] ^= 1
+    results, _ = _assert_matches_unframe(frames)
+    assert {r.status for r in results} == {OK, CORRECTED, UNCORRECTABLE}
     want = decode_frames(frames)
-    statuses = {r.status for r in want[1]}
-    assert statuses == {OK, CORRECTED, UNCORRECTABLE}
-    _assert_matches_unframe(frames)
 
     def refuse(word):
         raise AssertionError("decode_frames called the scalar decode")
 
     monkeypatch.setattr(framing, "decode", refuse)
     got = decode_frames(frames)
-    assert (got[0] == want[0]).all() and got[1] == want[1] and (got[2] == want[2]).all()
-
-
-def test_array_core_matches_decode_frames_row_for_row():
-    rnd = random.Random(17)
-    frames = encode_frames(np.array([[rnd.getrandbits(1) for _ in range(270)]
-                                     for _ in range(12)], np.uint8))
-    frames[0, 4] ^= 1  # header bit
-    for row in range(12):
-        for pos in rnd.sample(range(HEADER_BITS, 320), row):
-            frames[row, pos] ^= 1
-    info, ok, nu, header_ok = framing._decode_arrays(frames)
-    want_info, results, want_header_ok = decode_frames(frames)
-    assert {r.status for r in results} == {OK, CORRECTED, UNCORRECTABLE}
-    assert ok.dtype == bool and ok.shape == nu.shape == (24,)
-    assert np.array_equal(info, want_info) and np.array_equal(header_ok, want_header_ok)
-    assert [(bool(good), int(count)) for good, count in zip(ok, nu)] == [
-        (r.status != UNCORRECTABLE, r.corrected_symbols) for r in results]
-    assert framing.codeword_statuses(ok, nu) == [r.status for r in results]
-    _assert_matches_unframe(frames)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # --- the parity map ------------------------------------------------------------
