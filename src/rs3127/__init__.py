@@ -7,40 +7,34 @@ form, an inverse-free Berlekamp-Massey decoder, the 320-bit interleaved
 frame format, and a channel-error simulation harness.
 """
 
-from .gf32 import ALPHA, EXP, LOG, PRIMITIVE_POLY, gf_add, gf_div, gf_inv, gf_mul, gf_pow
-from .rs_core import (FIRST_ROOT, GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS,
-                      T_CORRECT, build_generator_poly, encode_reference, is_codeword)
-from .serial_encoder import LfsrEncoder, lfsr_encode
-from .parallel_gen import (ParityMatrix, XorNetwork, build_xor3_network,
-                           default_parity_matrix, derive_parity_matrix,
-                           emit_netlist, expected_depth, matrix_from_text,
-                           matrix_to_text, parse_netlist)
+from .gf32 import gf_inv, gf_mul, gf_pow
+from .rs_core import (GENERATOR_POLY, K_SYMBOLS, N_SYMBOLS, build_generator_poly,
+                      encode_reference, is_codeword)
+from .serial_encoder import lfsr_encode
+from .parallel_gen import (build_xor3_network, default_parity_matrix, derive_parity_matrix,
+                           expected_depth, matrix_from_text, parse_netlist)
 from .parallel_encoder import (bits_to_message, encode_parallel,
                                encode_via_network, message_to_bits, parity_bits)
-from .decoder import (CORRECTED, OK, UNCORRECTABLE, DecodeResult, ErrorLocator,
-                      chien_search, compute_syndromes, decode, forney, solve_locator)
-from .framing import (DEFAULT_SYNC_HEADER, FRAME_BITS, INFO_BITS_PER_FRAME,
-                      Scrambler, UnframeResult, build_frame, bytes_to_frame,
+from .decoder import (CORRECTED, OK, UNCORRECTABLE, chien_search, compute_syndromes,
+                      decode, forney, solve_locator)
+from .framing import (DEFAULT_SYNC_HEADER, Scrambler, build_frame, bytes_to_frame,
                       deinterleave, descramble, frame_to_bytes, interleave,
                       scramble, unframe)
 from .harness import (ChannelConfig, TrialStats, apply_channel, emit_stats,
                       frame_rng, run_simulation, run_sweep)
 
 __all__ = [
-    "ALPHA", "EXP", "LOG", "PRIMITIVE_POLY",
-    "gf_add", "gf_div", "gf_inv", "gf_mul", "gf_pow",
-    "FIRST_ROOT", "GENERATOR_POLY", "K_SYMBOLS", "N_PARITY", "N_SYMBOLS", "T_CORRECT",
+    "gf_inv", "gf_mul", "gf_pow",
+    "GENERATOR_POLY", "K_SYMBOLS", "N_SYMBOLS",
     "build_generator_poly", "encode_reference", "is_codeword",
-    "LfsrEncoder", "lfsr_encode",
-    "ParityMatrix", "XorNetwork", "build_xor3_network", "default_parity_matrix",
-    "derive_parity_matrix", "emit_netlist", "expected_depth",
-    "matrix_from_text", "matrix_to_text", "parse_netlist",
+    "lfsr_encode",
+    "build_xor3_network", "default_parity_matrix", "derive_parity_matrix",
+    "expected_depth", "matrix_from_text", "parse_netlist",
     "bits_to_message", "encode_parallel", "encode_via_network",
     "message_to_bits", "parity_bits",
-    "CORRECTED", "OK", "UNCORRECTABLE", "DecodeResult", "ErrorLocator",
+    "CORRECTED", "OK", "UNCORRECTABLE",
     "chien_search", "compute_syndromes", "decode", "forney", "solve_locator",
-    "DEFAULT_SYNC_HEADER", "FRAME_BITS", "INFO_BITS_PER_FRAME",
-    "Scrambler", "UnframeResult", "build_frame", "bytes_to_frame",
+    "DEFAULT_SYNC_HEADER", "Scrambler", "build_frame", "bytes_to_frame",
     "deinterleave", "descramble", "frame_to_bytes", "interleave",
     "scramble", "unframe",
     "ChannelConfig", "TrialStats", "apply_channel", "emit_stats",

@@ -48,8 +48,6 @@ PAYLOAD_BITS = 310
 INFO_BITS_PER_FRAME = 270
 HALF_INFO_BITS = 135
 FRAME_BYTES = 40
-# Offset of each wire slot in the frame read as one big-endian integer.
-_SLOT_SHIFTS = tuple(range(FRAME_BITS - BITS_PER_SYMBOL, -1, -BITS_PER_SYMBOL))
 
 DEFAULT_SYNC_HEADER = 0b1101010010
 # Its 10 bits as two wire slots, MSB first: the first 10 bits of every frame.
@@ -157,18 +155,13 @@ def frame_to_bytes(frame: list[int]) -> bytes:
     """Pack 320 bits big-endian: frame bit 0 is the MSB of byte 0."""
     if len(frame) != FRAME_BITS:
         raise ValueError(f"expected {FRAME_BITS} bits, got {len(frame)}")
-    value = 0
-    for slot in bits_to_symbols(frame, msb_first=True):
-        value = value << BITS_PER_SYMBOL | slot
-    return value.to_bytes(FRAME_BYTES, "big")
+    return np.packbits(np.array(frame, np.uint8)).tobytes()
 
 
 def bytes_to_frame(data: bytes) -> list[int]:
     if len(data) != FRAME_BYTES:
         raise ValueError(f"expected {FRAME_BYTES} bytes, got {len(data)}")
-    value = int.from_bytes(data, "big")
-    return symbols_to_bits([value >> shift & 0x1F for shift in _SLOT_SHIFTS],
-                           msb_first=True)
+    return np.unpackbits(np.frombuffer(data, np.uint8)).tolist()
 
 
 # --- batch kernels -------------------------------------------------------------
@@ -196,19 +189,12 @@ def frame_blocks(start: int, stop: int):
 def _wire_order() -> tuple[np.ndarray, np.ndarray]:
     """Gather index from [header bits | codeword A bits | codeword B bits]
     (each codeword in info/parity order) to the 320 frame bits, and its
-    inverse. Found by feeding `interleave` one unit symbol at a time."""
-    order = np.empty(FRAME_BITS, np.intp)
-    order[:HEADER_BITS] = np.arange(HEADER_BITS)
-    zeros = [0] * N_SYMBOLS
-    for half in range(2):
-        for s in range(N_SYMBOLS):
-            for i in range(BITS_PER_SYMBOL):
-                unit = zeros.copy()
-                unit[s] = 1 << i
-                wire = interleave(unit, zeros) if half == 0 else interleave(zeros, unit)
-                order[HEADER_BITS + wire.index(1)] = (
-                    HEADER_BITS + half * WORD_BITS + BITS_PER_SYMBOL * s + i)
-    return order, np.argsort(order)
+    inverse. Found by feeding `interleave` the 310 unit source vectors;
+    interleaving is a bit permutation, so each lands on one wire bit."""
+    units = (_to_symbols(unit).tolist() for unit in np.eye(PAYLOAD_BITS, dtype=np.uint8))
+    wire_of = [interleave(u[:N_SYMBOLS], u[N_SYMBOLS:]).index(1) for u in units]
+    inverse = np.concatenate([np.arange(HEADER_BITS), HEADER_BITS + np.array(wire_of)])
+    return np.argsort(inverse), inverse
 
 
 def _to_symbols(bits: np.ndarray) -> np.ndarray:

@@ -170,10 +170,6 @@ def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
     return stats
 
 
-def _run_chunk(args: tuple[ChannelConfig, int, int]) -> TrialStats:
-    return _run_frames(*args)
-
-
 def run_simulation(cfg: ChannelConfig, jobs: int = 1) -> TrialStats:
     """Frame trials for one config; counter merging is commutative, so any
     worker split yields identical totals."""
@@ -181,11 +177,11 @@ def run_simulation(cfg: ChannelConfig, jobs: int = 1) -> TrialStats:
         return _run_frames(cfg, 0, cfg.frames)
     jobs = min(jobs, cfg.frames)
     step = -(-cfg.frames // jobs)
-    chunks = [(cfg, start, min(step, cfg.frames - start))
-              for start in range(0, cfg.frames, step)]
+    starts = range(0, cfg.frames, step)
+    counts = [min(step, cfg.frames - start) for start in starts]
     total = TrialStats()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_run_chunk, chunks):
+        for part in pool.map(_run_frames, [cfg] * len(starts), starts, counts):
             total.merge(part)
     return total
 

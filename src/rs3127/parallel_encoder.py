@@ -1,5 +1,6 @@
 """One-shot encoder: all 20 parity bits from 135 information bits in a
-single evaluation, via the parity matrix or an XOR3 network.
+single evaluation, via the parity matrix or the output masks of an XOR3
+network.
 
 The matrix path is the production encoder; the network path exists to
 validate emitted netlists, and differential tests hold the two (and the
@@ -8,7 +9,7 @@ two serial encoders) bit-identical.
 
 from __future__ import annotations
 
-from .parallel_gen import (N_INFO_BITS, N_PARITY_BITS, ParityMatrix, XorNetwork,
+from .parallel_gen import (N_INFO_BITS, ParityMatrix, XorNetwork, apply_masks,
                            bits_to_symbols, symbols_to_bits)
 from .rs_core import K_SYMBOLS
 
@@ -28,13 +29,7 @@ def bits_to_message(bits: list[int]) -> list[int]:
 
 def parity_bits(info: list[int], matrix: ParityMatrix) -> list[int]:
     """Parity bit r is the XOR of the information bits in matrix row r."""
-    if len(info) != N_INFO_BITS:
-        raise ValueError(f"expected {N_INFO_BITS} bits, got {len(info)}")
-    packed = 0
-    for i, b in enumerate(info):
-        if b:
-            packed |= 1 << i
-    return [(packed & m).bit_count() & 1 for m in matrix.bitmasks]
+    return apply_masks(info, matrix.bitmasks)
 
 
 def encode_parallel(info: list[int], matrix: ParityMatrix) -> list[int]:
@@ -43,6 +38,6 @@ def encode_parallel(info: list[int], matrix: ParityMatrix) -> list[int]:
 
 
 def encode_via_network(info: list[int], net: XorNetwork) -> list[int]:
-    """Same result as encode_parallel, computed by the gate-level netlist."""
-    pbits = net.evaluate(info)
-    return bits_to_symbols(info) + bits_to_symbols(pbits)
+    """Same result as encode_parallel, computed from the netlist's output
+    masks."""
+    return bits_to_symbols(info) + bits_to_symbols(net.evaluate(info))

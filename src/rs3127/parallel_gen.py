@@ -1,5 +1,7 @@
 """Unrolls the serial encoder into a 20x135 GF(2) parity matrix and
-schedules it as XOR3 trees, emitting a structural netlist.
+schedules it as XOR3 trees, emitting a structural netlist. The matrix and
+a netlist both hold parity bit r as its mask, a 135-bit int of the
+information bits it XORs, and `apply_masks` evaluates either.
 
 Multiplying a GF(32) symbol by a constant and adding two symbols are both
 GF(2)-linear in the symbol bits, so driving the encoder registers with
@@ -45,9 +47,11 @@ BITS_PER_SYMBOL = 5
 N_INFO_BITS = K_SYMBOLS * BITS_PER_SYMBOL  # 135
 N_PARITY_BITS = N_PARITY * BITS_PER_SYMBOL  # 20
 
-# The five bits of every symbol value, x^0 coefficient first / x^4 first.
+# The five bits of every symbol value, x^0 coefficient first / x^4 first,
+# and the symbol of every such 5-tuple.
 _LSB_FIRST = [tuple(s >> i & 1 for i in range(BITS_PER_SYMBOL)) for s in range(32)]
 _MSB_FIRST = [bits[::-1] for bits in _LSB_FIRST]
+_SYMBOL_OF = [{bits: s for s, bits in enumerate(table)} for table in (_LSB_FIRST, _MSB_FIRST)]
 
 
 def symbols_to_bits(symbols, msb_first: bool = False) -> list[int]:
@@ -59,9 +63,7 @@ def symbols_to_bits(symbols, msb_first: bool = False) -> list[int]:
 def bits_to_symbols(bits, msb_first: bool = False) -> list[int]:
     """Exact inverse of symbols_to_bits; len(bits) must be a multiple of 5."""
     groups = zip(*[iter(bits)] * BITS_PER_SYMBOL, strict=True)
-    if msb_first:
-        return [b0 << 4 | b1 << 3 | b2 << 2 | b3 << 1 | b4 for b0, b1, b2, b3, b4 in groups]
-    return [b0 | b1 << 1 | b2 << 2 | b3 << 3 | b4 << 4 for b0, b1, b2, b3, b4 in groups]
+    return list(map(_SYMBOL_OF[msb_first].__getitem__, groups))
 
 
 ZERO = "ZERO"
@@ -168,6 +170,18 @@ def default_parity_matrix() -> ParityMatrix:
     return derive_parity_matrix()
 
 
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def apply_masks(info_bits: list[int], masks) -> list[int]:
+    """Output k is the XOR of the 0/1 bits info_bits[i] over the i set in
+    masks[k]; the bits are packed by reading them, reversed, as binary digits."""
+    if len(info_bits) != N_INFO_BITS:
+        raise ValueError(f"expected {N_INFO_BITS} bits, got {len(info_bits)}")
+    packed = int(bytes(reversed(info_bits)).translate(_BINARY_DIGITS), 2)
+    return [(packed & m).bit_count() & 1 for m in masks]
+
+
 @dataclass(frozen=True)
 class XorNetwork:
     """Acyclic netlist of 3-input XOR gates computing the 20 parity bits.
@@ -181,47 +195,33 @@ class XorNetwork:
     outputs: tuple[str, ...]
 
     @cached_property
+    def _forms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(masks, depths) of the outputs in one pass over the gates: a wire's
+        mask is the XOR of its inputs' (one reached twice cancels), its depth
+        one more than the deepest input's."""
+        forms = {ZERO: (0, 0), **{f"d{c}": (1 << c, 0) for c in range(N_INFO_BITS)}}
+        for gid, gate in enumerate(self.gates):
+            (ma, da), (mb, db), (mc, dc) = map(forms.__getitem__, gate)
+            forms[f"w{gid}"] = ma ^ mb ^ mc, 1 + max(da, db, dc)
+        return tuple(zip(*map(forms.__getitem__, self.outputs)))
+
+    @property
+    def bitmasks(self) -> tuple[int, ...]:
+        """Each output's mask, as ParityMatrix.bitmasks holds each row."""
+        return self._forms[0]
+
+    @property
     def depths(self) -> tuple[int, ...]:
-        """XOR3 levels between the inputs and each output, read off the
-        structure."""
-        gate_depth: list[int] = []
-
-        def ref_depth(ref: str) -> int:
-            return gate_depth[int(ref[1:])] if ref[0] == "w" else 0
-
-        for gate in self.gates:
-            gate_depth.append(1 + max(map(ref_depth, gate)))
-        return tuple(map(ref_depth, self.outputs))
+        """XOR3 levels between the inputs and each output."""
+        return self._forms[1]
 
     @property
     def max_depth(self) -> int:
         return max(self.depths)
 
-    def _ref_index(self, ref: str) -> int:
-        # value slots: 0..134 inputs, 135 the ZERO constant, 136+ gates
-        if ref == ZERO:
-            return N_INFO_BITS
-        if ref[0] == "d":
-            return int(ref[1:])
-        return N_INFO_BITS + 1 + int(ref[1:])
-
-    @cached_property
-    def _program(self) -> tuple[list[tuple[int, int, int, int]], list[int]]:
-        steps = []
-        for gid, (a, b, c) in enumerate(self.gates):
-            steps.append((N_INFO_BITS + 1 + gid, self._ref_index(a),
-                          self._ref_index(b), self._ref_index(c)))
-        return steps, [self._ref_index(ref) for ref in self.outputs]
-
     def evaluate(self, info_bits: list[int]) -> list[int]:
         """Parity bits for one 135-bit input vector."""
-        if len(info_bits) != N_INFO_BITS:
-            raise ValueError(f"expected {N_INFO_BITS} bits, got {len(info_bits)}")
-        steps, out_idx = self._program
-        vals = list(info_bits) + [0] * (1 + len(self.gates))
-        for dst, a, b, c in steps:
-            vals[dst] = vals[a] ^ vals[b] ^ vals[c]
-        return [vals[i] for i in out_idx]
+        return apply_masks(info_bits, self.bitmasks)
 
 
 def build_xor3_network(matrix: ParityMatrix) -> XorNetwork:

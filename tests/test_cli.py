@@ -47,24 +47,54 @@ def test_check_netlist_catches_a_wrong_gate(tmp_path, capsys):
     assert "mismatch: output p" in capsys.readouterr().err
 
 
+def _rewire_outputs(nfile, extra):
+    """Route each output p<k> of extra, keys ascending, through one more
+    gate XOR3(<its ref>, a, b), numbered after the last wire."""
+    lines = nfile.read_text().splitlines()
+    n_gates = sum(line.startswith("wire ") for line in lines)
+    for k, (a, b) in extra.items():
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"out p{k} = "))
+        lines[at:at + 1] = [f"wire w{n_gates} = XOR3({lines[at].split()[-1]}, {a}, {b})",
+                            f"out p{k} = w{n_gates}"]
+        n_gates += 1
+    nfile.write_text("\n".join(lines) + "\n")
+
+
 def test_check_netlist_proves_and_names_a_one_column_difference(tmp_path, capsys):
     """Output p0 with one extra input d134 differs from the matrix in one
     column only, so each random input vector catches it with probability
-    1/2; the unit-vector proof always does, and names the bit. Sampling
+    1/2; comparing the output masks always does, and names the bit. Sampling
     options are gone: a trial count is a usage error."""
     nfile = tmp_path / "n.txt"
     assert main(["emit-netlist", "-o", str(nfile)]) == 0
-    lines = nfile.read_text().splitlines()
-    n_gates = sum(line.startswith("wire ") for line in lines)
-    at = next(i for i, line in enumerate(lines) if line.startswith("out p0 = "))
-    lines[at:at + 1] = [f"wire w{n_gates} = XOR3({lines[at].split()[-1]}, d134, ZERO)",
-                        f"out p0 = w{n_gates}"]
-    nfile.write_text("\n".join(lines) + "\n")
+    _rewire_outputs(nfile, {0: ("d134", "ZERO")})
     capsys.readouterr()
     assert main(["check-netlist", "-n", str(nfile)]) == 2
     assert "mismatch: output p0 on information bit d134" in capsys.readouterr().err
     assert main(["check-netlist", "-n", str(nfile), "--trials", "5"]) == 1
     capsys.readouterr()
+
+
+def test_check_netlist_proves_a_rewired_equivalent_output(tmp_path, capsys):
+    """Different gates, same function: d134 enters p0 twice and cancels."""
+    nfile = tmp_path / "n.txt"
+    assert main(["emit-netlist", "-o", str(nfile)]) == 0
+    _rewire_outputs(nfile, {0: ("d134", "d134")})
+    capsys.readouterr()
+    assert main(["check-netlist", "-n", str(nfile)]) == 0
+    assert "equivalent on all 2^135 inputs" in capsys.readouterr().out
+
+
+def test_check_netlist_names_the_lowest_bit_before_the_lowest_output(tmp_path, capsys):
+    """p1 differs from the matrix on d5 and d9, p3 on d0 and d2, p7 on d0
+    and d1: the named mismatch is the lowest information bit first, then
+    the lowest output."""
+    nfile = tmp_path / "n.txt"
+    assert main(["emit-netlist", "-o", str(nfile)]) == 0
+    _rewire_outputs(nfile, {1: ("d5", "d9"), 3: ("d0", "d2"), 7: ("d0", "d1")})
+    capsys.readouterr()
+    assert main(["check-netlist", "-n", str(nfile)]) == 2
+    assert capsys.readouterr().err == "mismatch: output p3 on information bit d0\n"
 
 
 def test_encode_decode_round_trip(tmp_path):

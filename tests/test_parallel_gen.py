@@ -89,13 +89,6 @@ def test_no_gate_is_all_zero_inputs():
     assert all(g != ("ZERO", "ZERO", "ZERO") for g in net.gates)
 
 
-def test_evaluation_program_matches_network_metadata():
-    net = build_xor3_network(derive_parity_matrix())
-    steps, out_idx = net._program
-    assert len(steps) == len(net.gates)  # one step per gate, nothing else
-    assert len(out_idx) == len(net.outputs) == N_PARITY_BITS
-
-
 def test_emit_parse_emit_is_byte_identical():
     net = build_xor3_network(derive_parity_matrix())
     text = emit_netlist(net)
@@ -125,6 +118,31 @@ def test_hand_written_single_gate_truth_table():
         bits = [0] * N_INFO_BITS
         bits[0], bits[1], bits[2] = (x >> 2) & 1, (x >> 1) & 1, x & 1
         assert net.evaluate(bits)[0] == (bits[0] ^ bits[1] ^ bits[2])
+
+
+def test_output_forms_of_a_hand_netlist():
+    """A repeated input cancels in the mask, a ZERO pad adds a level but no
+    input, and evaluate agrees with XOR-ing gate by gate."""
+    lines = ["wire w0 = XOR3(d0, d0, d1)", "wire w1 = XOR3(w0, w0, d2)",
+             "wire w2 = XOR3(w1, ZERO, ZERO)", "out p0 = w2"]
+    lines += [f"out p{k} = d{k}" for k in range(1, N_PARITY_BITS)]
+    net = parse_netlist("\n".join(lines) + "\n")
+    assert net.bitmasks[0] == 1 << 2 and net.depths[0] == 3
+    assert net.bitmasks[1:] == tuple(1 << k for k in range(1, N_PARITY_BITS))
+    for x in range(8):
+        bits = [0] * N_INFO_BITS
+        bits[0], bits[1], bits[2] = (x >> 2) & 1, (x >> 1) & 1, x & 1
+        w0 = bits[0] ^ bits[0] ^ bits[1]
+        w1 = w0 ^ w0 ^ bits[2]
+        w2 = w1 ^ 0 ^ 0
+        assert net.evaluate(bits) == [w2] + bits[1:N_PARITY_BITS]
+
+
+def test_built_network_masks_are_the_matrix_rows():
+    matrix = derive_parity_matrix()
+    assert build_xor3_network(matrix).bitmasks == matrix.bitmasks
+    net = build_xor3_network(synthetic_matrix())
+    assert net.bitmasks == synthetic_matrix().bitmasks
 
 
 def test_parse_rejects_forward_reference():
