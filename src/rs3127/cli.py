@@ -6,7 +6,10 @@ one frame occupy record bits 0..269 (big-endian bit order) and the
 trailing 50 bits must be zero. A final partial record is zero-padded.
 With that convention `encode | decode` round-trips byte-identically.
 Both commands push the records through the batch kernels in blocks of
-framing.BLOCK_FRAMES frames.
+framing.BLOCK_FRAMES frames. Every output file is rewritten in place and
+then cut to length, never truncated first: on ext4 mounted with
+`discard`, freeing a file's blocks (truncate, unlink or rename over it)
+took 40-150 ms, against well under 1 ms to overwrite them.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error.
 """
@@ -14,7 +17,10 @@ Exit codes: 0 success, 1 usage error, 2 data/format error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
+import stat
 import sys
 
 import numpy as np
@@ -42,6 +48,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """Binary handle on path, created if missing. An existing file is
+    overwritten in place and then truncated at the last byte written, so
+    it ends with the bytes, inode and mode that opening with O_TRUNC gives,
+    without freeing its blocks first. Only a regular file is truncated, so
+    devices and pipes work too."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def _load_matrix(path: str | None):
     if path is None:
         return derive_parity_matrix()
@@ -50,16 +71,16 @@ def _load_matrix(path: str | None):
 
 
 def _cmd_gen_matrix(args) -> int:
-    with open(args.output, "w", encoding="ascii") as fh:
-        fh.write(matrix_to_text(derive_parity_matrix()))
+    with _output(args.output) as fh:
+        fh.write(matrix_to_text(derive_parity_matrix()).encode("ascii"))
     return 0
 
 
 def _cmd_emit_netlist(args) -> int:
     matrix = _load_matrix(args.matrix)
     net = build_xor3_network(matrix)
-    with open(args.output, "w", encoding="ascii") as fh:
-        fh.write(emit_netlist(net))
+    with _output(args.output) as fh:
+        fh.write(emit_netlist(net).encode("ascii"))
     print(f"max fan-in: {matrix.max_fanin} (reference design: {REFERENCE_DESIGN_FANIN})")
     print(f"max XOR3 depth: {net.max_depth} (reference design: {REFERENCE_DESIGN_DEPTH})")
     return 0
@@ -105,7 +126,7 @@ def _cmd_encode(args) -> int:
         raise ValueError(
             f"payload record at byte {bad[0] * FRAME_BYTES} has nonzero padding bits "
             f"(bits {INFO_BITS_PER_FRAME}..319 must be zero)")
-    with open(args.output, "wb") as fh:
+    with _output(args.output) as fh:
         for block in frame_blocks(0, len(records)):
             info = np.unpackbits(records[block.start:block.stop], axis=1)
             frames = encode_frames(info[:, :INFO_BITS_PER_FRAME], encoder=encoder)
@@ -120,7 +141,7 @@ def _cmd_decode(args) -> int:
         raise ValueError(f"frame stream length {len(data)} is not a multiple of {FRAME_BYTES}")
     frames = np.frombuffer(data, np.uint8).reshape(-1, FRAME_BYTES)
     stats_lines = []
-    with open(args.output, "wb") as fh:
+    with _output(args.output) as fh:
         for block in frame_blocks(0, len(frames)):
             info, ok, nu, header_ok = decode_frames(
                 np.unpackbits(frames[block.start:block.stop], axis=1))
@@ -138,8 +159,8 @@ def _cmd_decode(args) -> int:
                         block, status[0::2], count[0::2], status[1::2], count[1::2],
                         header_ok.tolist())]
     if args.stats:
-        with open(args.stats, "w", encoding="ascii") as fh:
-            fh.write("\n".join(stats_lines) + ("\n" if stats_lines else ""))
+        with _output(args.stats) as fh:
+            fh.write(("\n".join(stats_lines) + ("\n" if stats_lines else "")).encode("ascii"))
     return 0
 
 

@@ -20,7 +20,10 @@ info and `uint8[N, 320]` frames and turn each layer into one array
 operation: scrambling is an XOR with the PRBS, parity and syndromes are
 each one GF(2) matrix product, and header plus interleaving is one
 gather. `encode_frames` is where an encoder is chosen; all three give
-the same frames. `decode_frames` corrects every codeword at once with
+the same frames, and each runs its own algorithm across the block: the
+parity matrix product, or the 27 steps of long division or of the LFSR
+recurrence on GF(32) symbol arrays, none calling a scalar encoder.
+`decode_frames` corrects every codeword at once with
 the closed-form t = 2 Peterson-Gorenstein-Zierler solution (`_correct`):
 table gathers in GF(32), no per-codeword loop and no call of the scalar
 `decode`. The CLI and the simulator feed the kernels in blocks of at
@@ -39,8 +42,7 @@ from .gf32 import MUL, gf_inv
 from .parallel_encoder import encode_parallel, message_to_bits
 from .parallel_gen import (BITS_PER_SYMBOL, bits_to_symbols, default_parity_matrix,
                            symbols_to_bits)
-from .rs_core import K_SYMBOLS, N_PARITY, N_SYMBOLS, compute_syndromes, encode_reference
-from .serial_encoder import lfsr_encode
+from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS, compute_syndromes
 
 FRAME_BITS = 320
 HEADER_BITS = 10
@@ -177,6 +179,10 @@ _BIT_WEIGHTS = np.array(bits_to_symbols(np.eye(BITS_PER_SYMBOL, dtype=int).ravel
 # codewords is a gather; the inverse of 0 reads as 0.
 _GF_MUL = np.array(MUL, np.uint8)
 _GF_INV = np.array([0] + [gf_inv(a) for a in range(1, 32)], np.uint8)
+# Row q: q times g(x)'s coefficients, x^4 first (long division), or
+# x^0..x^3 (the LFSR's feedback taps).
+_DIVISION_TAPS = _GF_MUL[:, GENERATOR_POLY[::-1]]
+_LFSR_TAPS = _GF_MUL[:, GENERATOR_POLY[:N_PARITY]]
 
 
 def frame_blocks(start: int, stop: int):
@@ -209,12 +215,34 @@ def _parity(messages: np.ndarray) -> np.ndarray:
     return products.astype(np.uint8) & 1
 
 
+def _divide(msg: np.ndarray) -> np.ndarray:
+    """uint8[M, 31] codewords of uint8[M, 27] message symbols by long
+    division, encode_reference's algorithm on all rows at once: step j
+    subtracts work[:, j] * x^(26-j) * g(x), which clears symbol j."""
+    work = np.concatenate([msg, np.zeros((len(msg), N_PARITY), np.uint8)], axis=1)
+    for j in range(K_SYMBOLS):
+        work[:, j:j + N_PARITY + 1] ^= _DIVISION_TAPS[work[:, j]]
+    return np.concatenate([msg, work[:, K_SYMBOLS:]], axis=1)
+
+
+def _shift_in(msg: np.ndarray) -> np.ndarray:
+    """uint8[M, 31] codewords of uint8[M, 27] message symbols by the LFSR,
+    LfsrEncoder's 27 shift-in clocks on all rows at once; the 4 shift-out
+    clocks drain the registers top first."""
+    regs = np.zeros((len(msg), N_PARITY), np.uint8)
+    for j in range(K_SYMBOLS):
+        row = _LFSR_TAPS[msg[:, j] ^ regs[:, -1]]
+        row[:, 1:] ^= regs[:, :-1]
+        regs = row
+    return np.concatenate([msg, regs[:, ::-1]], axis=1)
+
+
 def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     """uint8[N, 320] frames from uint8[N, 270] info bits; row n equals
     build_frame(info[n]) whichever encoder computes the parity.
-    `parallel` is one matrix product; `reference` and `lfsr` still run
-    their per-codeword algorithm, and only the bit conversion around it
-    is batched."""
+    `parallel` is one GF(2) matrix product; `reference` (long division)
+    and `lfsr` (the shift-register recurrence) each run 27 steps across
+    all 2N codewords at once, with GF(32) table gathers."""
     info = np.asarray(info, dtype=np.uint8)
     if info.ndim != 2 or info.shape[1] != INFO_BITS_PER_FRAME:
         raise ValueError(f"expected shape (N, {INFO_BITS_PER_FRAME}), got {info.shape}")
@@ -223,9 +251,8 @@ def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     if encoder == "parallel":
         words = np.concatenate([halves, _parity(halves)], axis=1)
     elif encoder in ("reference", "lfsr"):
-        encode = encode_reference if encoder == "reference" else lfsr_encode
-        symbols = [encode(msg) for msg in _to_symbols(halves).tolist()]
-        words = _SYMBOL_BITS[np.array(symbols, np.intp).reshape(2 * n, N_SYMBOLS)]
+        encode = _divide if encoder == "reference" else _shift_in
+        words = _SYMBOL_BITS[encode(_to_symbols(halves).astype(np.uint8))]
     else:
         raise ValueError(f"unknown encoder {encoder!r}")
     source = np.empty((n, FRAME_BITS), np.uint8)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rs3127
-from rs3127 import framing, matrix_from_text, parse_netlist, derive_parity_matrix
+from rs3127 import cli, framing, matrix_from_text, parse_netlist, derive_parity_matrix
 from rs3127.cli import build_parser, main
 
 
@@ -288,6 +288,108 @@ def test_misaligned_decode_stream_leaves_no_output(tmp_path, capsys):
     assert main(["decode", "-i", str(frames), "-o", str(out), "--stats", str(stats)]) == 2
     assert "multiple of 40" in capsys.readouterr().err
     assert not out.exists() and not stats.exists()
+
+
+# Each command that writes files, with {out} (and {stats}) for its outputs.
+_WRITERS = {
+    "encode-ref": ["encode", "-i", "{payload}", "-o", "{out}", "--encoder", "ref"],
+    "encode-lfsr": ["encode", "-i", "{payload}", "-o", "{out}", "--encoder", "lfsr"],
+    "encode-parallel": ["encode", "-i", "{payload}", "-o", "{out}", "--encoder", "parallel"],
+    "decode-stats": ["decode", "-i", "{frames}", "-o", "{out}", "--stats", "{stats}"],
+    "gen-matrix": ["gen-matrix", "-o", "{out}"],
+    "emit-netlist": ["emit-netlist", "-o", "{out}"],
+}
+
+
+def _writer_inputs(tmp_path):
+    """A three-record payload and its frames, one bit flipped in frame 0."""
+    payload, frames = tmp_path / "p.bin", tmp_path / "f.bin"
+    payload.write_bytes((bytes(range(33)) + bytes([0b11111100]) + bytes(6)) * 3)
+    assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 0
+    data = bytearray(frames.read_bytes())
+    data[2] ^= 0x10
+    frames.write_bytes(bytes(data))
+    return {"payload": str(payload), "frames": str(frames)}
+
+
+def _run_writer(argv, paths):
+    return main([arg.format(**{k: str(v) for k, v in paths.items()}) for arg in argv])
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_an_existing_longer_output_is_rewritten_exactly(tmp_path, capsys, name):
+    """Every output over 10 KB more of stale 0xFF bytes than it writes
+    ends with exactly the bytes a fresh path gets: no stale tail."""
+    argv, inputs = _WRITERS[name], _writer_inputs(tmp_path)
+    fresh = {**inputs, "out": tmp_path / "fresh.out", "stats": tmp_path / "fresh.stats"}
+    assert _run_writer(argv, fresh) == 0
+    stale = {**inputs, "out": tmp_path / "stale.out", "stats": tmp_path / "stale.stats"}
+    for key in ("out", "stats"):
+        if fresh[key].exists():
+            stale[key].write_bytes(b"\xff" * (fresh[key].stat().st_size + 10_000))
+    assert _run_writer(argv, stale) == 0
+    capsys.readouterr()
+    for key in ("out", "stats"):
+        if fresh[key].exists():
+            assert stale[key].read_bytes() == fresh[key].read_bytes()
+
+
+def test_rewriting_an_output_keeps_its_inode_and_mode(tmp_path):
+    paths = {**_writer_inputs(tmp_path), "out": tmp_path / "o.bin", "stats": tmp_path / "s.txt"}
+    for key in ("out", "stats"):
+        paths[key].write_bytes(b"\xff" * 10_000)
+        paths[key].chmod(0o640)
+    before = {key: paths[key].stat() for key in ("out", "stats")}
+    assert _run_writer(_WRITERS["decode-stats"], paths) == 0
+    for key in ("out", "stats"):
+        after = paths[key].stat()
+        assert (after.st_ino, after.st_mode) == (before[key].st_ino, before[key].st_mode)
+        assert after.st_size < 10_000
+    # a new output gets the mode open(path, "wb") gives it
+    made, new = tmp_path / "made.bin", tmp_path / "new.bin"
+    made.write_bytes(b"")
+    assert main(["gen-matrix", "-o", str(new)]) == 0
+    assert new.stat().st_mode == made.stat().st_mode
+
+
+def test_outputs_to_the_null_device(tmp_path, capsys):
+    paths = {**_writer_inputs(tmp_path), "out": os.devnull, "stats": os.devnull}
+    for argv in _WRITERS.values():
+        assert _run_writer(argv, paths) == 0
+    capsys.readouterr()
+
+
+def test_a_bad_record_leaves_an_existing_output_untouched(tmp_path, capsys):
+    payload, frames = tmp_path / "p.bin", tmp_path / "f.bin"
+    payload.write_bytes(bytes(40) + bytes(39) + bytes([1]))  # record 1 has bit 319 set
+    old = bytes(range(256)) * 40
+    frames.write_bytes(old)
+    assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 2
+    assert "record at byte 40 has nonzero padding" in capsys.readouterr().err
+    assert frames.read_bytes() == old
+
+
+def test_a_failure_mid_write_leaves_the_blocks_written(tmp_path, capsys, monkeypatch):
+    """The output is cut at the last byte written even when a later block
+    fails, so no stale tail follows the frames of the earlier blocks."""
+    payload, frames = tmp_path / "p.bin", tmp_path / "f.bin"
+    payload.write_bytes(bytes(40 * 3))
+    assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 0
+    first = frames.read_bytes()[:40]
+    frames.write_bytes(b"\xff" * 10_000)
+    monkeypatch.setattr(framing, "BLOCK_FRAMES", 1)
+    encode_frames, calls = framing.encode_frames, []
+
+    def fail_on_the_second_block(info, encoder):
+        calls.append(len(info))
+        if len(calls) == 2:
+            raise ValueError("injected failure")
+        return encode_frames(info, encoder=encoder)
+
+    monkeypatch.setattr(cli, "encode_frames", fail_on_the_second_block)
+    assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert frames.read_bytes() == first
 
 
 def _codec_and_simulate_outputs(tmp_path, capsys):

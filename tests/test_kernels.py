@@ -3,6 +3,7 @@ corrector against the scalar decoder on every syndrome, and the GF(2)
 parity map the kernels evaluate as a matrix product."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rs3127 import (CORRECTED, OK, UNCORRECTABLE, build_frame, chien_search,
-                    compute_syndromes, decode, default_parity_matrix, forney, is_codeword,
-                    parity_bits, solve_locator, unframe)
+                    compute_syndromes, decode, default_parity_matrix, encode_reference,
+                    forney, is_codeword, lfsr_encode, parity_bits, solve_locator, unframe)
 from rs3127 import framing
 from rs3127.framing import HEADER_BITS, decode_frames, encode_frames, interleave
+from rs3127.serial_encoder import LfsrEncoder
 
 from oracles import frame_reference, rs_encode_reference
 
@@ -37,6 +39,88 @@ def test_encode_frames_equals_build_frame_and_the_layout_oracle(rows):
         assert frames.dtype == np.uint8 and frames.shape == (len(rows), 320)
         assert frames.tolist() == [build_frame(info) for info in rows]
         assert frames.tolist() == want
+
+
+# --- the batch long-division and LFSR encoders ---------------------------------
+
+BATCH_ENCODERS = {"reference": (framing._divide, encode_reference),
+                  "lfsr": (framing._shift_in, lfsr_encode)}
+messages = st.lists(st.integers(0, 31), min_size=27, max_size=27)
+
+
+def _single_symbol_messages():
+    """The zero message and every message with one nonzero symbol. The 135
+    whose symbol is a power of two are the unit-bit messages, a basis."""
+    rows = [[0] * 27]
+    for j in range(27):
+        for value in range(1, 32):
+            rows.append([0] * j + [value] + [0] * (26 - j))
+    return rows
+
+
+@pytest.mark.parametrize("encoder", sorted(BATCH_ENCODERS))
+def test_batch_encoder_equals_its_scalar_encoder_on_every_single_symbol(encoder):
+    """With linearity (below) agreement on the unit-bit messages decides
+    all 2^135 messages."""
+    batch, scalar = BATCH_ENCODERS[encoder]
+    rows = _single_symbol_messages()
+    assert len(rows) == 1 + 27 * 31
+    got = batch(np.array(rows, np.uint8))
+    assert got.dtype == np.uint8 and got.shape == (len(rows), 31)
+    assert got.tolist() == [scalar(msg) for msg in rows]
+
+
+@given(messages, messages)
+def test_batch_encoders_are_gf2_linear(a, b):
+    pair = np.array([a, b], np.uint8)
+    for batch, _ in BATCH_ENCODERS.values():
+        x, y = batch(pair)
+        assert (batch(pair[:1] ^ pair[1:])[0] == x ^ y).all()
+
+
+@given(st.lists(messages, max_size=5))
+@example([])
+@example([[31] * 27])
+def test_batch_encoders_equal_the_scalar_encoders_on_any_block(rows):
+    block = np.array(rows, np.uint8).reshape(len(rows), 27)
+    for batch, scalar in BATCH_ENCODERS.values():
+        got = batch(block)
+        assert got.dtype == np.uint8 and got.shape == (len(rows), 31)
+        assert got.tolist() == [scalar(msg) for msg in rows]
+
+
+def test_each_encoder_runs_its_own_algorithm(monkeypatch):
+    """The three encoders give the same frames but stay three
+    architectures: none is an alias of another's kernel."""
+    ran = []
+    for kernel in ("_parity", "_divide", "_shift_in"):
+        original = getattr(framing, kernel)
+        monkeypatch.setattr(framing, kernel,
+                            lambda x, kernel=kernel, original=original:
+                            ran.append(kernel) or original(x))
+    info = np.zeros((2, 270), np.uint8)
+    for encoder, kernel in (("parallel", "_parity"), ("reference", "_divide"),
+                            ("lfsr", "_shift_in")):
+        ran.clear()
+        encode_frames(info, encoder=encoder)
+        assert ran == [kernel]
+
+
+def test_encode_frames_never_calls_a_scalar_encoder(monkeypatch):
+    rnd = random.Random(17)
+    info = np.array([[rnd.getrandbits(1) for _ in range(270)] for _ in range(8)], np.uint8)
+    want = [build_frame(row) for row in info.tolist()]
+
+    def refuse(*args):
+        raise AssertionError("encode_frames called a scalar encoder")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("rs3127")]:
+        for name, value in list(vars(module).items()):
+            if value is encode_reference or value is lfsr_encode:
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(LfsrEncoder, "cycle", refuse)
+    for encoder in ("reference", "lfsr"):
+        assert encode_frames(info, encoder=encoder).tolist() == want
 
 
 def test_kernel_contracts():
