@@ -13,8 +13,7 @@ from .rs_core import (GENERATOR_POLY, K_SYMBOLS, N_SYMBOLS, build_generator_poly
 from .serial_encoder import lfsr_encode
 from .parallel_gen import (build_xor3_network, default_parity_matrix, derive_parity_matrix,
                            expected_depth, matrix_from_text, parse_netlist)
-from .parallel_encoder import (bits_to_message, encode_parallel,
-                               encode_via_network, message_to_bits, parity_bits)
+from .parallel_encoder import bits_to_message, encode_parallel, message_to_bits, parity_bits
 from .decoder import (CORRECTED, OK, UNCORRECTABLE, chien_search, compute_syndromes,
                       decode, forney, solve_locator)
 from .framing import (DEFAULT_SYNC_HEADER, Scrambler, build_frame, bytes_to_frame,
@@ -30,8 +29,7 @@ __all__ = [
     "lfsr_encode",
     "build_xor3_network", "default_parity_matrix", "derive_parity_matrix",
     "expected_depth", "matrix_from_text", "parse_netlist",
-    "bits_to_message", "encode_parallel", "encode_via_network",
-    "message_to_bits", "parity_bits",
+    "bits_to_message", "encode_parallel", "message_to_bits", "parity_bits",
     "CORRECTED", "OK", "UNCORRECTABLE",
     "chien_search", "compute_syndromes", "decode", "forney", "solve_locator",
     "DEFAULT_SYNC_HEADER", "Scrambler", "build_frame", "bytes_to_frame",

@@ -18,7 +18,8 @@ they are the bit-for-bit reference and encode with the parallel encoder.
 The batch kernels `encode_frames`/`decode_frames` take `uint8[N, 270]`
 info and `uint8[N, 320]` frames and turn each layer into one array
 operation: scrambling is an XOR with the PRBS, parity and syndromes are
-each one GF(2) matrix product, and header plus interleaving is one
+each the `products` of a LinearMap (the parity matrix, and the syndrome
+map probed from compute_syndromes), and header plus interleaving is one
 gather. `encode_frames` is where an encoder is chosen; all three give
 the same frames, and each runs its own algorithm across the block: the
 parity matrix product, or the 27 steps of long division or of the LFSR
@@ -40,8 +41,8 @@ import numpy as np
 from .decoder import DecodeResult, decode
 from .gf32 import MUL, gf_inv
 from .parallel_encoder import encode_parallel, message_to_bits
-from .parallel_gen import (BITS_PER_SYMBOL, bits_to_symbols, default_parity_matrix,
-                           symbols_to_bits)
+from .parallel_gen import (BITS_PER_SYMBOL, LinearMap, bits_to_symbols,
+                           default_parity_matrix, symbols_to_bits)
 from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS, compute_syndromes
 
 FRAME_BITS = 320
@@ -211,8 +212,7 @@ def _to_symbols(bits: np.ndarray) -> np.ndarray:
 
 def _parity(messages: np.ndarray) -> np.ndarray:
     """uint8[M, 20] parity bits of uint8[M, 135] message bits."""
-    products = messages.astype(np.float32) @ default_parity_matrix().array
-    return products.astype(np.uint8) & 1
+    return default_parity_matrix().products(messages)
 
 
 def _divide(msg: np.ndarray) -> np.ndarray:
@@ -262,13 +262,12 @@ def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
 
 
 @functools.cache
-def _syndrome_map() -> np.ndarray:
-    """float32[155, 20]: column 5*i + b is bit b of syndrome S(i+1) of a
-    codeword in info/parity bit order. Found by feeding compute_syndromes
-    one unit bit at a time; syndromes are GF(2)-linear in the bits."""
-    units = _to_symbols(np.eye(WORD_BITS, dtype=np.uint8)).tolist()
-    synd = np.array([compute_syndromes(word) for word in units])
-    return _SYMBOL_BITS[synd].reshape(WORD_BITS, N_PARITY * BITS_PER_SYMBOL).astype(np.float32)
+def _syndrome_map() -> LinearMap:
+    """155 -> 20: output 5*i + b is bit b of syndrome S(i+1) of a codeword
+    in info/parity bit order. Probed from compute_syndromes; syndromes are
+    GF(2)-linear in the bits."""
+    return LinearMap.probe(
+        lambda bits: symbols_to_bits(compute_syndromes(bits_to_symbols(bits))), WORD_BITS)
 
 
 @functools.cache
@@ -280,8 +279,7 @@ def _locator_tables() -> tuple[np.ndarray, np.ndarray]:
     roots[l1, l2] is (count, first, last) of the positions j, ascending,
     where 1 + l1*x + l2*x^2 vanishes at x = 1/X, as chien_search reports
     them; first == last when there is one root."""
-    rows = _syndrome_map()[::BITS_PER_SYMBOL].astype(np.uint8)
-    powers = _to_symbols(rows).astype(np.uint8)
+    powers = _to_symbols(_syndrome_map().array[::BITS_PER_SYMBOL]).astype(np.uint8)
     x = powers[:, 0]
     field = np.arange(32, dtype=np.uint8)
     l1, l2 = field[:, None, None], field[None, :, None]
@@ -309,8 +307,7 @@ def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     S minus the syndrome of the error). ok is False only for the others,
     which keep their received symbols; nu is the number of symbols
     corrected. Row for row this is what decode returns."""
-    products = words.astype(np.float32) @ _syndrome_map()
-    synd = _to_symbols(products.astype(np.uint8) & 1)
+    synd = _to_symbols(_syndrome_map().products(words))
     s1, s2, s3, s4 = synd.T
     mul, inv = _GF_MUL, _GF_INV
     det = mul[s2, s2] ^ mul[s1, s3]

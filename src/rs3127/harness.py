@@ -21,6 +21,7 @@ a time.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -171,11 +172,11 @@ def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
 
 
 def run_simulation(cfg: ChannelConfig, jobs: int = 1) -> TrialStats:
-    """Frame trials for one config; counter merging is commutative, so any
-    worker split yields identical totals."""
-    if jobs <= 1 or cfg.frames < 2:
+    """Frame trials for one config, on at most one worker per CPU; counter
+    merging is commutative, so any worker split yields identical totals."""
+    jobs = min(jobs, cfg.frames, os.cpu_count() or 1) if jobs > 1 else 1
+    if jobs <= 1:
         return _run_frames(cfg, 0, cfg.frames)
-    jobs = min(jobs, cfg.frames)
     step = -(-cfg.frames // jobs)
     starts = range(0, cfg.frames, step)
     counts = [min(step, cfg.frames - start) for start in starts]

@@ -1,17 +1,18 @@
 """One-shot encoder: all 20 parity bits from 135 information bits in a
-single evaluation, via the parity matrix or the output masks of an XOR3
-network.
+single evaluation of the output masks of a `LinearMap` (the parity
+matrix) or of an `XorNetwork` (an emitted netlist).
 
-The matrix path is the production encoder; the network path exists to
+The matrix is the production encoder; a network's masks exist to
 validate emitted netlists, and differential tests hold the two (and the
 two serial encoders) bit-identical.
 """
 
 from __future__ import annotations
 
-from .parallel_gen import (N_INFO_BITS, ParityMatrix, XorNetwork, apply_masks,
-                           bits_to_symbols, symbols_to_bits)
+from .parallel_gen import N_INFO_BITS, bits_to_symbols, symbols_to_bits
 from .rs_core import K_SYMBOLS
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def message_to_bits(msg: list[int]) -> list[int]:
@@ -27,17 +28,16 @@ def bits_to_message(bits: list[int]) -> list[int]:
     return bits_to_symbols(bits)
 
 
-def parity_bits(info: list[int], matrix: ParityMatrix) -> list[int]:
-    """Parity bit r is the XOR of the information bits in matrix row r."""
-    return apply_masks(info, matrix.bitmasks)
+def parity_bits(info: list[int], masks) -> list[int]:
+    """Parity bit r is the XOR of the information bits set in
+    masks.bitmasks[r], for a LinearMap or an XorNetwork; the 0/1 bits are
+    packed by reading them, reversed, as binary digits."""
+    if len(info) != N_INFO_BITS:
+        raise ValueError(f"expected {N_INFO_BITS} bits, got {len(info)}")
+    packed = int(bytes(reversed(info)).translate(_BINARY_DIGITS), 2)
+    return [(packed & m).bit_count() & 1 for m in masks.bitmasks]
 
 
-def encode_parallel(info: list[int], matrix: ParityMatrix) -> list[int]:
+def encode_parallel(info: list[int], masks) -> list[int]:
     """Full 31-symbol systematic codeword from 135 information bits."""
-    return bits_to_symbols(info) + bits_to_symbols(parity_bits(info, matrix))
-
-
-def encode_via_network(info: list[int], net: XorNetwork) -> list[int]:
-    """Same result as encode_parallel, computed from the netlist's output
-    masks."""
-    return bits_to_symbols(info) + bits_to_symbols(net.evaluate(info))
+    return bits_to_symbols(info) + bits_to_symbols(parity_bits(info, masks))

@@ -1,7 +1,8 @@
 """Unrolls the serial encoder into a 20x135 GF(2) parity matrix and
-schedules it as XOR3 trees, emitting a structural netlist. The matrix and
-a netlist both hold parity bit r as its mask, a 135-bit int of the
-information bits it XORs, and `apply_masks` evaluates either.
+schedules it as XOR3 trees, emitting a structural netlist. `LinearMap`
+holds a fixed GF(2) map as one input-bit mask per output: the parity
+matrix (135 -> 20) and the decoder's syndrome map (155 -> 20) are both
+LinearMaps, and an XorNetwork reads the same masks off its gates.
 
 Multiplying a GF(32) symbol by a constant and adding two symbols are both
 GF(2)-linear in the symbol bits, so driving the encoder registers with
@@ -73,7 +74,7 @@ NETLIST_HEADER_PREFIX = f"# rs3127 parity netlist prim=0x{PRIMITIVE_POLY:x} groo
 MATRIX_HEADER = f"# rs3127 parity-matrix prim=0x{PRIMITIVE_POLY:x} groots={_GROOTS}"
 
 
-def _gf2_rank(masks: list[int]) -> int:
+def _gf2_rank(masks) -> int:
     basis: dict[int, int] = {}
     rank = 0
     for m in masks:
@@ -88,41 +89,45 @@ def _gf2_rank(masks: list[int]) -> int:
 
 
 @dataclass(frozen=True)
-class ParityMatrix:
-    """20 rows; row r is the set of information bits XORed into parity bit r."""
+class LinearMap:
+    """A GF(2)-linear map from n_in bits to len(bitmasks) bits: output r is
+    the XOR of the input bits c set in bitmasks[r]. The rows must be
+    nonempty, inside n_in bits and linearly independent."""
 
-    rows: tuple[frozenset[int], ...]
+    bitmasks: tuple[int, ...]
+    n_in: int
 
     def __post_init__(self) -> None:
-        if len(self.rows) != N_PARITY_BITS:
-            raise ValueError(f"expected {N_PARITY_BITS} rows, got {len(self.rows)}")
-        for r, row in enumerate(self.rows):
-            if not row:
-                raise ValueError(f"parity bit {r} depends on no information bit")
-            if not all(0 <= t < N_INFO_BITS for t in row):
-                raise ValueError(f"row {r} has an out-of-range bit index")
-        if _gf2_rank(list(self.bitmasks)) != N_PARITY_BITS:
-            raise ValueError("parity matrix is rank-deficient")
+        for r, mask in enumerate(self.bitmasks):
+            if not mask:
+                raise ValueError(f"output {r} depends on no input bit")
+            if mask >> self.n_in:
+                raise ValueError(f"output {r} has a bit index outside 0..{self.n_in - 1}")
+        if _gf2_rank(self.bitmasks) != len(self.bitmasks):
+            raise ValueError("linear map is rank-deficient")
 
-    @cached_property
-    def bitmasks(self) -> tuple[int, ...]:
-        """Each row packed into a 135-bit int (bit c set iff c in row)."""
-        return tuple(sum(1 << t for t in row) for row in self.rows)
+    @classmethod
+    def probe(cls, fn, n_in: int) -> LinearMap:
+        """The map of a GF(2)-linear fn (a list of n_in 0/1 bits -> a sequence
+        of 0/1 bits), read off the unit vectors: fn(unit c) is column c."""
+        columns = [fn([0] * c + [1] + [0] * (n_in - 1 - c)) for c in range(n_in)]
+        return cls(tuple(sum(bit << c for c, bit in enumerate(row))
+                         for row in zip(*columns)), n_in)
 
     @cached_property
     def array(self) -> np.ndarray:
-        """float32 [135, 20], entry [c, r] = 1 iff information bit c feeds
-        parity bit r: `(bits.astype(np.float32) @ array)` then `& 1` gives
-        the parity bits of a batch. float32 sums of at most 135 ones are
-        exact, and the product runs in BLAS."""
-        out = np.zeros((N_INFO_BITS, N_PARITY_BITS), np.float32)
-        for r, row in enumerate(self.rows):
-            out[sorted(row), r] = 1
-        return out
+        """float32[n_in, n_out]: entry [c, r] is 1 iff input bit c feeds output r."""
+        bits = [[m >> c & 1 for m in self.bitmasks] for c in range(self.n_in)]
+        return np.array(bits, np.float32)
+
+    def products(self, bits: np.ndarray) -> np.ndarray:
+        """uint8[M, n_out] outputs of uint8[M, n_in] bits: one float32 BLAS
+        product (exact: its sums are of at most n_in ones), then `& 1`."""
+        return (bits.astype(np.float32) @ self.array).astype(np.uint8) & 1
 
     @property
     def max_fanin(self) -> int:
-        return max(len(row) for row in self.rows)
+        return max(m.bit_count() for m in self.bitmasks)
 
 
 def _const_mul_forms(c: int, forms: list[int]) -> list[int]:
@@ -142,7 +147,7 @@ def _const_mul_forms(c: int, forms: list[int]) -> list[int]:
     return out
 
 
-def derive_parity_matrix() -> ParityMatrix:
+def derive_parity_matrix() -> LinearMap:
     """Advance the encoder registers symbolically through the 27 shift-in
     cycles; the final register bit forms are the parity matrix rows."""
     regs = [[0] * BITS_PER_SYMBOL for _ in range(N_PARITY)]
@@ -155,31 +160,14 @@ def derive_parity_matrix() -> ParityMatrix:
             below = regs[d - 1] if d else [0] * BITS_PER_SYMBOL
             new_regs.append([below[i] ^ term[i] for i in range(BITS_PER_SYMBOL)])
         regs = new_regs
-    rows = []
-    for jp in range(N_PARITY):
-        # parity symbol jp is the coefficient of x^(3-jp), i.e. register 3-jp
-        for i in range(BITS_PER_SYMBOL):
-            mask = regs[N_PARITY - 1 - jp][i]
-            rows.append(frozenset(t for t in range(N_INFO_BITS) if (mask >> t) & 1))
-    return ParityMatrix(tuple(rows))
+    # parity symbol jp is the coefficient of x^(3-jp), i.e. register 3-jp
+    return LinearMap(tuple(chain.from_iterable(regs[::-1])), N_INFO_BITS)
 
 
 @functools.cache
-def default_parity_matrix() -> ParityMatrix:
+def default_parity_matrix() -> LinearMap:
     """The matrix for the active field constants, derived once per process."""
     return derive_parity_matrix()
-
-
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def apply_masks(info_bits: list[int], masks) -> list[int]:
-    """Output k is the XOR of the 0/1 bits info_bits[i] over the i set in
-    masks[k]; the bits are packed by reading them, reversed, as binary digits."""
-    if len(info_bits) != N_INFO_BITS:
-        raise ValueError(f"expected {N_INFO_BITS} bits, got {len(info_bits)}")
-    packed = int(bytes(reversed(info_bits)).translate(_BINARY_DIGITS), 2)
-    return [(packed & m).bit_count() & 1 for m in masks]
 
 
 @dataclass(frozen=True)
@@ -207,7 +195,7 @@ class XorNetwork:
 
     @property
     def bitmasks(self) -> tuple[int, ...]:
-        """Each output's mask, as ParityMatrix.bitmasks holds each row."""
+        """Each output's mask, as LinearMap.bitmasks holds each row."""
         return self._forms[0]
 
     @property
@@ -219,12 +207,8 @@ class XorNetwork:
     def max_depth(self) -> int:
         return max(self.depths)
 
-    def evaluate(self, info_bits: list[int]) -> list[int]:
-        """Parity bits for one 135-bit input vector."""
-        return apply_masks(info_bits, self.bitmasks)
 
-
-def build_xor3_network(matrix: ParityMatrix) -> XorNetwork:
+def build_xor3_network(matrix: LinearMap) -> XorNetwork:
     """Balanced ternary tree per output row.
 
     Leaves are grouped left-to-right in ascending bit-index order; the last
@@ -233,8 +217,8 @@ def build_xor3_network(matrix: ParityMatrix) -> XorNetwork:
     """
     gates: list[tuple[str, str, str]] = []
     outputs = []
-    for row in matrix.rows:
-        level = [f"d{t}" for t in sorted(row)]
+    for mask in matrix.bitmasks:
+        level = [f"d{t}" for t in range(matrix.n_in) if mask >> t & 1]
         while len(level) > 1:
             nxt = []
             for i in range(0, len(level), 3):
@@ -257,26 +241,26 @@ def emit_netlist(net: XorNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-_WIRE_RE = re.compile(r"wire w(\d+) = XOR3\((\S+), (\S+), (\S+)\)$")
-_OUT_RE = re.compile(r"out p(\d+) = (\S+)$")
-_INPUT_RE = re.compile(r"d(\d+)$")
+# Numbers are ASCII digits without leading zeros, so every ref has one
+# spelling: d7, never d007 or a non-ASCII digit.
+_NUM = "(0|[1-9][0-9]*)"
+_WIRE_RE = re.compile(rf"wire w{_NUM} = XOR3\((\S+), (\S+), (\S+)\)")
+_OUT_RE = re.compile(rf"out p{_NUM} = (\S+)")
+_REF_RE = re.compile(rf"([dw]){_NUM}")
 
 
 def _check_ref(ref: str, n_gates: int, lineno: int) -> None:
     if ref == ZERO:
         return
-    m = _INPUT_RE.match(ref)
-    if m:
-        if int(m.group(1)) >= N_INFO_BITS:
-            raise ValueError(f"line {lineno}: input {ref} out of range")
-        return
-    if ref.startswith("w") and ref[1:].isdigit():
-        if int(ref[1:]) >= n_gates:
-            raise ValueError(
-                f"line {lineno}: reference to undefined wire {ref} "
-                "(forward or cyclic reference)")
-        return
-    raise ValueError(f"line {lineno}: malformed reference {ref!r}")
+    m = _REF_RE.fullmatch(ref)
+    if not m:
+        raise ValueError(f"line {lineno}: malformed reference {ref!r}")
+    if m.group(1) == "d" and int(m.group(2)) >= N_INFO_BITS:
+        raise ValueError(f"line {lineno}: input {ref} out of range")
+    if m.group(1) == "w" and int(m.group(2)) >= n_gates:
+        raise ValueError(
+            f"line {lineno}: reference to undefined wire {ref} "
+            "(forward or cyclic reference)")
 
 
 def parse_netlist(text: str) -> XorNetwork:
@@ -293,7 +277,7 @@ def parse_netlist(text: str) -> XorNetwork:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _WIRE_RE.match(line)
+        m = _WIRE_RE.fullmatch(line)
         if m:
             gid = int(m.group(1))
             if gid != len(gates):
@@ -305,7 +289,7 @@ def parse_netlist(text: str) -> XorNetwork:
                 _check_ref(ref, len(gates), lineno)
             gates.append(refs)
             continue
-        m = _OUT_RE.match(line)
+        m = _OUT_RE.fullmatch(line)
         if m:
             k = int(m.group(1))
             if not 0 <= k < N_PARITY_BITS:
@@ -335,14 +319,12 @@ def expected_depth(fanin: int) -> int:
     return depth
 
 
-def matrix_to_text(matrix: ParityMatrix) -> str:
-    lines = [MATRIX_HEADER]
-    for row in matrix.rows:
-        lines.append("".join("1" if c in row else "0" for c in range(N_INFO_BITS)))
-    return "\n".join(lines) + "\n"
+def matrix_to_text(matrix: LinearMap) -> str:
+    rows = [f"{mask:0{N_INFO_BITS}b}"[::-1] for mask in matrix.bitmasks]  # column c first
+    return "\n".join([MATRIX_HEADER, *rows]) + "\n"
 
 
-def matrix_from_text(text: str) -> ParityMatrix:
+def matrix_from_text(text: str) -> LinearMap:
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -351,7 +333,7 @@ def matrix_from_text(text: str) -> ParityMatrix:
         if len(line) != N_INFO_BITS or set(line) - {"0", "1"}:
             raise ValueError(
                 f"line {lineno}: expected {N_INFO_BITS} characters of 0/1")
-        rows.append(frozenset(c for c, ch in enumerate(line) if ch == "1"))
+        rows.append(int(line[::-1], 2))
     if len(rows) != N_PARITY_BITS:
         raise ValueError(f"expected {N_PARITY_BITS} matrix rows, got {len(rows)}")
-    return ParityMatrix(tuple(rows))
+    return LinearMap(tuple(rows), N_INFO_BITS)

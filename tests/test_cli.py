@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,17 @@ def test_check_netlist_catches_a_wrong_gate(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check-netlist", "-n", str(nfile)]) == 2
     assert "mismatch: output p" in capsys.readouterr().err
+
+
+def test_check_netlist_rejects_a_zero_padded_ref(tmp_path, capsys):
+    """d007 names no input: a data error (exit 2) naming the line, not a
+    traceback."""
+    nfile = tmp_path / "n.txt"
+    assert main(["emit-netlist", "-o", str(nfile)]) == 0
+    nfile.write_text(re.sub(r"\(d([0-9]+),", r"(d0\1,", nfile.read_text()))
+    capsys.readouterr()
+    assert main(["check-netlist", "-n", str(nfile)]) == 2
+    assert capsys.readouterr().err.startswith("rs3127: error: line 2: malformed reference 'd0")
 
 
 def _rewire_outputs(nfile, extra):

@@ -7,6 +7,7 @@ import pytest
 from rs3127 import (UNCORRECTABLE, ChannelConfig, TrialStats, apply_channel,
                     build_frame, emit_stats, frame_rng, run_simulation, run_sweep,
                     unframe)
+from rs3127 import harness
 from rs3127.framing import BLOCK_FRAMES, frame_blocks
 from rs3127.harness import _draw_block, channel_flips
 
@@ -67,6 +68,42 @@ def test_replay_determinism_and_jobs_independence():
     assert serial == run_simulation(cfg, jobs=5)
     text = emit_stats([(cfg, serial)])
     assert text == emit_stats([(cfg, run_simulation(cfg, jobs=3))])
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    max_workers: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, jobs, frames, pools", [
+    (4, 100_000, 100, [4]),  # at most one worker per CPU
+    (8, 3, 100, [3]),
+    (8, 100_000, 5, [5]),    # at most one worker per frame
+    (None, 100_000, 100, []),  # CPU count unknown: one process, no pool
+    (1, 2, 100, []),
+], ids=["per-cpu", "as-asked", "per-frame", "cpus-unknown", "one-cpu"])
+def test_worker_count_is_capped_by_cpus_and_frames(monkeypatch, cpus, jobs, frames, pools):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "max_workers", [])
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    cfg = ChannelConfig(ber=3e-3, burst_len=4, burst_rate=0.2, seed=12, frames=frames)
+    stats = run_simulation(cfg, jobs=jobs)
+    assert _SerialPool.max_workers == pools
+    assert stats == harness._run_frames(cfg, 0, frames)
 
 
 def test_accounting_identity():

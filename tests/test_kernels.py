@@ -15,6 +15,7 @@ from rs3127 import (CORRECTED, OK, UNCORRECTABLE, build_frame, chien_search,
                     forney, is_codeword, lfsr_encode, parity_bits, solve_locator, unframe)
 from rs3127 import framing
 from rs3127.framing import HEADER_BITS, decode_frames, encode_frames, interleave
+from rs3127.parallel_gen import LinearMap, _gf2_rank
 from rs3127.serial_encoder import LfsrEncoder
 
 from oracles import frame_reference, rs_encode_reference
@@ -360,9 +361,21 @@ def test_parity_array_equals_the_rows_and_parity_bits():
     array = matrix.array
     assert array.dtype == np.float32 and array.shape == (135, 20)
     assert set(np.unique(array).tolist()) == {0.0, 1.0}
-    assert tuple(frozenset(np.flatnonzero(array[:, r]).tolist()) for r in range(20)) \
-        == matrix.rows
+    assert tuple(sum(1 << c for c in np.flatnonzero(array[:, r]).tolist())
+                 for r in range(20)) == matrix.bitmasks
     for c in range(135):
         unit = [0] * 135
         unit[c] = 1
         assert array[c].astype(int).tolist() == parity_bits(unit, matrix)
+
+
+def test_syndrome_map_is_a_rank_20_linear_map_over_155_bits():
+    """The constructor checks rank 20; every row of a random block maps to
+    the syndromes compute_syndromes gives its symbols."""
+    synd = framing._syndrome_map()
+    assert isinstance(synd, LinearMap)
+    assert (synd.n_in, len(synd.bitmasks)) == (155, 20)
+    assert _gf2_rank(synd.bitmasks) == 20
+    words = np.random.default_rng(3003).integers(0, 2, (300, 155), dtype=np.uint8)
+    got = framing._to_symbols(synd.products(words)).tolist()
+    assert got == [compute_syndromes(w) for w in framing._to_symbols(words).tolist()]

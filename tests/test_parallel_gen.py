@@ -1,10 +1,14 @@
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rs3127 import encode_reference, parity_bits
 from rs3127.parallel_gen import (MATRIX_HEADER, N_INFO_BITS, N_PARITY_BITS,
-                                 ParityMatrix, build_xor3_network,
+                                 LinearMap, build_xor3_network,
                                  derive_parity_matrix, emit_netlist,
                                  expected_depth, matrix_from_text,
                                  matrix_to_text, parse_netlist)
@@ -13,7 +17,7 @@ from rs3127.parallel_gen import (MATRIX_HEADER, N_INFO_BITS, N_PARITY_BITS,
 def probe_matrix_from_reference_encoder():
     """Column c of the matrix is the parity of the unit-bit message with
     only information bit c set — the basis-probing oracle."""
-    rows = [set() for _ in range(N_PARITY_BITS)]
+    rows = [0] * N_PARITY_BITS
     for c in range(N_INFO_BITS):
         msg = [0] * 27
         msg[c // 5] = 1 << (c % 5)
@@ -21,22 +25,22 @@ def probe_matrix_from_reference_encoder():
         for jp in range(4):
             for i in range(5):
                 if (parity[jp] >> i) & 1:
-                    rows[5 * jp + i].add(c)
-    return tuple(frozenset(r) for r in rows)
+                    rows[5 * jp + i] |= 1 << c
+    return tuple(rows)
 
 
 def test_derived_matrix_equals_basis_probing_oracle():
-    assert derive_parity_matrix().rows == probe_matrix_from_reference_encoder()
+    assert derive_parity_matrix().bitmasks == probe_matrix_from_reference_encoder()
 
 
 def test_matrix_rank_is_20_and_rows_nonempty():
     matrix = derive_parity_matrix()
-    assert all(matrix.rows)
+    assert all(matrix.bitmasks)
     # rank 20 is asserted by the constructor; a deficient matrix must fail
-    broken = list(matrix.rows)
+    broken = list(matrix.bitmasks)
     broken[1] = broken[0]
     with pytest.raises(ValueError, match="rank"):
-        ParityMatrix(tuple(broken))
+        LinearMap(tuple(broken), N_INFO_BITS)
 
 
 def test_matrix_applied_to_zero_vector():
@@ -57,9 +61,9 @@ def test_derivation_is_deterministic():
 def synthetic_matrix():
     """Disjoint supports keep the rows independent: one 70-term row, one
     9-term row, eighteen single-term rows."""
-    rows = [frozenset(range(70)), frozenset(range(70, 79))]
-    rows += [frozenset({79 + k}) for k in range(18)]
-    return ParityMatrix(tuple(rows))
+    rows = [(1 << 70) - 1, (1 << 79) - (1 << 70)]
+    rows += [1 << (79 + k) for k in range(18)]
+    return LinearMap(tuple(rows), N_INFO_BITS)
 
 
 def test_tree_shapes_on_synthetic_rows():
@@ -74,8 +78,8 @@ def test_tree_shapes_on_synthetic_rows():
 def test_depth_law_on_the_real_matrix():
     matrix = derive_parity_matrix()
     net = build_xor3_network(matrix)
-    for row, depth in zip(matrix.rows, net.depths):
-        assert depth == expected_depth(len(row))
+    for mask, depth in zip(matrix.bitmasks, net.depths):
+        assert depth == expected_depth(mask.bit_count())
     assert net.max_depth == 4
 
 
@@ -103,7 +107,7 @@ def test_parsed_network_evaluates_like_the_matrix():
     rnd = random.Random(3001)
     for _ in range(10000):
         info = [rnd.getrandbits(1) for _ in range(N_INFO_BITS)]
-        assert net.evaluate(info) == parity_bits(info, matrix)
+        assert parity_bits(info, net) == parity_bits(info, matrix)
 
 
 def hand_netlist(first_line="wire w0 = XOR3(d0, d1, d2)"):
@@ -117,12 +121,12 @@ def test_hand_written_single_gate_truth_table():
     for x in range(8):
         bits = [0] * N_INFO_BITS
         bits[0], bits[1], bits[2] = (x >> 2) & 1, (x >> 1) & 1, x & 1
-        assert net.evaluate(bits)[0] == (bits[0] ^ bits[1] ^ bits[2])
+        assert parity_bits(bits, net)[0] == (bits[0] ^ bits[1] ^ bits[2])
 
 
 def test_output_forms_of_a_hand_netlist():
     """A repeated input cancels in the mask, a ZERO pad adds a level but no
-    input, and evaluate agrees with XOR-ing gate by gate."""
+    input, and parity_bits of the network agrees with XOR-ing gate by gate."""
     lines = ["wire w0 = XOR3(d0, d0, d1)", "wire w1 = XOR3(w0, w0, d2)",
              "wire w2 = XOR3(w1, ZERO, ZERO)", "out p0 = w2"]
     lines += [f"out p{k} = d{k}" for k in range(1, N_PARITY_BITS)]
@@ -135,7 +139,7 @@ def test_output_forms_of_a_hand_netlist():
         w0 = bits[0] ^ bits[0] ^ bits[1]
         w1 = w0 ^ w0 ^ bits[2]
         w2 = w1 ^ 0 ^ 0
-        assert net.evaluate(bits) == [w2] + bits[1:N_PARITY_BITS]
+        assert parity_bits(bits, net) == [w2] + bits[1:N_PARITY_BITS]
 
 
 def test_built_network_masks_are_the_matrix_rows():
@@ -196,3 +200,115 @@ def test_matrix_text_rejects_malformed_rows():
     good = matrix_to_text(derive_parity_matrix())
     with pytest.raises(ValueError, match="20 matrix rows"):
         matrix_from_text("\n".join(good.splitlines()[:-1]) + "\n")
+
+
+# --- LinearMap ---------------------------------------------------------------
+
+def test_probe_reads_a_hand_map_off_the_unit_vectors():
+    def fn(bits):
+        x0, x1, x2, x3 = bits
+        return [x0 ^ x2, x1, x0 ^ x1 ^ x3]
+
+    linear = LinearMap.probe(fn, 4)
+    assert linear == LinearMap((0b0101, 0b0010, 0b1011), 4)
+    assert linear.array.dtype == np.float32
+    assert linear.array.tolist() == [[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 0, 1]]
+    assert linear.max_fanin == 3
+    inputs = [[x >> c & 1 for c in range(4)] for x in range(16)]
+    assert linear.products(np.array(inputs, np.uint8)).tolist() == [fn(b) for b in inputs]
+
+
+@pytest.mark.parametrize("n_in", [N_INFO_BITS, 155])
+def test_linear_map_rejects_an_empty_row_a_wide_bit_and_a_dependent_row(n_in):
+    good = tuple(1 << c for c in range(n_in - N_PARITY_BITS, n_in))
+    assert LinearMap(good, n_in).max_fanin == 1  # bit n_in - 1 is in range
+    with pytest.raises(ValueError, match="output 0 depends on no input bit"):
+        LinearMap((0,) + good[1:], n_in)
+    with pytest.raises(ValueError, match=f"output 19 has a bit index outside 0..{n_in - 1}"):
+        LinearMap(good[:-1] + (1 << n_in,), n_in)
+    with pytest.raises(ValueError, match="rank"):
+        LinearMap(good[:-1] + (good[0] ^ good[1],), n_in)
+
+
+def test_products_equal_parity_bits_row_for_row():
+    matrix = derive_parity_matrix()
+    bits = np.random.default_rng(3002).integers(0, 2, (500, N_INFO_BITS), dtype=np.uint8)
+    bits[0], bits[1] = 0, 1
+    got = matrix.products(bits)
+    assert got.dtype == np.uint8 and got.shape == (500, N_PARITY_BITS)
+    assert got.tolist() == [parity_bits(row, matrix) for row in bits.tolist()]
+
+
+# --- canonical refs and parser fuzzing ---------------------------------------
+
+@pytest.mark.parametrize("lines, lineno", [
+    (["wire w0 = XOR3(d007, d1, d2)"], 1),
+    (["wire w0 = XOR3(d0, d00, d2)"], 1),
+    (["wire w0 = XOR3(d\u0663, d1, d2)"], 1),  # ARABIC-INDIC DIGIT THREE
+    (["wire w0 = XOR3(d0, d1, d2)", "wire w1 = XOR3(w00, d1, d2)"], 2),
+    (["wire w0 = XOR3(d0, d1, d2)", "wire w1 = XOR3(w\u0660, d1, d2)"], 2),
+], ids=["d007", "d00", "d-non-ascii", "w00", "w-non-ascii"])
+def test_parse_rejects_a_non_canonical_ref_naming_its_line(lines, lineno):
+    with pytest.raises(ValueError, match=f"line {lineno}: malformed reference"):
+        parse_netlist(hand_netlist("\n".join(lines)))
+
+
+@pytest.mark.parametrize("first_line", ["wire w00 = XOR3(d0, d1, d2)",
+                                        "wire w\u0660 = XOR3(d0, d1, d2)"],
+                         ids=["w00", "w-non-ascii"])
+def test_parse_rejects_a_non_canonical_gate_id(first_line):
+    with pytest.raises(ValueError, match="line 1: syntax error"):
+        parse_netlist(hand_netlist(first_line))
+
+
+def test_parse_rejects_a_non_canonical_output_index():
+    with pytest.raises(ValueError, match="line 2: syntax error"):
+        parse_netlist(hand_netlist().replace("out p0 =", "out p00 ="))
+
+
+EMITTED_NETLIST = emit_netlist(build_xor3_network(derive_parity_matrix()))
+MATRIX_TEXT = matrix_to_text(derive_parity_matrix())
+# Characters of both grammars, plus a non-ASCII digit and a few separators.
+_FUZZ_CHARS = "0123456789dwpZEROXiut()=,# \t\n\u0663\u00b2"
+
+
+def _mutate(text, edits):
+    for pos, op, ch in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + ch * (op != "delete") + text[pos + (op != "insert"):]
+    return text
+
+
+def _mutated(base):
+    """One to four character edits of base. About half land where a number
+    starts (after d, w or p) and half write a 0 or a non-ASCII digit, so
+    padded and non-ASCII refs come up often."""
+    number_starts = [m.end() for m in re.finditer(r"\b[dwp](?=[0-9])", base)] or [0]
+    edit = st.tuples(st.one_of(st.integers(0, len(base)), st.sampled_from(number_starts)),
+                     st.sampled_from(["insert", "delete", "replace"]),
+                     st.one_of(st.sampled_from(_FUZZ_CHARS), st.sampled_from("0\u0663")))
+    return st.lists(edit, min_size=1, max_size=4).map(lambda edits: _mutate(base, edits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mutated(hand_netlist()), _mutated(EMITTED_NETLIST),
+                 st.text(_FUZZ_CHARS), st.text()))
+@example(hand_netlist("wire w0 = XOR3(d007, d1, d2)"))
+@example(hand_netlist("wire w0 = XOR3(d0, d1, d2)\nwire w1 = XOR3(w00, d1, d2)"))
+def test_fuzzed_netlist_raises_only_value_error_and_parses_canonically(text):
+    try:
+        net = parse_netlist(text)
+    except ValueError:
+        return
+    assert len(net.bitmasks) == len(net.depths) == N_PARITY_BITS
+    assert parse_netlist(emit_netlist(net)) == net
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mutated(MATRIX_TEXT), st.text("01\n# \u0661"), st.text()))
+def test_fuzzed_matrix_text_raises_only_value_error(text):
+    try:
+        matrix = matrix_from_text(text)
+    except ValueError:
+        return
+    assert matrix_from_text(matrix_to_text(matrix)) == matrix
