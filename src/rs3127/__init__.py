@@ -16,9 +16,8 @@ from .parallel_gen import (build_xor3_network, default_parity_matrix, derive_par
 from .parallel_encoder import bits_to_message, encode_parallel, message_to_bits, parity_bits
 from .decoder import (CORRECTED, OK, UNCORRECTABLE, chien_search, compute_syndromes,
                       decode, forney, solve_locator)
-from .framing import (DEFAULT_SYNC_HEADER, Scrambler, build_frame, bytes_to_frame,
-                      deinterleave, descramble, frame_to_bytes, interleave,
-                      scramble, unframe)
+from .framing import (DEFAULT_SYNC_HEADER, build_frame, bytes_to_frame, deinterleave,
+                      descramble, frame_to_bytes, interleave, scramble, unframe)
 from .harness import (ChannelConfig, TrialStats, apply_channel, emit_stats,
                       frame_rng, run_simulation, run_sweep)
 
@@ -32,9 +31,8 @@ __all__ = [
     "bits_to_message", "encode_parallel", "message_to_bits", "parity_bits",
     "CORRECTED", "OK", "UNCORRECTABLE",
     "chien_search", "compute_syndromes", "decode", "forney", "solve_locator",
-    "DEFAULT_SYNC_HEADER", "Scrambler", "build_frame", "bytes_to_frame",
-    "deinterleave", "descramble", "frame_to_bytes", "interleave",
-    "scramble", "unframe",
+    "DEFAULT_SYNC_HEADER", "build_frame", "bytes_to_frame", "deinterleave",
+    "descramble", "frame_to_bytes", "interleave", "scramble", "unframe",
     "ChannelConfig", "TrialStats", "apply_channel", "emit_stats",
     "frame_rng", "run_simulation", "run_sweep",
 ]

@@ -63,11 +63,21 @@ def _output(path: str):
                 fh.truncate()
 
 
+def _read_ascii(path: str) -> str:
+    """A netlist or matrix file's text; a non-ASCII byte names its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
 def _load_matrix(path: str | None):
     if path is None:
         return derive_parity_matrix()
-    with open(path, "r", encoding="ascii") as fh:
-        return matrix_from_text(fh.read())
+    return matrix_from_text(_read_ascii(path))
 
 
 def _cmd_gen_matrix(args) -> int:
@@ -90,8 +100,7 @@ def _cmd_check_netlist(args) -> int:
     """Proof, not a sample: parse_netlist admits only XOR3 gates over
     inputs, earlier wires and ZERO, so every netlist is GF(2)-linear and
     its output masks, read off the gates, decide equality on all inputs."""
-    with open(args.netlist, "r", encoding="ascii") as fh:
-        net = parse_netlist(fh.read())
+    net = parse_netlist(_read_ascii(args.netlist))
     diffs = [a ^ b for a, b in zip(net.bitmasks, _load_matrix(args.matrix).bitmasks)]
     # (lowest differing information bit, output) of every differing output
     mismatches = [((d & -d).bit_length() - 1, k) for k, d in enumerate(diffs) if d]
@@ -190,12 +199,18 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_channel_flags(sub) -> None:
     sub.add_argument("--burst-len", type=int, default=0)
     sub.add_argument("--burst-rate", type=float, default=0.0)
     sub.add_argument("--frames", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=_positive_int, default=1)
     sub.add_argument("--csv", action="store_true")
 
 

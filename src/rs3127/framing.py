@@ -7,10 +7,10 @@ Frame layout (320 bits): bits 0..9 header, MSB first; payload bit 10*s + i
 two codewords alternate, MSB first on the wire. A frame is thus 64 five-bit
 wire slots; parallel_gen's symbols_to_bits/bits_to_symbols convert them and
 are the one owner of the symbol bit order. The header is always
-DEFAULT_SYNC_HEADER. The scrambler is additive
-and frame-synchronous (x^7 + x^6 + 1, reseeded to all-ones each frame),
-so descrambling is the same operation and channel bit errors do not
-multiply.
+DEFAULT_SYNC_HEADER. The scrambler is additive and frame-synchronous, so
+descrambling is the same operation and channel bit errors do not
+multiply. Its x^7 + x^6 + 1 register starts all-ones at each frame and
+shifts out its MSB, so the PRBS is seven ones, then bit n-7 XOR bit n-6.
 
 Two forms compute this chain. `build_frame`/`unframe` (with `scramble`,
 `interleave` and the byte converters) take one frame as lists of bits;
@@ -19,16 +19,17 @@ The batch kernels `encode_frames`/`decode_frames` take `uint8[N, 270]`
 info and `uint8[N, 320]` frames and turn each layer into one array
 operation: scrambling is an XOR with the PRBS, parity and syndromes are
 each the `products` of a LinearMap (the parity matrix, and the syndrome
-map probed from compute_syndromes), and header plus interleaving is one
-gather. `encode_frames` is where an encoder is chosen; all three give
-the same frames, and each runs its own algorithm across the block: the
-parity matrix product, or the 27 steps of long division or of the LFSR
+map probed from compute_syndromes), and interleaving is one gather by
+the layout formula (checked against `interleave` on every bit).
+`encode_frames` is where an encoder is chosen; all three give the same
+frames, and each runs its own algorithm across the block: the parity
+matrix product, or the 27 steps of long division or of the LFSR
 recurrence on GF(32) symbol arrays, none calling a scalar encoder.
-`decode_frames` corrects every codeword at once with
-the closed-form t = 2 Peterson-Gorenstein-Zierler solution (`_correct`):
-table gathers in GF(32), no per-codeword loop and no call of the scalar
-`decode`. The CLI and the simulator feed the kernels in blocks of at
-most BLOCK_FRAMES frames, which bounds their memory.
+`decode_frames` corrects every codeword at once with the closed-form
+t = 2 Peterson-Gorenstein-Zierler solution (`_correct`): table gathers
+in GF(32), no per-codeword loop and no call of the scalar `decode`. The
+CLI and the simulator feed the kernels in blocks of at most BLOCK_FRAMES
+frames, which bounds their memory.
 """
 
 from __future__ import annotations
@@ -62,35 +63,9 @@ _HEADER = symbols_to_bits(divmod(DEFAULT_SYNC_HEADER, 1 << BITS_PER_SYMBOL), msb
 # thread, which slows `simulate --jobs 2`.
 BLOCK_FRAMES = 128
 
-SCRAMBLER_BITS = 7  # x^7 + x^6 + 1
-
-
-class Scrambler:
-    """PRBS source for the additive scrambler.
-
-    The output is the register MSB; the register is reseeded to all-ones
-    at each frame start and can never reach the all-zero state from there.
-    """
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.state = (1 << SCRAMBLER_BITS) - 1
-
-    def next_bit(self) -> int:
-        out = (self.state >> 6) & 1
-        feedback = ((self.state >> 6) ^ (self.state >> 5)) & 1
-        self.state = ((self.state << 1) | feedback) & 0x7F
-        return out
-
-
-def _prbs(n: int) -> list[int]:
-    gen = Scrambler()
-    return [gen.next_bit() for _ in range(n)]
-
-
-_PRBS_FRAME = _prbs(INFO_BITS_PER_FRAME)
+_PRBS_FRAME = [1] * 7
+while len(_PRBS_FRAME) < INFO_BITS_PER_FRAME:
+    _PRBS_FRAME.append(_PRBS_FRAME[-7] ^ _PRBS_FRAME[-6])
 
 
 def scramble(bits: list[int]) -> list[int]:
@@ -122,9 +97,7 @@ def deinterleave(bits: list[int]) -> tuple[list[int], list[int]]:
 
 def build_frame(info: list[int]) -> list[int]:
     """Scramble, encode both halves (first half -> codeword A), interleave,
-    prepend the sync header."""
-    if len(info) != INFO_BITS_PER_FRAME:
-        raise ValueError(f"expected {INFO_BITS_PER_FRAME} bits, got {len(info)}")
+    prepend the sync header. scramble checks the length."""
     scrambled = scramble(info)
     matrix = default_parity_matrix()
     cw_a = encode_parallel(scrambled[:HALF_INFO_BITS], matrix)
@@ -184,24 +157,19 @@ _GF_INV = np.array([0] + [gf_inv(a) for a in range(1, 32)], np.uint8)
 # x^0..x^3 (the LFSR's feedback taps).
 _DIVISION_TAPS = _GF_MUL[:, GENERATOR_POLY[::-1]]
 _LFSR_TAPS = _GF_MUL[:, GENERATOR_POLY[:N_PARITY]]
+# Payload bit k comes from bit 155*c + 5*s + 4-i of [codeword A | codeword B]
+# in info/parity order (s = k // 10, c = k // 5 % 2, i = k % 5); _FROM_WIRE inverts it.
+_k = np.arange(PAYLOAD_BITS)
+_TO_WIRE = WORD_BITS * (_k // 5 % 2) + 5 * (_k // 10) + 4 - _k % 5
+_FROM_WIRE = np.empty_like(_TO_WIRE)
+_FROM_WIRE[_TO_WIRE] = _k
+del _k
 
 
 def frame_blocks(start: int, stop: int):
     """Consecutive ranges of at most BLOCK_FRAMES frame indices."""
     for lo in range(start, stop, BLOCK_FRAMES):
         yield range(lo, min(lo + BLOCK_FRAMES, stop))
-
-
-@functools.cache
-def _wire_order() -> tuple[np.ndarray, np.ndarray]:
-    """Gather index from [header bits | codeword A bits | codeword B bits]
-    (each codeword in info/parity order) to the 320 frame bits, and its
-    inverse. Found by feeding `interleave` the 310 unit source vectors;
-    interleaving is a bit permutation, so each lands on one wire bit."""
-    units = (_to_symbols(unit).tolist() for unit in np.eye(PAYLOAD_BITS, dtype=np.uint8))
-    wire_of = [interleave(u[:N_SYMBOLS], u[N_SYMBOLS:]).index(1) for u in units]
-    inverse = np.concatenate([np.arange(HEADER_BITS), HEADER_BITS + np.array(wire_of)])
-    return np.argsort(inverse), inverse
 
 
 def _to_symbols(bits: np.ndarray) -> np.ndarray:
@@ -255,10 +223,10 @@ def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
         words = _SYMBOL_BITS[encode(_to_symbols(halves).astype(np.uint8))]
     else:
         raise ValueError(f"unknown encoder {encoder!r}")
-    source = np.empty((n, FRAME_BITS), np.uint8)
-    source[:, :HEADER_BITS] = _HEADER_ARRAY
-    source[:, HEADER_BITS:] = words.reshape(n, PAYLOAD_BITS)
-    return source[:, _wire_order()[0]]
+    frames = np.empty((n, FRAME_BITS), np.uint8)
+    frames[:, :HEADER_BITS] = _HEADER_ARRAY
+    frames[:, HEADER_BITS:] = words.reshape(n, PAYLOAD_BITS)[:, _TO_WIRE]
+    return frames
 
 
 @functools.cache
@@ -342,8 +310,7 @@ def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     if frames.ndim != 2 or frames.shape[1] != FRAME_BITS:
         raise ValueError(f"expected shape (N, {FRAME_BITS}), got {frames.shape}")
     n = len(frames)
-    source = frames[:, _wire_order()[1]]
-    header_ok = (source[:, :HEADER_BITS] == _HEADER_ARRAY).all(axis=1)
-    ok, symbols, nu = _correct(source[:, HEADER_BITS:].reshape(2 * n, WORD_BITS))
+    header_ok = (frames[:, :HEADER_BITS] == _HEADER_ARRAY).all(axis=1)
+    ok, symbols, nu = _correct(frames[:, HEADER_BITS:][:, _FROM_WIRE].reshape(2 * n, WORD_BITS))
     info = _SYMBOL_BITS[symbols[:, :K_SYMBOLS]].reshape(n, INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
     return info, ok, nu, header_ok

@@ -241,9 +241,9 @@ def emit_netlist(net: XorNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Numbers are ASCII digits without leading zeros, so every ref has one
-# spelling: d7, never d007 or a non-ASCII digit.
-_NUM = "(0|[1-9][0-9]*)"
+# Numbers are 1-9 ASCII digits without leading zeros, so every ref has one
+# spelling (d7, never d007 or a non-ASCII digit) and int() never sees a long one.
+_NUM = "(0|[1-9][0-9]{0,8})"
 _WIRE_RE = re.compile(rf"wire w{_NUM} = XOR3\((\S+), (\S+), (\S+)\)")
 _OUT_RE = re.compile(rf"out p{_NUM} = (\S+)")
 _REF_RE = re.compile(rf"([dw]){_NUM}")

@@ -59,6 +59,25 @@ def test_check_netlist_rejects_a_zero_padded_ref(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("rs3127: error: line 2: malformed reference 'd0")
 
 
+@pytest.mark.parametrize("target, old, new, message", [
+    ("netlist", "(d1,", "(d\u0663,", "line 2: non-ASCII byte 0xd9"),
+    ("netlist", "(d1,", "(d" + "1" * 5000 + ",", "line 2: malformed reference 'd111"),
+    ("matrix", "\n0", "\n\u00b20", "line 2: non-ASCII byte 0xc2"),
+], ids=["netlist-non-ascii", "netlist-5000-digits", "matrix-non-ascii"])
+def test_check_netlist_names_the_line_of_an_unreadable_input(tmp_path, capsys,
+                                                             target, old, new, message):
+    files = {"netlist": tmp_path / "n.txt", "matrix": tmp_path / "m.txt"}
+    assert main(["gen-matrix", "-o", str(files["matrix"])]) == 0
+    assert main(["emit-netlist", "-o", str(files["netlist"])]) == 0
+    text = files[target].read_text()
+    files[target].write_bytes(text.replace(old, new, 1).encode())
+    capsys.readouterr()
+    assert main(["check-netlist", "-n", str(files["netlist"]), "-m", str(files["matrix"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rs3127: error: {message}")
+    assert "Traceback" not in err and "codec" not in err and "digits" not in err
+
+
 def _rewire_outputs(nfile, extra):
     """Route each output p<k> of extra, keys ascending, through one more
     gate XOR3(<its ref>, a, b), numbered after the last wire."""
@@ -256,6 +275,14 @@ def test_usage_errors_exit_1(capsys):
     assert main(["encode", "--bogus"]) == 1    # unknown flag
     assert main([]) == 1                       # no subcommand
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--ber", "1e-3"],
+                                     ["sweep", "--ber-list", "1e-3"]])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
+    assert main(command + ["--frames", "10", "--jobs", jobs]) == 1
+    assert "--jobs: expected a positive integer" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from rs3127 import (CORRECTED, OK, UNCORRECTABLE, chien_search,
                     compute_syndromes, decode, encode_reference, forney,
                     gf_mul, gf_pow, solve_locator)
 
-from oracles import classical_bm, poly_roots
+from oracles import alpha_power, classical_bm, clmul_reduce, expand_generator, poly_roots
 
 
 def random_message(rnd):
@@ -121,6 +122,40 @@ def test_chien_with_rootless_polynomial_is_empty():
     # alpha^k as a root of x + ... exhaustively verified instead
     assert poly_roots([1, 1, 1]) == set()
     assert chien_search([1, 1, 1]) == []
+
+
+def _brute_force_chien(locators):
+    """Positions j where each locator (rows of ascending coefficients)
+    vanishes at alpha^(j+1), every product by shift-and-reduce."""
+    product = np.array([[clmul_reduce(a, b) for b in range(32)] for a in range(32)])
+    points = np.array([[alpha_power((j + 1) * d) for d in range(locators.shape[1])]
+                       for j in range(31)])
+    values = np.zeros((len(locators), 31), int)
+    for d in range(locators.shape[1]):
+        values ^= product[locators[:, d, None], points[None, :, d]]
+    return [np.flatnonzero(row == 0).tolist() for row in values]
+
+
+def test_chien_equals_a_brute_force_root_scan_on_every_degree_2_locator():
+    locators = np.array(list(itertools.product(range(32), repeat=3)))
+    for lam, want in zip(locators.tolist(), _brute_force_chien(locators)):
+        assert chien_search(lam) == (want if any(lam) else [])
+
+
+def test_chien_equals_a_brute_force_root_scan_on_sampled_degree_3_and_4_locators():
+    rng = np.random.default_rng(5007)
+    locators = rng.integers(0, 32, (20000, 5))
+    locators[:10000, 4] = 0
+    locators[:10000, 3] = rng.integers(1, 32, 10000)
+    locators[10000:, 4] = rng.integers(1, 32, 10000)
+    # random locators rarely have 3 or 4 roots: add products of that many
+    # distinct factors x + alpha^(j+1), which vanish at positions j
+    positions = [sorted(rng.choice(31, n, replace=False).tolist())
+                 for n in (3, 4) for _ in range(200)]
+    for lam, want in zip(locators.tolist(), _brute_force_chien(locators)):
+        assert chien_search(lam) == want
+    for want in positions:
+        assert chien_search(expand_generator([alpha_power(j + 1) for j in want])) == want
 
 
 def test_root_count_must_match_degree_for_correctability():

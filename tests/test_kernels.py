@@ -135,6 +135,19 @@ def test_kernel_contracts():
         decode_frames(np.zeros((1, 319), np.uint8))
 
 
+def test_wire_gather_puts_every_source_bit_where_interleave_does():
+    """Each of the 310 unit vectors of [codeword A | codeword B] (info/parity
+    bit order) lands on the wire bit interleave puts it on; _FROM_WIRE
+    inverts _TO_WIRE."""
+    for j, unit in enumerate(np.eye(310, dtype=np.uint8)):
+        symbols = framing._to_symbols(unit).tolist()
+        want = interleave(symbols[:31], symbols[31:])
+        assert unit[framing._TO_WIRE].tolist() == want
+        assert framing._FROM_WIRE[j] == want.index(1)
+    assert sorted(framing._TO_WIRE.tolist()) == list(range(310))
+    assert framing._TO_WIRE[framing._FROM_WIRE].tolist() == list(range(310))
+
+
 # --- decode_frames -----------------------------------------------------------
 
 def _assert_matches_unframe(frames):

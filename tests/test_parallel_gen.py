@@ -247,7 +247,9 @@ def test_products_equal_parity_bits_row_for_row():
     (["wire w0 = XOR3(d\u0663, d1, d2)"], 1),  # ARABIC-INDIC DIGIT THREE
     (["wire w0 = XOR3(d0, d1, d2)", "wire w1 = XOR3(w00, d1, d2)"], 2),
     (["wire w0 = XOR3(d0, d1, d2)", "wire w1 = XOR3(w\u0660, d1, d2)"], 2),
-], ids=["d007", "d00", "d-non-ascii", "w00", "w-non-ascii"])
+    (["wire w0 = XOR3(d1000000000, d1, d2)"], 1),  # 10 digits
+    (["wire w0 = XOR3(d0, d1, d2)", "wire w1 = XOR3(w" + "1" * 5000 + ", d1, d2)"], 2),
+], ids=["d007", "d00", "d-non-ascii", "w00", "w-non-ascii", "d-10-digits", "w-5000-digits"])
 def test_parse_rejects_a_non_canonical_ref_naming_its_line(lines, lineno):
     with pytest.raises(ValueError, match=f"line {lineno}: malformed reference"):
         parse_netlist(hand_netlist("\n".join(lines)))
