@@ -25,9 +25,12 @@ the layout formula (checked against `interleave` on every bit).
 frames, and each runs its own algorithm across the block: the parity
 matrix product, or the 27 steps of long division or of the LFSR
 recurrence on GF(32) symbol arrays, none calling a scalar encoder.
-`decode_frames` corrects every codeword at once with the closed-form
-t = 2 Peterson-Gorenstein-Zierler solution (`_correct`): table gathers
-in GF(32), no per-codeword loop and no call of the scalar `decode`. The
+`decode_frames` computes the syndromes of all codewords in one product
+and corrects the dirty ones with the closed-form t = 2
+Peterson-Gorenstein-Zierler solution (`_correct`): in a short loop over
+them on GF(32) list tables when there are at most _FEW_DIRTY, else as
+table gathers across the whole block. Clean codewords cost nothing past
+the syndrome product, and neither form calls the scalar `decode`. The
 CLI and the simulator feed the kernels in blocks of at most BLOCK_FRAMES
 frames, which bounds their memory.
 """
@@ -258,24 +261,65 @@ def _locator_tables() -> tuple[np.ndarray, np.ndarray]:
     return powers, roots
 
 
+# Dirty codewords up to which `_correct` solves each with `_pgz_row`, one
+# row at a time, instead of running `_pgz_arrays` over the whole block. On
+# blocks whose rows are all dirty (2-core Xeon), the per-row form took about
+# 15 us plus 2.1 us per row and the array form about 84 us plus 0.7 us per
+# row: equal near 50 rows. Clean rows only add to the array form's cost.
+_FEW_DIRTY = 48
+
+
 def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode uint8[M, 155] codewords in info/parity bit order at once:
+    """Decode uint8[M, 155] codewords in info/parity bit order:
     (ok bool[M], symbols uint8[M, 31], nu int[M]).
 
-    Closed-form Peterson-Gorenstein-Zierler for t = 2. With
-    det = S2^2 + S1*S3, the locator 1 + l1*x + l2*x^2 solves the Newton
-    identities: l1 = (S2*S3 + S1*S4)/det, l2 = (S3^2 + S2*S4)/det if
+    Two stages. The syndromes of all rows come from one product; rows
+    with a zero syndrome are clean and cost nothing more. The dirty rows
+    are then solved by the closed-form t = 2 Peterson-Gorenstein-Zierler
+    solution, in one of two forms chosen by their number d: `_pgz_row`
+    per dirty row while d <= _FEW_DIRTY, else `_pgz_arrays` over the
+    whole block in table gathers, whose fixed cost only pays off past
+    about 50 dirty rows. Both give the same result on all 2^20 syndromes,
+    and neither calls the scalar decoder. ok is False only for the
+    codewords decode reports uncorrectable, which keep their received
+    symbols; nu is the number of symbols corrected. Row for row this is
+    what decode returns."""
+    synd = _to_symbols(_syndrome_map().products(words))
+    symbols = _to_symbols(words).astype(np.uint8)
+    dirty = synd.any(axis=1)
+    if np.count_nonzero(dirty) > _FEW_DIRTY:
+        fixed, nu, first, last, y1, y2 = _pgz_arrays(synd)
+        rows = np.flatnonzero(fixed)
+        symbols[rows, first[rows]] ^= y1[rows]
+        symbols[rows, last[rows]] ^= y2[rows]
+        return fixed | ~dirty, symbols, np.where(fixed, nu, 0)
+    ok, nu = ~dirty, np.zeros(len(words), int)
+    rows = np.flatnonzero(dirty)
+    for row, s in zip(rows.tolist(), synd[rows].tolist()):
+        fix = _pgz_row(*s)
+        if fix:
+            ok[row] = True
+            nu[row], first, y1, last, y2 = fix
+            symbols[row, first] ^= y1
+            symbols[row, last] ^= y2
+    return ok, symbols, nu
+
+
+def _pgz_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The closed form on int[M, 4] syndromes S1..S4 at once:
+    (fixed bool[M], nu, first, last, y1, y2), each int[M].
+
+    With det = S2^2 + S1*S3, the locator 1 + l1*x + l2*x^2 solves the
+    Newton identities: l1 = (S2*S3 + S1*S4)/det, l2 = (S3^2 + S2*S4)/det if
     det != 0, else l1 = S2/S1, l2 = 0. Its roots come from one table.
     The magnitudes of errors at locators X1, X2 solve S1 = Y1*X1 + Y2*X2,
     S2 = Y1*X1^2 + Y2*X2^2; one error is the case X2 = 0, which gives
     Y1 = S2/X1^2 and Y2 = 0 through the inverse of 0 reading as 0.
-    A dirty codeword is corrected exactly when the locator degree nu is 1
-    or 2, it has nu roots, and the corrected word has zero syndrome (the
-    re-check decode makes with is_codeword; syndromes are linear, so it is
-    S minus the syndrome of the error). ok is False only for the others,
-    which keep their received symbols; nu is the number of symbols
-    corrected. Row for row this is what decode returns."""
-    synd = _to_symbols(_syndrome_map().products(words))
+    A dirty row is fixed exactly when the locator degree nu is 1 or 2, it
+    has nu roots, and the corrected word has zero syndrome (the re-check
+    decode makes with is_codeword; syndromes are linear, so it is S minus
+    the syndrome of the error). Then y1 at position first and y2 at last
+    (0 when nu is 1, and first == last) are its error values."""
     s1, s2, s3, s4 = synd.T
     mul, inv = _GF_MUL, _GF_INV
     det = mul[s2, s2] ^ mul[s1, s3]
@@ -292,12 +336,41 @@ def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y2 = mul[mul[s1, x1] ^ s2, inv[mul[x2, x1 ^ x2]]]
     residual = synd ^ mul[y1[:, None], powers[first]] ^ mul[y2[:, None], powers[last]]
     fixed = (nu > 0) & (count == nu) & ~residual.any(axis=1)
+    return fixed, nu, first, last, y1, y2
 
-    symbols = _to_symbols(words).astype(np.uint8)
-    rows = np.flatnonzero(fixed)
-    symbols[rows, first[rows]] ^= y1[rows]
-    symbols[rows, last[rows]] ^= y2[rows]
-    return fixed | ~synd.any(axis=1), symbols, np.where(fixed, nu, 0)
+
+@functools.cache
+def _pgz_lists() -> tuple[list, list, list, list]:
+    """gf32.MUL, the inverses and _locator_tables() as nested lists, whose
+    item reads cost a fraction of a numpy scalar read."""
+    powers, roots = _locator_tables()
+    return MUL, _GF_INV.tolist(), powers.tolist(), roots.tolist()
+
+
+def _pgz_row(s1: int, s2: int, s3: int, s4: int) -> tuple[int, int, int, int, int] | None:
+    """`_pgz_arrays` for one dirty codeword's syndromes, step for step on
+    lists: (nu, first, y1, last, y2) if it is fixed, else None."""
+    mul, inv, powers, roots = _pgz_lists()
+    det = mul[s2][s2] ^ mul[s1][s3]
+    if det:
+        l1 = mul[mul[s2][s3] ^ mul[s1][s4]][inv[det]]
+        l2 = mul[mul[s3][s3] ^ mul[s2][s4]][inv[det]]
+    else:
+        l1, l2 = mul[s2][inv[s1]], 0
+    nu = 2 if l2 else 1 if l1 else 0
+    count, first, last = roots[l1][l2]
+    if not nu or count != nu:
+        return None
+    x1, a2, a3, a4 = powers[first]
+    b1, b2, b3, b4 = powers[last]
+    x2 = b1 if nu == 2 else 0
+    y1 = mul[mul[s1][x2] ^ s2][inv[mul[x1][x1 ^ x2]]]
+    y2 = mul[mul[s1][x1] ^ s2][inv[mul[x2][x1 ^ x2]]]
+    m1, m2 = mul[y1], mul[y2]
+    if (s1 ^ m1[x1] ^ m2[b1] or s2 ^ m1[a2] ^ m2[b2] or s3 ^ m1[a3] ^ m2[b3]
+            or s4 ^ m1[a4] ^ m2[b4]):
+        return None
+    return nu, first, y1, last, y2
 
 
 def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

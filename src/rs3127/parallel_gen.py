@@ -254,7 +254,9 @@ def _check_ref(ref: str, n_gates: int, lineno: int) -> None:
         return
     m = _REF_RE.fullmatch(ref)
     if not m:
-        raise ValueError(f"line {lineno}: malformed reference {ref!r}")
+        # quote a prefix only: a ref can be thousands of characters long
+        shown = repr(ref) if len(ref) <= 20 else f"{ref[:20]!r}..."
+        raise ValueError(f"line {lineno}: malformed reference {shown}")
     if m.group(1) == "d" and int(m.group(2)) >= N_INFO_BITS:
         raise ValueError(f"line {lineno}: input {ref} out of range")
     if m.group(1) == "w" and int(m.group(2)) >= n_gates:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rs3127
 from rs3127 import cli, framing, matrix_from_text, parse_netlist, derive_parity_matrix
@@ -76,6 +81,7 @@ def test_check_netlist_names_the_line_of_an_unreadable_input(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"rs3127: error: {message}")
     assert "Traceback" not in err and "codec" not in err and "digits" not in err
+    assert len(err) < 120
 
 
 def _rewire_outputs(nfile, extra):
@@ -184,6 +190,38 @@ def test_decode_rejects_misaligned_stream(tmp_path, capsys):
     frames.write_bytes(bytes(41))
     assert main(["decode", "-i", str(frames), "-o", str(tmp_path / "o.bin")]) == 2
     assert "multiple of 40" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=200),
+                 st.integers(0, 4).flatmap(lambda n: st.binary(min_size=40 * n,
+                                                                max_size=40 * n))))
+@example(b"")
+@example(bytes(33) + b"\x03")
+@example(bytes(80))
+def test_fuzzed_records_exit_0_or_2_without_a_traceback(data):
+    """Arbitrary bytes into the two record readers: encode exits 0 exactly
+    when every zero-padded record has clear padding bits, decode exactly
+    when the length is a multiple of 40, and the only other exit is 2 with
+    one `rs3127: error:` line."""
+    padded = data + bytes(-len(data) % 40)
+    records = np.frombuffer(padded, np.uint8).reshape(-1, 40)
+    clear = not (records[:, 33] & 0x03).any() and not records[:, 34:].any()
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = os.path.join(tmp, "in.bin"), os.path.join(tmp, "out.bin")
+        Path(source).write_bytes(data)
+        for command, good, size in (("encode", clear, len(padded)),
+                                    ("decode", len(data) % 40 == 0, len(data))):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = main([command, "-i", source, "-o", out])
+            assert status == (0 if good else 2), command
+            if good:
+                assert err.getvalue() == "" and Path(out).stat().st_size == size
+                os.remove(out)
+            else:
+                assert err.getvalue().startswith("rs3127: error: ")
+                assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
 
 
 def test_decode_stats_file(tmp_path):

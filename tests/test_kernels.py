@@ -279,28 +279,49 @@ def _error_keys(received, symbols):
     return nonzero.sum(axis=1), low | high << 10
 
 
-def test_corrector_on_every_syndrome():
+# Per form of _correct: the other form, and a _FEW_DIRTY that selects this
+# one whatever the number of dirty rows.
+FORMS = {"per-row": ("_pgz_arrays", SYNDROMES), "array": ("_pgz_row", -1)}
+
+
+def _take_form(monkeypatch, form):
+    """Make _correct solve every dirty row in `form` ("per-row" or "array"),
+    whatever their number, and make the other form raise."""
+    refused, few_dirty = FORMS[form]
+
+    def refuse(*args):
+        raise AssertionError(f"_correct ran {refused}")
+
+    monkeypatch.setattr(framing, "_FEW_DIRTY", few_dirty)
+    monkeypatch.setattr(framing, refused, refuse)
+
+
+def test_corrector_on_every_syndrome(monkeypatch):
     """_correct corrects exactly the 961 + 446,865 syndromes of weight-1 and
     weight-2 error patterns, each with its own pattern and count, and flags
-    all the others; the scalar decoder agrees on every 97th syndrome (a full
-    scalar sweep agrees too, but took 69 s on a 2-core Xeon)."""
+    all the others, in each of its two forms; the scalar decoder agrees on
+    every 97th syndrome (a full scalar sweep agrees too, but took 69 s on a
+    2-core Xeon)."""
     want_nu, want_key = _coset_leaders()
     assert (want_nu == 1).sum() == 961 and (want_nu == 2).sum() == 446_865
     chunk = 1 << 14
-    for lo in range(0, SYNDROMES, chunk):
-        ks = np.arange(lo, lo + chunk)
-        words = _parity_region_words(ks)
-        ok, symbols, nu = framing._correct(words)
-        count, key = _error_keys(framing._to_symbols(words), symbols)
-        assert symbols.shape == (chunk, 31)
-        assert (ok == (want_nu[ks] >= 0)).all()
-        assert (nu == np.maximum(want_nu[ks], 0)).all() and (count == nu).all()
-        assert (key == np.where(nu > 0, want_key[ks], 0)).all()
-        for r in range(-lo % 97, chunk, 97):
-            res = decode(framing._to_symbols(words[r]).tolist())
-            status = (CORRECTED if nu[r] else OK) if ok[r] else UNCORRECTABLE
-            assert (res.status, res.corrected_symbols, res.message) == (
-                status, nu[r], symbols[r, :27].tolist())
+    for form in FORMS:
+        with monkeypatch.context() as patch:
+            _take_form(patch, form)
+            for lo in range(0, SYNDROMES, chunk):
+                ks = np.arange(lo, lo + chunk)
+                words = _parity_region_words(ks)
+                ok, symbols, nu = framing._correct(words)
+                count, key = _error_keys(framing._to_symbols(words), symbols)
+                assert symbols.shape == (chunk, 31)
+                assert (ok == (want_nu[ks] >= 0)).all()
+                assert (nu == np.maximum(want_nu[ks], 0)).all() and (count == nu).all()
+                assert (key == np.where(nu > 0, want_key[ks], 0)).all()
+                for r in range(-lo % 97, chunk, 97):
+                    res = decode(framing._to_symbols(words[r]).tolist())
+                    status = (CORRECTED if nu[r] else OK) if ok[r] else UNCORRECTABLE
+                    assert (res.status, res.corrected_symbols, res.message) == (
+                        status, nu[r], symbols[r, :27].tolist())
 
 
 def _scalar_exit(word):
@@ -346,6 +367,53 @@ def test_each_uncorrectable_exit_passes_the_message_through():
         assert (res.status, res.corrected_symbols, res.message) == (UNCORRECTABLE, 0, word_a[:27])
         assert info_got[row].tolist() != info[row]
         assert results[2 * row + 1].status == OK
+
+
+def _dirty_block(n_dirty, seed):
+    """Frames of random info: codeword A of the first n_dirty frames has 1 to
+    3 symbol errors, so a nonzero syndrome (weight < 5), and two more frames
+    are clean."""
+    rnd = random.Random(seed)
+    frames = encode_frames(np.array([[rnd.getrandbits(1) for _ in range(270)]
+                                     for _ in range(n_dirty + 2)], np.uint8))
+    for row in range(n_dirty):
+        err = [0] * 31
+        for pos in rnd.sample(range(31), rnd.randint(1, 3)):
+            err[pos] = rnd.randrange(1, 32)
+        frames[row, HEADER_BITS:] ^= np.array(interleave(err, [0] * 31), np.uint8)
+    return frames
+
+
+@pytest.mark.parametrize("extra, form", [(0, "per-row"), (1, "array")])
+def test_the_dirty_count_selects_the_form(monkeypatch, extra, form):
+    """A block with _FEW_DIRTY dirty codewords is solved per row, one with
+    _FEW_DIRTY + 1 over the block; the other form is made to raise."""
+    n_dirty = framing._FEW_DIRTY + extra
+    frames = _dirty_block(n_dirty, 19 + extra)
+    monkeypatch.setattr(framing, FORMS[form][0], lambda *args: pytest.fail("wrong form"))
+    results, _ = _assert_matches_unframe(frames)
+    statuses = [r.status for r in results]
+    assert len(statuses) - statuses.count(OK) == n_dirty
+    assert {CORRECTED, UNCORRECTABLE} <= set(statuses)
+
+
+@pytest.mark.parametrize("n_dirty, n_frames", [(0, 0), (0, 2), (1, 1), (3, 5)],
+                         ids=["empty", "clean", "one-dirty-frame", "3-dirty"])
+def test_both_forms_give_identical_arrays(monkeypatch, n_dirty, n_frames):
+    """Empty blocks, clean blocks and blocks with a few dirty codewords come
+    out of either form with the same shapes, dtypes and values."""
+    frames = _dirty_block(n_dirty, 23)[:n_frames]
+    got = {}
+    for form in FORMS:
+        with monkeypatch.context() as patch:
+            _take_form(patch, form)
+            got[form] = decode_frames(frames)
+    for rows, array in zip(got["per-row"], got["array"]):
+        assert rows.dtype == array.dtype and rows.shape == array.shape
+        assert np.array_equal(rows, array)
+    info, ok, nu, header_ok = got["array"]
+    assert info.shape == (n_frames, 270) and ok.shape == nu.shape == (2 * n_frames,)
+    assert (info.dtype, ok.dtype, nu.dtype, header_ok.dtype) == (np.uint8, bool, int, bool)
 
 
 def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
