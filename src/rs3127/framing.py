@@ -25,14 +25,14 @@ the layout formula (checked against `interleave` on every bit).
 frames, and each runs its own algorithm across the block: the parity
 matrix product, or the 27 steps of long division or of the LFSR
 recurrence on GF(32) symbol arrays, none calling a scalar encoder.
-`decode_frames` computes the syndromes of all codewords in one product
-and corrects the dirty ones with the closed-form t = 2
-Peterson-Gorenstein-Zierler solution (`_correct`): in a short loop over
-them on GF(32) list tables when there are at most _FEW_DIRTY, else as
-table gathers across the whole block. Clean codewords cost nothing past
-the syndrome product, and neither form calls the scalar `decode`. The
-CLI and the simulator feed the kernels in blocks of at most BLOCK_FRAMES
-frames, which bounds their memory.
+`decode_frames` computes all syndromes in one product and solves only
+the dirty codewords, by the closed-form t = 2 Peterson-Gorenstein-Zierler
+solution (`_correct`): one at a time on GF(32) list tables when there are
+at most _FEW_DIRTY, else in table gathers. The message stays in bits:
+each error value is XORed into its 5-bit group of the received word, and
+neither form calls the scalar `decode`. The CLI and the simulator feed
+the kernels in blocks of at most BLOCK_FRAMES frames, which bounds their
+memory.
 """
 
 from __future__ import annotations
@@ -261,53 +261,48 @@ def _locator_tables() -> tuple[np.ndarray, np.ndarray]:
     return powers, roots
 
 
-# Dirty codewords up to which `_correct` solves each with `_pgz_row`, one
-# row at a time, instead of running `_pgz_arrays` over the whole block. On
-# blocks whose rows are all dirty (2-core Xeon), the per-row form took about
-# 15 us plus 2.1 us per row and the array form about 84 us plus 0.7 us per
-# row: equal near 50 rows. Clean rows only add to the array form's cost.
-_FEW_DIRTY = 48
+# Dirty codewords up to which `_correct` solves them one at a time with
+# `_pgz_row`, not with `_pgz_arrays`; both see the dirty rows only, so this
+# is one count for any block size. Timing whole calls on blocks of 64, 128
+# and 256 rows (2-core Xeon, min of 9 x 100), per-row won at 72 dirty rows
+# and array at 80; at 256 rows, 58 us + 1.1 us vs 115 us + 0.36 us per row.
+_FEW_DIRTY = 72
 
 
 def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode uint8[M, 155] codewords in info/parity bit order:
-    (ok bool[M], symbols uint8[M, 31], nu int[M]).
+    (ok bool[M], bits uint8[M, 31, 5], nu int[M]).
 
-    Two stages. The syndromes of all rows come from one product; rows
-    with a zero syndrome are clean and cost nothing more. The dirty rows
+    Two stages. One product gives the syndromes of all rows; a row with
+    zero syndrome is clean and costs nothing more. The dirty rows alone
     are then solved by the closed-form t = 2 Peterson-Gorenstein-Zierler
-    solution, in one of two forms chosen by their number d: `_pgz_row`
-    per dirty row while d <= _FEW_DIRTY, else `_pgz_arrays` over the
-    whole block in table gathers, whose fixed cost only pays off past
-    about 50 dirty rows. Both give the same result on all 2^20 syndromes,
-    and neither calls the scalar decoder. ok is False only for the
-    codewords decode reports uncorrectable, which keep their received
-    symbols; nu is the number of symbols corrected. Row for row this is
-    what decode returns."""
+    solution: by `_pgz_row` one at a time while there are at most
+    _FEW_DIRTY, else by `_pgz_arrays` in table gathers. Both give the same
+    fields on all 2^20 syndromes, and neither calls the scalar decoder.
+    bits is a copy of words, one 5-bit group per symbol, with each error
+    value XORed into its group. ok is False only for the codewords decode
+    reports uncorrectable, which stay as received; nu is the number of
+    symbols corrected. Row for row this is what decode returns."""
     synd = _to_symbols(_syndrome_map().products(words))
-    symbols = _to_symbols(words).astype(np.uint8)
-    dirty = synd.any(axis=1)
-    if np.count_nonzero(dirty) > _FEW_DIRTY:
-        fixed, nu, first, last, y1, y2 = _pgz_arrays(synd)
-        rows = np.flatnonzero(fixed)
-        symbols[rows, first[rows]] ^= y1[rows]
-        symbols[rows, last[rows]] ^= y2[rows]
-        return fixed | ~dirty, symbols, np.where(fixed, nu, 0)
-    ok, nu = ~dirty, np.zeros(len(words), int)
-    rows = np.flatnonzero(dirty)
-    for row, s in zip(rows.tolist(), synd[rows].tolist()):
-        fix = _pgz_row(*s)
-        if fix:
-            ok[row] = True
-            nu[row], first, y1, last, y2 = fix
-            symbols[row, first] ^= y1
-            symbols[row, last] ^= y2
-    return ok, symbols, nu
+    rows = np.flatnonzero(synd.any(axis=1))
+    ok, nu = np.ones(len(words), bool), np.zeros(len(words), int)
+    bits = words.reshape(-1, N_SYMBOLS, BITS_PER_SYMBOL).copy()
+    if not len(rows):
+        return ok, bits, nu
+    if len(rows) > _FEW_DIRTY:
+        fix = _pgz_arrays(synd[rows])
+    else:
+        fix = np.array([_pgz_row(*s) for s in synd[rows].tolist()], int).T
+    fix_nu, first, y1, last, y2 = fix
+    ok[rows], nu[rows] = fix_nu > 0, fix_nu
+    bits[rows, first] ^= _SYMBOL_BITS[y1]
+    bits[rows, last] ^= _SYMBOL_BITS[y2]
+    return ok, bits, nu
 
 
 def _pgz_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The closed form on int[M, 4] syndromes S1..S4 at once:
-    (fixed bool[M], nu, first, last, y1, y2), each int[M].
+    """The closed form on the nonzero int[D, 4] syndromes S1..S4 of D dirty
+    rows at once: (nu, first, y1, last, y2), each int[D].
 
     With det = S2^2 + S1*S3, the locator 1 + l1*x + l2*x^2 solves the
     Newton identities: l1 = (S2*S3 + S1*S4)/det, l2 = (S3^2 + S2*S4)/det if
@@ -319,7 +314,8 @@ def _pgz_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
     has nu roots, and the corrected word has zero syndrome (the re-check
     decode makes with is_codeword; syndromes are linear, so it is S minus
     the syndrome of the error). Then y1 at position first and y2 at last
-    (0 when nu is 1, and first == last) are its error values."""
+    (0 when nu is 1, and first == last) are its error values; a row not
+    fixed reads nu = y1 = y2 = 0."""
     s1, s2, s3, s4 = synd.T
     mul, inv = _GF_MUL, _GF_INV
     det = mul[s2, s2] ^ mul[s1, s3]
@@ -336,7 +332,7 @@ def _pgz_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
     y2 = mul[mul[s1, x1] ^ s2, inv[mul[x2, x1 ^ x2]]]
     residual = synd ^ mul[y1[:, None], powers[first]] ^ mul[y2[:, None], powers[last]]
     fixed = (nu > 0) & (count == nu) & ~residual.any(axis=1)
-    return fixed, nu, first, last, y1, y2
+    return nu * fixed, first, y1 * fixed, last, y2 * fixed
 
 
 @functools.cache
@@ -347,9 +343,9 @@ def _pgz_lists() -> tuple[list, list, list, list]:
     return MUL, _GF_INV.tolist(), powers.tolist(), roots.tolist()
 
 
-def _pgz_row(s1: int, s2: int, s3: int, s4: int) -> tuple[int, int, int, int, int] | None:
+def _pgz_row(s1: int, s2: int, s3: int, s4: int) -> tuple[int, int, int, int, int]:
     """`_pgz_arrays` for one dirty codeword's syndromes, step for step on
-    lists: (nu, first, y1, last, y2) if it is fixed, else None."""
+    lists: (nu, first, y1, last, y2), all 0 if it is not fixed."""
     mul, inv, powers, roots = _pgz_lists()
     det = mul[s2][s2] ^ mul[s1][s3]
     if det:
@@ -360,7 +356,7 @@ def _pgz_row(s1: int, s2: int, s3: int, s4: int) -> tuple[int, int, int, int, in
     nu = 2 if l2 else 1 if l1 else 0
     count, first, last = roots[l1][l2]
     if not nu or count != nu:
-        return None
+        return 0, 0, 0, 0, 0
     x1, a2, a3, a4 = powers[first]
     b1, b2, b3, b4 = powers[last]
     x2 = b1 if nu == 2 else 0
@@ -369,7 +365,7 @@ def _pgz_row(s1: int, s2: int, s3: int, s4: int) -> tuple[int, int, int, int, in
     m1, m2 = mul[y1], mul[y2]
     if (s1 ^ m1[x1] ^ m2[b1] or s2 ^ m1[a2] ^ m2[b2] or s3 ^ m1[a3] ^ m2[b3]
             or s4 ^ m1[a4] ^ m2[b4]):
-        return None
+        return 0, 0, 0, 0, 0
     return nu, first, y1, last, y2
 
 
@@ -384,6 +380,6 @@ def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         raise ValueError(f"expected shape (N, {FRAME_BITS}), got {frames.shape}")
     n = len(frames)
     header_ok = (frames[:, :HEADER_BITS] == _HEADER_ARRAY).all(axis=1)
-    ok, symbols, nu = _correct(frames[:, HEADER_BITS:][:, _FROM_WIRE].reshape(2 * n, WORD_BITS))
-    info = _SYMBOL_BITS[symbols[:, :K_SYMBOLS]].reshape(n, INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
+    ok, bits, nu = _correct(frames[:, HEADER_BITS:][:, _FROM_WIRE].reshape(2 * n, WORD_BITS))
+    info = bits[:, :K_SYMBOLS].reshape(n, INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
     return info, ok, nu, header_ok

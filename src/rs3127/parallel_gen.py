@@ -249,14 +249,17 @@ _OUT_RE = re.compile(rf"out p{_NUM} = (\S+)")
 _REF_RE = re.compile(rf"([dw]){_NUM}")
 
 
+# Errors quote a prefix only: a netlist line or ref can be thousands of characters long.
+def _quote(text: str) -> str:
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+
+
 def _check_ref(ref: str, n_gates: int, lineno: int) -> None:
     if ref == ZERO:
         return
     m = _REF_RE.fullmatch(ref)
     if not m:
-        # quote a prefix only: a ref can be thousands of characters long
-        shown = repr(ref) if len(ref) <= 20 else f"{ref[:20]!r}..."
-        raise ValueError(f"line {lineno}: malformed reference {shown}")
+        raise ValueError(f"line {lineno}: malformed reference {_quote(ref)}")
     if m.group(1) == "d" and int(m.group(2)) >= N_INFO_BITS:
         raise ValueError(f"line {lineno}: input {ref} out of range")
     if m.group(1) == "w" and int(m.group(2)) >= n_gates:
@@ -301,7 +304,7 @@ def parse_netlist(text: str) -> XorNetwork:
             _check_ref(m.group(2), len(gates), lineno)
             outputs[k] = m.group(2)
             continue
-        raise ValueError(f"line {lineno}: syntax error: {raw.strip()!r}")
+        raise ValueError(f"line {lineno}: syntax error: {_quote(raw.strip())}")
     missing = [k for k in range(N_PARITY_BITS) if k not in outputs]
     if missing:
         raise ValueError(f"missing outputs: {['p%d' % k for k in missing]}")

@@ -84,6 +84,15 @@ def test_check_netlist_names_the_line_of_an_unreadable_input(tmp_path, capsys,
     assert len(err) < 120
 
 
+def test_check_netlist_quotes_a_prefix_of_a_long_syntax_error(tmp_path, capsys):
+    nfile = tmp_path / "n.txt"
+    nfile.write_text("wire w0 = XOR3(d0, d1, d2" + "1" * 5000 + "\n")
+    assert main(["check-netlist", "-n", str(nfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rs3127: error: line 1: syntax error: 'wire w0 = XOR3(d0, d'...")
+    assert "Traceback" not in err and len(err) < 120
+
+
 def _rewire_outputs(nfile, extra):
     """Route each output p<k> of extra, keys ascending, through one more
     gate XOR3(<its ref>, a, b), numbered after the last wire."""

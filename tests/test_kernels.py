@@ -311,7 +311,8 @@ def test_corrector_on_every_syndrome(monkeypatch):
             for lo in range(0, SYNDROMES, chunk):
                 ks = np.arange(lo, lo + chunk)
                 words = _parity_region_words(ks)
-                ok, symbols, nu = framing._correct(words)
+                ok, bits, nu = framing._correct(words)
+                symbols = framing._to_symbols(bits.reshape(-1, 155))
                 count, key = _error_keys(framing._to_symbols(words), symbols)
                 assert symbols.shape == (chunk, 31)
                 assert (ok == (want_nu[ks] >= 0)).all()
@@ -369,14 +370,16 @@ def test_each_uncorrectable_exit_passes_the_message_through():
         assert results[2 * row + 1].status == OK
 
 
-def _dirty_block(n_dirty, seed):
-    """Frames of random info: codeword A of the first n_dirty frames has 1 to
-    3 symbol errors, so a nonzero syndrome (weight < 5), and two more frames
-    are clean."""
+def _dirty_block(n_dirty, seed, n_frames=None):
+    """Frames of random info: codeword A of n_dirty frames has 1 to 3 symbol
+    errors, so a nonzero syndrome (weight < 5), and the others are clean.
+    By default these are the first n_dirty of n_dirty + 2 frames; given
+    n_frames, n_dirty frames drawn at random among n_frames."""
     rnd = random.Random(seed)
     frames = encode_frames(np.array([[rnd.getrandbits(1) for _ in range(270)]
-                                     for _ in range(n_dirty + 2)], np.uint8))
-    for row in range(n_dirty):
+                                     for _ in range(n_frames or n_dirty + 2)], np.uint8))
+    dirty = range(n_dirty) if n_frames is None else rnd.sample(range(n_frames), n_dirty)
+    for row in dirty:
         err = [0] * 31
         for pos in rnd.sample(range(31), rnd.randint(1, 3)):
             err[pos] = rnd.randrange(1, 32)
@@ -384,14 +387,26 @@ def _dirty_block(n_dirty, seed):
     return frames
 
 
-@pytest.mark.parametrize("extra, form", [(0, "per-row"), (1, "array")])
-def test_the_dirty_count_selects_the_form(monkeypatch, extra, form):
+@pytest.mark.parametrize("extra, form, n_frames", [
+    (0, "per-row", None), (1, "array", None), (1, "array", framing.BLOCK_FRAMES),
+], ids=["0-per-row", "1-array", "1-array-mostly-clean"])
+def test_the_dirty_count_selects_the_form(monkeypatch, extra, form, n_frames):
     """A block with _FEW_DIRTY dirty codewords is solved per row, one with
-    _FEW_DIRTY + 1 over the block; the other form is made to raise."""
+    _FEW_DIRTY + 1 in table gathers; the other form is made to raise. In a
+    full block of BLOCK_FRAMES frames most rows are clean and the dirty
+    ones are scattered, so both picking them out and writing their
+    corrections back to the right rows are checked. The form is given the
+    syndromes of the dirty rows only."""
     n_dirty = framing._FEW_DIRTY + extra
-    frames = _dirty_block(n_dirty, 19 + extra)
+    frames = _dirty_block(n_dirty, 19 + extra, n_frames)
+    taken = {"per-row": "_pgz_row", "array": "_pgz_arrays"}[form]
+    solve, given = getattr(framing, taken), []
     monkeypatch.setattr(framing, FORMS[form][0], lambda *args: pytest.fail("wrong form"))
+    monkeypatch.setattr(framing, taken,
+                        lambda *args: given.append(np.array(args).reshape(-1, 4)) or solve(*args))
     results, _ = _assert_matches_unframe(frames)
+    given = np.concatenate(given)
+    assert len(given) == n_dirty and given.any(axis=1).all()
     statuses = [r.status for r in results]
     assert len(statuses) - statuses.count(OK) == n_dirty
     assert {CORRECTED, UNCORRECTABLE} <= set(statuses)
@@ -414,6 +429,23 @@ def test_both_forms_give_identical_arrays(monkeypatch, n_dirty, n_frames):
     info, ok, nu, header_ok = got["array"]
     assert info.shape == (n_frames, 270) and ok.shape == nu.shape == (2 * n_frames,)
     assert (info.dtype, ok.dtype, nu.dtype, header_ok.dtype) == (np.uint8, bool, int, bool)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_the_corrector_never_writes_into_its_input(monkeypatch, form):
+    """_correct corrects a copy, in which exactly nu 5-bit groups of a row
+    differ from the received word, and decode_frames leaves the caller's
+    frames as they were."""
+    _take_form(monkeypatch, form)
+    frames = _dirty_block(6, 29)
+    words = frames[:, HEADER_BITS:][:, framing._FROM_WIRE].reshape(-1, 155)
+    frames_before, words_before = frames.copy(), words.copy()
+    ok, bits, nu = framing._correct(words)
+    assert np.array_equal(words, words_before) and (nu > 0).any()
+    changed = (bits != words.reshape(-1, 31, 5)).any(axis=2).sum(axis=1)
+    assert (changed == nu).all()
+    decode_frames(frames)
+    assert np.array_equal(frames, frames_before)
 
 
 def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
