@@ -1,8 +1,8 @@
 """RS(31,27) codec toolkit over GF(32).
 
 Three equivalent systematic encoders (reference long division, a
-cycle-accurate serial LFSR, and a one-shot parallel form derived by
-symbolic unrolling), an XOR3-tree netlist generator for the parallel
+cycle-accurate serial LFSR, and a one-shot parallel form whose matrix
+is probed from the LFSR), an XOR3-tree netlist generator for the parallel
 form, an inverse-free Berlekamp-Massey decoder, the 320-bit interleaved
 frame format, and a channel-error simulation harness.
 """

@@ -23,8 +23,9 @@ map probed from compute_syndromes), and interleaving is one gather by
 the layout formula (checked against `interleave` on every bit).
 `encode_frames` is where an encoder is chosen; all three give the same
 frames, and each runs its own algorithm across the block: the parity
-matrix product, or the 27 steps of long division or of the LFSR
-recurrence on GF(32) symbol arrays, none calling a scalar encoder.
+matrix product, or the 27 steps of long division (`_divide`) or of the
+LFSR recurrence (`serial_encoder.shift_in_block`) on GF(32) symbol
+arrays, none calling a scalar encoder.
 `decode_frames` computes all syndromes in one product and solves only
 the dirty codewords, by the closed-form t = 2 Peterson-Gorenstein-Zierler
 solution (`_correct`): one at a time on GF(32) list tables when there are
@@ -48,6 +49,7 @@ from .parallel_encoder import encode_parallel, message_to_bits
 from .parallel_gen import (BITS_PER_SYMBOL, LinearMap, bits_to_symbols,
                            default_parity_matrix, symbols_to_bits)
 from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS, compute_syndromes
+from .serial_encoder import shift_in_block
 
 FRAME_BITS = 320
 HEADER_BITS = 10
@@ -156,10 +158,8 @@ _BIT_WEIGHTS = np.array(bits_to_symbols(np.eye(BITS_PER_SYMBOL, dtype=int).ravel
 # codewords is a gather; the inverse of 0 reads as 0.
 _GF_MUL = np.array(MUL, np.uint8)
 _GF_INV = np.array([0] + [gf_inv(a) for a in range(1, 32)], np.uint8)
-# Row q: q times g(x)'s coefficients, x^4 first (long division), or
-# x^0..x^3 (the LFSR's feedback taps).
+# Row q: q times g(x)'s coefficients, x^4 first (long division).
 _DIVISION_TAPS = _GF_MUL[:, GENERATOR_POLY[::-1]]
-_LFSR_TAPS = _GF_MUL[:, GENERATOR_POLY[:N_PARITY]]
 # Payload bit k comes from bit 155*c + 5*s + 4-i of [codeword A | codeword B]
 # in info/parity order (s = k // 10, c = k // 5 % 2, i = k % 5); _FROM_WIRE inverts it.
 _k = np.arange(PAYLOAD_BITS)
@@ -196,18 +196,6 @@ def _divide(msg: np.ndarray) -> np.ndarray:
     return np.concatenate([msg, work[:, K_SYMBOLS:]], axis=1)
 
 
-def _shift_in(msg: np.ndarray) -> np.ndarray:
-    """uint8[M, 31] codewords of uint8[M, 27] message symbols by the LFSR,
-    LfsrEncoder's 27 shift-in clocks on all rows at once; the 4 shift-out
-    clocks drain the registers top first."""
-    regs = np.zeros((len(msg), N_PARITY), np.uint8)
-    for j in range(K_SYMBOLS):
-        row = _LFSR_TAPS[msg[:, j] ^ regs[:, -1]]
-        row[:, 1:] ^= regs[:, :-1]
-        regs = row
-    return np.concatenate([msg, regs[:, ::-1]], axis=1)
-
-
 def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     """uint8[N, 320] frames from uint8[N, 270] info bits; row n equals
     build_frame(info[n]) whichever encoder computes the parity.
@@ -222,7 +210,7 @@ def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     if encoder == "parallel":
         words = np.concatenate([halves, _parity(halves)], axis=1)
     elif encoder in ("reference", "lfsr"):
-        encode = _divide if encoder == "reference" else _shift_in
+        encode = _divide if encoder == "reference" else shift_in_block
         words = _SYMBOL_BITS[encode(_to_symbols(halves).astype(np.uint8))]
     else:
         raise ValueError(f"unknown encoder {encoder!r}")
@@ -235,10 +223,10 @@ def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
 @functools.cache
 def _syndrome_map() -> LinearMap:
     """155 -> 20: output 5*i + b is bit b of syndrome S(i+1) of a codeword
-    in info/parity bit order. Probed from compute_syndromes; syndromes are
-    GF(2)-linear in the bits."""
-    return LinearMap.probe(
-        lambda bits: symbols_to_bits(compute_syndromes(bits_to_symbols(bits))), WORD_BITS)
+    in info/parity bit order. Probed from compute_syndromes, row by row;
+    syndromes are GF(2)-linear in the bits."""
+    return LinearMap.probe(lambda words: [symbols_to_bits(compute_syndromes(w))
+                                          for w in _to_symbols(words).tolist()], WORD_BITS)
 
 
 @functools.cache

@@ -1,15 +1,11 @@
-"""Unrolls the serial encoder into a 20x135 GF(2) parity matrix and
+"""Reads the 20x135 GF(2) parity matrix off the serial encoder and
 schedules it as XOR3 trees, emitting a structural netlist. `LinearMap`
 holds a fixed GF(2) map as one input-bit mask per output: the parity
 matrix (135 -> 20) and the decoder's syndrome map (155 -> 20) are both
-LinearMaps, and an XorNetwork reads the same masks off its gates.
-
-Multiplying a GF(32) symbol by a constant and adding two symbols are both
-GF(2)-linear in the symbol bits, so driving the encoder registers with
-symbolic bit sets through the 27 shift-in cycles expresses every parity
-bit as a plain XOR of information bits. The four drain cycles only move
-registers and add no dependencies, so they are skipped; the result is
-verified bit-for-bit against the reference encoder by the test suite.
+LinearMaps, both read off the unit vectors by `LinearMap.probe`, and an
+XorNetwork reads the same masks off its gates. The parity matrix is
+probed from the block LFSR (`serial_encoder.shift_in_block`), which is
+GF(2)-linear in the message bits.
 
 Bit indexing: information bit 5*j + i is bit i (LSB = x^0 coefficient)
 of message symbol j; parity bit 5*jp + i likewise for parity symbol jp.
@@ -41,8 +37,9 @@ from itertools import chain
 
 import numpy as np
 
-from .gf32 import MUL, PRIMITIVE_POLY
-from .rs_core import FIRST_ROOT, GENERATOR_POLY, K_SYMBOLS, N_PARITY
+from .gf32 import PRIMITIVE_POLY
+from .rs_core import FIRST_ROOT, K_SYMBOLS, N_PARITY
+from .serial_encoder import shift_in_block
 
 BITS_PER_SYMBOL = 5
 N_INFO_BITS = K_SYMBOLS * BITS_PER_SYMBOL  # 135
@@ -108,11 +105,12 @@ class LinearMap:
 
     @classmethod
     def probe(cls, fn, n_in: int) -> LinearMap:
-        """The map of a GF(2)-linear fn (a list of n_in 0/1 bits -> a sequence
-        of 0/1 bits), read off the unit vectors: fn(unit c) is column c."""
-        columns = [fn([0] * c + [1] + [0] * (n_in - 1 - c)) for c in range(n_in)]
-        return cls(tuple(sum(bit << c for c, bit in enumerate(row))
-                         for row in zip(*columns)), n_in)
+        """The map of a GF(2)-linear fn, read off the unit vectors in one
+        call: fn maps uint8[M, n_in] bits to M rows of 0/1 output bits, and
+        row c of fn(identity) is column c."""
+        columns = np.asarray(fn(np.eye(n_in, dtype=np.uint8)), np.uint8)
+        rows = np.packbits(columns.T, axis=1, bitorder="little")  # bit c: bit c % 8 of byte c // 8
+        return cls(tuple(int.from_bytes(row.tobytes(), "little") for row in rows), n_in)
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -130,38 +128,12 @@ class LinearMap:
         return max(m.bit_count() for m in self.bitmasks)
 
 
-def _const_mul_forms(c: int, forms: list[int]) -> list[int]:
-    """Bit forms of c * s given the bit forms of symbol s.
-
-    Multiplication by the constant c is GF(2)-linear: output bit i is the
-    XOR of the input bits j for which bit i of c * x^j is set.
-    """
-    cols = [MUL[c][1 << j] for j in range(BITS_PER_SYMBOL)]
-    out = []
-    for i in range(BITS_PER_SYMBOL):
-        acc = 0
-        for j in range(BITS_PER_SYMBOL):
-            if (cols[j] >> i) & 1:
-                acc ^= forms[j]
-        out.append(acc)
-    return out
-
-
 def derive_parity_matrix() -> LinearMap:
-    """Advance the encoder registers symbolically through the 27 shift-in
-    cycles; the final register bit forms are the parity matrix rows."""
-    regs = [[0] * BITS_PER_SYMBOL for _ in range(N_PARITY)]
-    for j in range(K_SYMBOLS):
-        in_forms = [1 << (BITS_PER_SYMBOL * j + i) for i in range(BITS_PER_SYMBOL)]
-        fb = [in_forms[i] ^ regs[N_PARITY - 1][i] for i in range(BITS_PER_SYMBOL)]
-        new_regs = []
-        for d in range(N_PARITY):
-            term = _const_mul_forms(GENERATOR_POLY[d], fb)
-            below = regs[d - 1] if d else [0] * BITS_PER_SYMBOL
-            new_regs.append([below[i] ^ term[i] for i in range(BITS_PER_SYMBOL)])
-        regs = new_regs
-    # parity symbol jp is the coefficient of x^(3-jp), i.e. register 3-jp
-    return LinearMap(tuple(chain.from_iterable(regs[::-1])), N_INFO_BITS)
+    """The parity bits of the block LFSR, probed on the 135 unit-bit messages."""
+    def parity(bits: np.ndarray) -> list[list[int]]:
+        msgs = np.array([bits_to_symbols(row) for row in bits.tolist()], np.uint8)
+        return [symbols_to_bits(word[K_SYMBOLS:]) for word in shift_in_block(msgs).tolist()]
+    return LinearMap.probe(parity, N_INFO_BITS)
 
 
 @functools.cache
@@ -172,11 +144,12 @@ def default_parity_matrix() -> LinearMap:
 
 @dataclass(frozen=True)
 class XorNetwork:
-    """Acyclic netlist of 3-input XOR gates computing the 20 parity bits.
+    """Acyclic netlist of 3-input XOR gates computing the outputs of a
+    LinearMap (the 20 parity bits, for a parsed netlist).
 
     Gate inputs and outputs are refs in the netlist grammar ("d<k>",
-    "w<id>", "ZERO"); every gate references only information bits or
-    earlier gates.
+    "w<id>", "ZERO"); every gate references only input bits or earlier
+    gates.
     """
 
     gates: tuple[tuple[str, str, str], ...]
@@ -187,11 +160,15 @@ class XorNetwork:
         """(masks, depths) of the outputs in one pass over the gates: a wire's
         mask is the XOR of its inputs' (one reached twice cancels), its depth
         one more than the deepest input's."""
-        forms = {ZERO: (0, 0), **{f"d{c}": (1 << c, 0) for c in range(N_INFO_BITS)}}
+        forms = {ZERO: (0, 0)}
+
+        def form(ref: str) -> tuple[int, int]:  # an input d<k> has mask bit k
+            return (1 << int(ref[1:]), 0) if ref[0] == "d" else forms[ref]
+
         for gid, gate in enumerate(self.gates):
-            (ma, da), (mb, db), (mc, dc) = map(forms.__getitem__, gate)
+            (ma, da), (mb, db), (mc, dc) = map(form, gate)
             forms[f"w{gid}"] = ma ^ mb ^ mc, 1 + max(da, db, dc)
-        return tuple(zip(*map(forms.__getitem__, self.outputs)))
+        return tuple(zip(*map(form, self.outputs)))
 
     @property
     def bitmasks(self) -> tuple[int, ...]:

@@ -4,12 +4,19 @@ One 5-bit symbol moves per clock: 27 shift-in cycles perform the division
 by g(x) while the message passes straight through, then 4 shift-out cycles
 drain the parity registers with the feedback path disabled — 31 cycles per
 codeword, matching the serial hardware.
+
+The same recurrence has two forms here: `LfsrEncoder.cycle`, one symbol
+per call, and `shift_in_block`, the 27 shift-in clocks on a block of
+messages at once as GF(32) table gathers. The block form is the `lfsr`
+encoder of the frame kernels, and the parity matrix is read off it.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .gf32 import MUL
-from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_SYMBOLS
+from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS
 
 SHIFT_IN = "shift-in"
 SHIFT_OUT = "shift-out"
@@ -68,3 +75,19 @@ class LfsrEncoder:
 
 def lfsr_encode(msg: list[int]) -> list[int]:
     return LfsrEncoder().encode(msg)
+
+
+# Row q: q times g(x)'s coefficients x^0..x^3, the feedback taps.
+_TAPS = np.array(MUL, np.uint8)[:, GENERATOR_POLY[:N_PARITY]]
+
+
+def shift_in_block(msg: np.ndarray) -> np.ndarray:
+    """uint8[M, 31] codewords of uint8[M, 27] message symbols:
+    LfsrEncoder's 27 shift-in clocks on all rows at once; the 4 shift-out
+    clocks drain the registers top first."""
+    regs = np.zeros((len(msg), N_PARITY), np.uint8)
+    for j in range(K_SYMBOLS):
+        row = _TAPS[msg[:, j] ^ regs[:, -1]]
+        row[:, 1:] ^= regs[:, :-1]
+        regs = row
+    return np.concatenate([msg, regs[:, ::-1]], axis=1)

@@ -115,6 +115,25 @@ def rs_encode_reference(msg: list[int]) -> list[int]:
     return msg + [rem[3 - p] for p in range(4)]
 
 
+def probe_matrix_from_reference_encoder() -> tuple[int, ...]:
+    """The parity matrix rows read off the long-division encoder: column c
+    is the parity of the unit-bit message with only information bit c set
+    (bit i of symbol j is information bit 5*j + i) — the basis-probing
+    oracle. It shares no code with the block LFSR the package probes."""
+    from rs3127 import encode_reference
+
+    rows = [0] * 20
+    for c in range(135):
+        msg = [0] * 27
+        msg[c // 5] = 1 << (c % 5)
+        parity = encode_reference(msg)[27:]
+        for jp in range(4):
+            for i in range(5):
+                if (parity[jp] >> i) & 1:
+                    rows[5 * jp + i] |= 1 << c
+    return tuple(rows)
+
+
 def frame_reference(info: list[int]) -> list[int]:
     """The 320-bit frame for 270 info bits, written bit by bit from the
     layout in the framing module docstring: scramble with the PRBS,

@@ -13,14 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rs3127
-from rs3127 import cli, framing, matrix_from_text, parse_netlist, derive_parity_matrix
+from rs3127 import cli, framing, matrix_from_text, parse_netlist
 from rs3127.cli import build_parser, main
+
+from oracles import probe_matrix_from_reference_encoder
 
 
 def test_gen_matrix(tmp_path):
     out = tmp_path / "m.txt"
     assert main(["gen-matrix", "-o", str(out)]) == 0
-    assert matrix_from_text(out.read_text()) == derive_parity_matrix()
+    assert matrix_from_text(out.read_text()).bitmasks == probe_matrix_from_reference_encoder()
 
 
 def test_emit_and_check_netlist(tmp_path, capsys):
@@ -521,6 +523,15 @@ def test_out_of_range_seed_is_a_data_error(seed, capsys):
     assert "Traceback" not in err
     assert main(["sweep", "--ber-list", "1e-3", "--frames", "2", "--seed", seed]) == 2
     assert main(["simulate", "--ber", "1e-3", "--frames", "2", "--seed", str(2**64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_a_non_finite_burst_rate_is_a_data_error(rate, capsys):
+    argv = ["simulate", "--ber", "0", "--burst-len", "6", "--burst-rate", rate, "--frames", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"rs3127: error: burst_rate must be finite, got {rate}\n"
+    assert captured.out == ""
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -19,6 +19,9 @@ def test_config_validation():
         ChannelConfig(burst_len=-1)
     with pytest.raises(ValueError):
         ChannelConfig(frames=-5)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"burst_rate must be finite, got {rate}"):
+            ChannelConfig(burst_len=6, burst_rate=rate)
 
 
 def test_quiet_channel_is_identity():

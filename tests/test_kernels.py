@@ -15,8 +15,8 @@ from rs3127 import (CORRECTED, OK, UNCORRECTABLE, build_frame, chien_search,
                     forney, is_codeword, lfsr_encode, parity_bits, solve_locator, unframe)
 from rs3127 import framing
 from rs3127.framing import HEADER_BITS, decode_frames, encode_frames, interleave
-from rs3127.parallel_gen import LinearMap, _gf2_rank
-from rs3127.serial_encoder import LfsrEncoder
+from rs3127.parallel_gen import LinearMap, _gf2_rank, build_xor3_network, expected_depth
+from rs3127.serial_encoder import LfsrEncoder, shift_in_block
 
 from oracles import frame_reference, rs_encode_reference
 
@@ -45,7 +45,7 @@ def test_encode_frames_equals_build_frame_and_the_layout_oracle(rows):
 # --- the batch long-division and LFSR encoders ---------------------------------
 
 BATCH_ENCODERS = {"reference": (framing._divide, encode_reference),
-                  "lfsr": (framing._shift_in, lfsr_encode)}
+                  "lfsr": (shift_in_block, lfsr_encode)}
 messages = st.lists(st.integers(0, 31), min_size=27, max_size=27)
 
 
@@ -94,14 +94,14 @@ def test_each_encoder_runs_its_own_algorithm(monkeypatch):
     """The three encoders give the same frames but stay three
     architectures: none is an alias of another's kernel."""
     ran = []
-    for kernel in ("_parity", "_divide", "_shift_in"):
+    for kernel in ("_parity", "_divide", "shift_in_block"):
         original = getattr(framing, kernel)
         monkeypatch.setattr(framing, kernel,
                             lambda x, kernel=kernel, original=original:
                             ran.append(kernel) or original(x))
     info = np.zeros((2, 270), np.uint8)
     for encoder, kernel in (("parallel", "_parity"), ("reference", "_divide"),
-                            ("lfsr", "_shift_in")):
+                            ("lfsr", "shift_in_block")):
         ran.clear()
         encode_frames(info, encoder=encoder)
         assert ran == [kernel]
@@ -492,3 +492,13 @@ def test_syndrome_map_is_a_rank_20_linear_map_over_155_bits():
     words = np.random.default_rng(3003).integers(0, 2, (300, 155), dtype=np.uint8)
     got = framing._to_symbols(synd.products(words)).tolist()
     assert got == [compute_syndromes(w) for w in framing._to_symbols(words).tolist()]
+
+
+def test_xor3_trees_of_the_syndrome_map_give_back_its_masks():
+    """A network over 155 inputs reads each input's mask off its index.
+    Every syndrome row has fan-in 80, so every tree has depth 4."""
+    synd = framing._syndrome_map()
+    net = build_xor3_network(synd)
+    assert net.bitmasks == synd.bitmasks
+    assert {mask.bit_count() for mask in synd.bitmasks} == {80}
+    assert expected_depth(80) == 4 and net.depths == (4,) * 20

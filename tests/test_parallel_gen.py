@@ -6,27 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rs3127 import encode_reference, parity_bits
+from rs3127 import parity_bits
 from rs3127.parallel_gen import (MATRIX_HEADER, N_INFO_BITS, N_PARITY_BITS,
                                  LinearMap, build_xor3_network,
                                  derive_parity_matrix, emit_netlist,
                                  expected_depth, matrix_from_text,
                                  matrix_to_text, parse_netlist)
 
-
-def probe_matrix_from_reference_encoder():
-    """Column c of the matrix is the parity of the unit-bit message with
-    only information bit c set — the basis-probing oracle."""
-    rows = [0] * N_PARITY_BITS
-    for c in range(N_INFO_BITS):
-        msg = [0] * 27
-        msg[c // 5] = 1 << (c % 5)
-        parity = encode_reference(msg)[27:]
-        for jp in range(4):
-            for i in range(5):
-                if (parity[jp] >> i) & 1:
-                    rows[5 * jp + i] |= 1 << c
-    return tuple(rows)
+from oracles import probe_matrix_from_reference_encoder
 
 
 def test_derived_matrix_equals_basis_probing_oracle():
@@ -205,17 +192,16 @@ def test_matrix_text_rejects_malformed_rows():
 # --- LinearMap ---------------------------------------------------------------
 
 def test_probe_reads_a_hand_map_off_the_unit_vectors():
-    def fn(bits):
-        x0, x1, x2, x3 = bits
-        return [x0 ^ x2, x1, x0 ^ x1 ^ x3]
+    def fn(block):
+        return [[x0 ^ x2, x1, x0 ^ x1 ^ x3] for x0, x1, x2, x3 in block.tolist()]
 
     linear = LinearMap.probe(fn, 4)
     assert linear == LinearMap((0b0101, 0b0010, 0b1011), 4)
     assert linear.array.dtype == np.float32
     assert linear.array.tolist() == [[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 0, 1]]
     assert linear.max_fanin == 3
-    inputs = [[x >> c & 1 for c in range(4)] for x in range(16)]
-    assert linear.products(np.array(inputs, np.uint8)).tolist() == [fn(b) for b in inputs]
+    inputs = np.array([[x >> c & 1 for c in range(4)] for x in range(16)], np.uint8)
+    assert linear.products(inputs).tolist() == fn(inputs)
 
 
 @pytest.mark.parametrize("n_in", [N_INFO_BITS, 155])
