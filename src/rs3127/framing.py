@@ -26,14 +26,15 @@ frames, and each runs its own algorithm across the block: the parity
 matrix product, or the 27 steps of long division (`_divide`) or of the
 LFSR recurrence (`serial_encoder.shift_in_block`) on GF(32) symbol
 arrays, none calling a scalar encoder.
-`decode_frames` computes all syndromes in one product and solves only
-the dirty codewords, by the closed-form t = 2 Peterson-Gorenstein-Zierler
-solution (`_correct`): one at a time on GF(32) list tables when there are
-at most _FEW_DIRTY, else in table gathers. The message stays in bits:
-each error value is XORed into its 5-bit group of the received word, and
-neither form calls the scalar `decode`. The CLI and the simulator feed
-the kernels in blocks of at most BLOCK_FRAMES frames, which bounds their
-memory.
+`decode_frames` computes all syndromes in one product and corrects only
+the dirty codewords, each by its syndrome class (`_correct`): the one
+error pattern of weight <= 2 with those syndromes, if there is one, is
+read from a table built on the first dirty block, one row at a time on
+lists while there are at most _FEW_DIRTY, else in one gather. The message
+stays in bits: each error value is XORed into its 5-bit group of the
+received word, and neither form calls the scalar `decode`. The CLI and
+the simulator feed the kernels in blocks of at most BLOCK_FRAMES frames,
+which bounds their memory.
 """
 
 from __future__ import annotations
@@ -156,8 +157,9 @@ _SYMBOL_BITS = np.array(symbols_to_bits(range(32)), np.uint8).reshape(32, BITS_P
 _BIT_WEIGHTS = np.array(bits_to_symbols(np.eye(BITS_PER_SYMBOL, dtype=int).ravel().tolist()))
 # GF(32) products and inverses as arrays, so field arithmetic over many
 # codewords is a gather; the inverse of 0 reads as 0.
+_INV = [0] + [gf_inv(a) for a in range(1, 32)]
 _GF_MUL = np.array(MUL, np.uint8)
-_GF_INV = np.array([0] + [gf_inv(a) for a in range(1, 32)], np.uint8)
+_GF_INV = np.array(_INV, np.uint8)
 # Row q: q times g(x)'s coefficients, x^4 first (long division).
 _DIVISION_TAPS = _GF_MUL[:, GENERATOR_POLY[::-1]]
 # Payload bit k comes from bit 155*c + 5*s + 4-i of [codeword A | codeword B]
@@ -229,48 +231,60 @@ def _syndrome_map() -> LinearMap:
                                           for w in _to_symbols(words).tolist()], WORD_BITS)
 
 
+# The key of a syndrome's class: S1..S4 divided by their lead (S1, or S2
+# when S1 is 0), 5 bits each with S1 highest. S1/lead is 0 or 1, so keys
+# are below 2^16; S1 = S2 = 0 reads as key 0 through the inverse of 0.
+_KEY_WEIGHTS = np.array([1 << 15, 1 << 10, 1 << 5, 1])
+
+
+def _class_of(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, key), each int[D], of the syndromes S1..S4 in int[D, 4]."""
+    lead = np.where(synd[:, 0] != 0, synd[:, 0], synd[:, 1])
+    return lead, _GF_MUL[_GF_INV[lead][:, None], synd] @ _KEY_WEIGHTS
+
+
 @functools.cache
-def _locator_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(powers uint8[31, 4], roots uint8[32, 32, 3]).
+def _correction_table() -> np.ndarray:
+    """uint8[2^16, 4]: at each key, (first, y1, last, y2) of the error
+    pattern of weight 1 or 2 whose syndromes divided by their lead have
+    that key, values y1 at position first and y2 at last (first < last, or
+    y2 = 0 and first == last); all 0 where there is none.
 
-    powers[j] is X, X^2, X^3, X^4 for the error locator X of position j:
-    the syndromes of symbol value 1 at j, read off the syndrome map.
-    roots[l1, l2] is (count, first, last) of the positions j, ascending,
-    where 1 + l1*x + l2*x^2 vanishes at x = 1/X, as chien_search reports
-    them; first == last when there is one root."""
+    Scaling a pattern by c scales its syndromes by c, so each class holds
+    one pattern with y1 = 1: the 31 single errors and 465 * 31 pairs, with
+    syndromes powers[first] + y2 * powers[last] (powers[j]: value 1 at j).
+    A nonzero pattern of weight <= 2 has S1 or S2 nonzero: key 0 is empty."""
     powers = _to_symbols(_syndrome_map().array[::BITS_PER_SYMBOL]).astype(np.uint8)
-    x = powers[:, 0]
-    field = np.arange(32, dtype=np.uint8)
-    l1, l2 = field[:, None, None], field[None, :, None]
-    is_root = (_GF_MUL[x, x] ^ _GF_MUL[l1, x] ^ l2) == 0  # X^2 * lambda(1/X)
-    first = is_root.argmax(axis=2)
-    last = N_SYMBOLS - 1 - is_root[..., ::-1].argmax(axis=2)
-    roots = np.stack([is_root.sum(axis=2), first, last], axis=2).astype(np.uint8)
-    return powers, roots
+    j1, j2, y2 = np.indices((N_SYMBOLS, N_SYMBOLS, 32), np.uint8)
+    keep = np.where(j1 == j2, y2 == 0, (j1 < j2) & (y2 > 0))
+    j1, j2, y2 = j1[keep], j2[keep], y2[keep]
+    lead, key = _class_of(powers[j1] ^ _GF_MUL[y2[:, None], powers[j2]])
+    inv = _GF_INV[lead]
+    table = np.zeros((1 << 16, 4), np.uint8)
+    table[key] = np.stack([j1, inv, j2, _GF_MUL[inv, y2]], axis=1)
+    return table
 
 
-# Dirty codewords up to which `_correct` solves them one at a time with
-# `_pgz_row`, not with `_pgz_arrays`; both see the dirty rows only, so this
-# is one count for any block size. Timing whole calls on blocks of 64, 128
-# and 256 rows (2-core Xeon, min of 9 x 100), per-row won at 72 dirty rows
-# and array at 80; at 256 rows, 58 us + 1.1 us vs 115 us + 0.36 us per row.
-_FEW_DIRTY = 72
+# Dirty codewords up to which `_correct` uses `_lookup_lists`, not
+# `_lookup_arrays`; both see only the dirty rows, so one count serves any
+# block size. Timing each form alone on D rows (2-core Xeon), lists took
+# 0.3 us + 0.86 us per row and arrays 13 us + 0.07 us: equal near 16.
+_FEW_DIRTY = 16
 
 
 def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode uint8[M, 155] codewords in info/parity bit order:
     (ok bool[M], bits uint8[M, 31, 5], nu int[M]).
 
-    Two stages. One product gives the syndromes of all rows; a row with
-    zero syndrome is clean and costs nothing more. The dirty rows alone
-    are then solved by the closed-form t = 2 Peterson-Gorenstein-Zierler
-    solution: by `_pgz_row` one at a time while there are at most
-    _FEW_DIRTY, else by `_pgz_arrays` in table gathers. Both give the same
-    fields on all 2^20 syndromes, and neither calls the scalar decoder.
-    bits is a copy of words, one 5-bit group per symbol, with each error
-    value XORed into its group. ok is False only for the codewords decode
-    reports uncorrectable, which stay as received; nu is the number of
-    symbols corrected. Row for row this is what decode returns."""
+    One product gives the syndromes of all rows; a row with zero syndrome
+    is clean and costs nothing more. A dirty row gets the error pattern of
+    weight <= 2 with its syndromes from `_correction_table`, through
+    `_lookup_lists` for at most _FEW_DIRTY dirty rows, else through
+    `_lookup_arrays`, and is uncorrectable if there is none. bits is a copy
+    of words, one 5-bit group per symbol, with each error value XORed into
+    its group. ok is False only for the codewords decode reports
+    uncorrectable, which stay as received; nu is the number of symbols
+    corrected. Row for row this is what decode returns."""
     synd = _to_symbols(_syndrome_map().products(words))
     rows = np.flatnonzero(synd.any(axis=1))
     ok, nu = np.ones(len(words), bool), np.zeros(len(words), int)
@@ -278,83 +292,36 @@ def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not len(rows):
         return ok, bits, nu
     if len(rows) > _FEW_DIRTY:
-        fix = _pgz_arrays(synd[rows])
+        fix_nu, first, y1, last, y2 = _lookup_arrays(synd[rows])
     else:
-        fix = np.array([_pgz_row(*s) for s in synd[rows].tolist()], int).T
-    fix_nu, first, y1, last, y2 = fix
+        fix_nu, first, y1, last, y2 = np.array(_lookup_lists(synd[rows].tolist()), int).T
     ok[rows], nu[rows] = fix_nu > 0, fix_nu
     bits[rows, first] ^= _SYMBOL_BITS[y1]
     bits[rows, last] ^= _SYMBOL_BITS[y2]
     return ok, bits, nu
 
 
-def _pgz_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The closed form on the nonzero int[D, 4] syndromes S1..S4 of D dirty
-    rows at once: (nu, first, y1, last, y2), each int[D].
-
-    With det = S2^2 + S1*S3, the locator 1 + l1*x + l2*x^2 solves the
-    Newton identities: l1 = (S2*S3 + S1*S4)/det, l2 = (S3^2 + S2*S4)/det if
-    det != 0, else l1 = S2/S1, l2 = 0. Its roots come from one table.
-    The magnitudes of errors at locators X1, X2 solve S1 = Y1*X1 + Y2*X2,
-    S2 = Y1*X1^2 + Y2*X2^2; one error is the case X2 = 0, which gives
-    Y1 = S2/X1^2 and Y2 = 0 through the inverse of 0 reading as 0.
-    A dirty row is fixed exactly when the locator degree nu is 1 or 2, it
-    has nu roots, and the corrected word has zero syndrome (the re-check
-    decode makes with is_codeword; syndromes are linear, so it is S minus
-    the syndrome of the error). Then y1 at position first and y2 at last
-    (0 when nu is 1, and first == last) are its error values; a row not
-    fixed reads nu = y1 = y2 = 0."""
-    s1, s2, s3, s4 = synd.T
-    mul, inv = _GF_MUL, _GF_INV
-    det = mul[s2, s2] ^ mul[s1, s3]
-    two = det != 0
-    l1 = np.where(two, mul[mul[s2, s3] ^ mul[s1, s4], inv[det]], mul[s2, inv[s1]])
-    l2 = np.where(two, mul[mul[s3, s3] ^ mul[s2, s4], inv[det]], 0)
-    nu = np.where(l2 != 0, 2, (l1 != 0).astype(int))
-
-    powers, roots = _locator_tables()
-    count, first, last = roots[l1, l2].T
-    x1 = powers[first, 0]
-    x2 = np.where(nu == 2, powers[last, 0], 0)
-    y1 = mul[mul[s1, x2] ^ s2, inv[mul[x1, x1 ^ x2]]]
-    y2 = mul[mul[s1, x1] ^ s2, inv[mul[x2, x1 ^ x2]]]
-    residual = synd ^ mul[y1[:, None], powers[first]] ^ mul[y2[:, None], powers[last]]
-    fixed = (nu > 0) & (count == nu) & ~residual.any(axis=1)
-    return nu * fixed, first, y1 * fixed, last, y2 * fixed
+def _lookup_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(nu, first, y1, last, y2), each [D], of the nonzero int[D, 4]
+    syndromes of D dirty rows: their table entries, the values times their
+    lead, and nu the number of nonzero values (0 if uncorrectable)."""
+    lead, key = _class_of(synd)
+    first, y1, last, y2 = _correction_table()[key].T
+    return (y1 > 0) + (y2 > 0).astype(int), first, _GF_MUL[lead, y1], last, _GF_MUL[lead, y2]
 
 
-@functools.cache
-def _pgz_lists() -> tuple[list, list, list, list]:
-    """gf32.MUL, the inverses and _locator_tables() as nested lists, whose
-    item reads cost a fraction of a numpy scalar read."""
-    powers, roots = _locator_tables()
-    return MUL, _GF_INV.tolist(), powers.tolist(), roots.tolist()
-
-
-def _pgz_row(s1: int, s2: int, s3: int, s4: int) -> tuple[int, int, int, int, int]:
-    """`_pgz_arrays` for one dirty codeword's syndromes, step for step on
-    lists: (nu, first, y1, last, y2), all 0 if it is not fixed."""
-    mul, inv, powers, roots = _pgz_lists()
-    det = mul[s2][s2] ^ mul[s1][s3]
-    if det:
-        l1 = mul[mul[s2][s3] ^ mul[s1][s4]][inv[det]]
-        l2 = mul[mul[s3][s3] ^ mul[s2][s4]][inv[det]]
-    else:
-        l1, l2 = mul[s2][inv[s1]], 0
-    nu = 2 if l2 else 1 if l1 else 0
-    count, first, last = roots[l1][l2]
-    if not nu or count != nu:
-        return 0, 0, 0, 0, 0
-    x1, a2, a3, a4 = powers[first]
-    b1, b2, b3, b4 = powers[last]
-    x2 = b1 if nu == 2 else 0
-    y1 = mul[mul[s1][x2] ^ s2][inv[mul[x1][x1 ^ x2]]]
-    y2 = mul[mul[s1][x1] ^ s2][inv[mul[x2][x1 ^ x2]]]
-    m1, m2 = mul[y1], mul[y2]
-    if (s1 ^ m1[x1] ^ m2[b1] or s2 ^ m1[a2] ^ m2[b2] or s3 ^ m1[a3] ^ m2[b3]
-            or s4 ^ m1[a4] ^ m2[b4]):
-        return 0, 0, 0, 0, 0
-    return nu, first, y1, last, y2
+def _lookup_lists(synd: list[list[int]]) -> list[tuple[int, int, int, int, int]]:
+    """`_lookup_arrays` one row at a time, on lists and a flat memoryview of
+    the table (entry k is items 4k..4k+3), cheaper per item than numpy."""
+    table = memoryview(_correction_table()).cast("B")
+    fixes = []
+    for s1, s2, s3, s4 in synd:
+        lead = s1 or s2
+        m, scale = MUL[_INV[lead]], MUL[lead]
+        at = 4 * (m[s1] << 15 | m[s2] << 10 | m[s3] << 5 | m[s4])
+        first, y1, last, y2 = table[at:at + 4]
+        fixes.append(((y1 > 0) + (y2 > 0), first, scale[y1], last, scale[y2]))
+    return fixes
 
 
 def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -48,6 +48,9 @@ class ChannelConfig:
             raise ValueError(f"ber must be in [0, 1], got {self.ber}")
         if not math.isfinite(self.burst_rate):
             raise ValueError(f"burst_rate must be finite, got {self.burst_rate}")
+        if self.burst_rate > FRAME_BITS:
+            # Every burst is drawn and listed: time and memory grow with the rate.
+            raise ValueError(f"burst_rate must be at most {FRAME_BITS}, got {self.burst_rate}")
         if self.burst_len < 0 or self.burst_rate < 0 or self.frames < 0:
             raise ValueError("burst_len, burst_rate and frames must be >= 0")
         if not 0 <= self.seed < 2**64:

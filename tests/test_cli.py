@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -525,13 +526,19 @@ def test_out_of_range_seed_is_a_data_error(seed, capsys):
     assert main(["simulate", "--ber", "1e-3", "--frames", "2", "--seed", str(2**64 - 1)]) == 0
 
 
-@pytest.mark.parametrize("rate", ["nan", "inf"])
+@pytest.mark.parametrize("rate", ["nan", "inf", "320.5", "1e9", "320"])
 def test_a_non_finite_burst_rate_is_a_data_error(rate, capsys):
+    """A burst rate that is not finite, or above 320 expected bursts per
+    frame (one per frame bit), exits 2 with one line and no traceback;
+    320 itself runs."""
     argv = ["simulate", "--ber", "0", "--burst-len", "6", "--burst-rate", rate, "--frames", "4"]
-    assert main(argv) == 2
+    bound = "at most 320" if math.isfinite(float(rate)) else "finite"
+    error = "" if rate == "320" else (
+        f"rs3127: error: burst_rate must be {bound}, got {float(rate)}\n")
+    assert main(argv) == (2 if error else 0)
     captured = capsys.readouterr()
-    assert captured.err == f"rs3127: error: burst_rate must be finite, got {rate}\n"
-    assert captured.out == ""
+    assert captured.err == error
+    assert (captured.out == "") == bool(error)
 
 
 def test_python_dash_m_runs_the_cli(capsys):

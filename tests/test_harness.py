@@ -22,6 +22,10 @@ def test_config_validation():
     for rate in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"burst_rate must be finite, got {rate}"):
             ChannelConfig(burst_len=6, burst_rate=rate)
+    assert ChannelConfig(burst_len=6, burst_rate=320).burst_rate == 320
+    for rate in (320.5, 1e9):
+        with pytest.raises(ValueError, match=f"burst_rate must be at most 320, got {rate}"):
+            ChannelConfig(burst_len=6, burst_rate=rate)
 
 
 def test_quiet_channel_is_identity():

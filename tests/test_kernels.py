@@ -281,7 +281,7 @@ def _error_keys(received, symbols):
 
 # Per form of _correct: the other form, and a _FEW_DIRTY that selects this
 # one whatever the number of dirty rows.
-FORMS = {"per-row": ("_pgz_arrays", SYNDROMES), "array": ("_pgz_row", -1)}
+FORMS = {"per-row": ("_lookup_arrays", SYNDROMES), "array": ("_lookup_lists", -1)}
 
 
 def _take_form(monkeypatch, form):
@@ -399,7 +399,7 @@ def test_the_dirty_count_selects_the_form(monkeypatch, extra, form, n_frames):
     syndromes of the dirty rows only."""
     n_dirty = framing._FEW_DIRTY + extra
     frames = _dirty_block(n_dirty, 19 + extra, n_frames)
-    taken = {"per-row": "_pgz_row", "array": "_pgz_arrays"}[form]
+    taken = {"per-row": "_lookup_lists", "array": "_lookup_arrays"}[form]
     solve, given = getattr(framing, taken), []
     monkeypatch.setattr(framing, FORMS[form][0], lambda *args: pytest.fail("wrong form"))
     monkeypatch.setattr(framing, taken,
@@ -465,6 +465,24 @@ def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
     monkeypatch.setattr(framing, "decode", refuse)
     got = decode_frames(frames)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_only_a_dirty_block_builds_the_correction_table():
+    """Encoding with each encoder, the scalar frame chain and decoding clean
+    blocks never build _correction_table, so a clean stream and the first
+    frame of a fresh interpreter do not pay for it; the first block with a
+    dirty codeword builds it."""
+    framing._correction_table.cache_clear()
+    rnd = random.Random(31)
+    info = np.array([[rnd.getrandbits(1) for _ in range(270)] for _ in range(4)], np.uint8)
+    for encoder in ("parallel", "reference", "lfsr"):
+        frames = encode_frames(info, encoder)
+    assert unframe(build_frame(info[0].tolist())).info == info[0].tolist()
+    assert np.array_equal(decode_frames(frames)[0], info)
+    assert framing._correction_table.cache_info().currsize == 0
+    frames[0, HEADER_BITS] ^= 1
+    assert decode_frames(frames)[2].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert framing._correction_table.cache_info().currsize == 1
 
 
 # --- the parity map ------------------------------------------------------------
