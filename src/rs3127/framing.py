@@ -24,8 +24,12 @@ the layout formula (checked against `interleave` on every bit).
 `encode_frames` is where an encoder is chosen; all three give the same
 frames, and each runs its own algorithm across the block: the parity
 matrix product, or the 27 steps of long division (`_divide`) or of the
-LFSR recurrence (`serial_encoder.shift_in_block`) on GF(32) symbol
-arrays, none calling a scalar encoder.
+LFSR recurrence (`serial_encoder.shift_in_block`) on GF(32) symbols,
+none calling a scalar encoder. Those two hold each codeword's working
+symbols in one machine word, one byte per symbol, as a table-driven
+software CRC holds its register, so a step is a few numpy calls on M
+words and not on M x 5 bytes: on a block of 128 frames (2-core Xeon)
+that cut `_divide` from about 300 us to 120 us.
 `decode_frames` computes all syndromes in one product and corrects only
 the dirty codewords, each by its syndrome class (`_correct`): the one
 error pattern of weight <= 2 with those syndromes, if there is one, is
@@ -154,14 +158,30 @@ WORD_BITS = N_SYMBOLS * BITS_PER_SYMBOL  # 155
 # One codeword's bits in info/parity order (bit 5*s + i is bit i of symbol
 # s), as tables probed from the converter pair that owns that order.
 _SYMBOL_BITS = np.array(symbols_to_bits(range(32)), np.uint8).reshape(32, BITS_PER_SYMBOL)
-_BIT_WEIGHTS = np.array(bits_to_symbols(np.eye(BITS_PER_SYMBOL, dtype=int).ravel().tolist()))
+_BIT_WEIGHTS = np.array(bits_to_symbols(np.eye(BITS_PER_SYMBOL, dtype=int).ravel().tolist()),
+                        np.float32)
+
+
+def _as_words(table: np.ndarray) -> np.ndarray:
+    """'<u8'[R] of a uint8[R, <= 8] table: byte d of word r is table[r, d],
+    whatever the host's byte order."""
+    padded = np.zeros((len(table), 8), np.uint8)
+    padded[:, :table.shape[1]] = table
+    return padded.view("<u8")[:, 0]
+
+
+# A gather of a block of symbols from these words views as 8 bytes per
+# symbol, bit i in byte i.
+_SYMBOL_WORDS = _as_words(_SYMBOL_BITS)
 # GF(32) products and inverses as arrays, so field arithmetic over many
 # codewords is a gather; the inverse of 0 reads as 0.
 _INV = [0] + [gf_inv(a) for a in range(1, 32)]
 _GF_MUL = np.array(MUL, np.uint8)
 _GF_INV = np.array(_INV, np.uint8)
-# Row q: q times g(x)'s coefficients, x^4 first (long division).
-_DIVISION_TAPS = _GF_MUL[:, GENERATOR_POLY[::-1]]
+# Row q: q times g(x)'s coefficients x^0..x^4 (long division), and the
+# same row packed with x^d in byte d.
+_DIVISION_TAPS = _GF_MUL[:, GENERATOR_POLY]
+_DIVISION_TAPS64 = _as_words(_DIVISION_TAPS)
 # Payload bit k comes from bit 155*c + 5*s + 4-i of [codeword A | codeword B]
 # in info/parity order (s = k // 10, c = k // 5 % 2, i = k % 5); _FROM_WIRE inverts it.
 _k = np.arange(PAYLOAD_BITS)
@@ -169,6 +189,8 @@ _TO_WIRE = WORD_BITS * (_k // 5 % 2) + 5 * (_k // 10) + 4 - _k % 5
 _FROM_WIRE = np.empty_like(_TO_WIRE)
 _FROM_WIRE[_TO_WIRE] = _k
 del _k
+# _TO_WIRE for codewords of 8 bytes per symbol (_SYMBOL_WORDS).
+_TO_WIRE_PADDED = _TO_WIRE // BITS_PER_SYMBOL * 8 + _TO_WIRE % BITS_PER_SYMBOL
 
 
 def frame_blocks(start: int, stop: int):
@@ -178,9 +200,10 @@ def frame_blocks(start: int, stop: int):
 
 
 def _to_symbols(bits: np.ndarray) -> np.ndarray:
-    """Symbols from bits in info/parity order along the last axis."""
-    return bits.reshape(*bits.shape[:-1], bits.shape[-1] // BITS_PER_SYMBOL,
-                        BITS_PER_SYMBOL) @ _BIT_WEIGHTS
+    """uint8 symbols from bits in info/parity order along the last axis:
+    one float32 BLAS product (exact: its sums are at most 31)."""
+    symbols = (bits.reshape(-1, BITS_PER_SYMBOL) @ _BIT_WEIGHTS).astype(np.uint8)
+    return symbols.reshape(*bits.shape[:-1], bits.shape[-1] // BITS_PER_SYMBOL)
 
 
 def _parity(messages: np.ndarray) -> np.ndarray:
@@ -190,35 +213,48 @@ def _parity(messages: np.ndarray) -> np.ndarray:
 
 def _divide(msg: np.ndarray) -> np.ndarray:
     """uint8[M, 31] codewords of uint8[M, 27] message symbols by long
-    division, encode_reference's algorithm on all rows at once: step j
-    subtracts work[:, j] * x^(26-j) * g(x), which clears symbol j."""
-    work = np.concatenate([msg, np.zeros((len(msg), N_PARITY), np.uint8)], axis=1)
-    for j in range(K_SYMBOLS):
-        work[:, j:j + N_PARITY + 1] ^= _DIVISION_TAPS[work[:, j]]
-    return np.concatenate([msg, work[:, K_SYMBOLS:]], axis=1)
+    division, encode_reference's algorithm on all rows at once. Each row's
+    window of 5 consecutive symbols is one uint64, the last in byte 0:
+    step j brings down symbol j + 4 of m(x) x^4 and subtracts q * g(x)
+    (packed as in _DIVISION_TAPS64) with q = symbol j, in byte 4, which
+    clears it. After step 26 the window holds the remainder. The taps are
+    read with `take`: indexing by a uint64 array casts it to intp first,
+    which made the 27 steps 20-60% slower (2-core Xeon)."""
+    dividend = np.zeros((N_SYMBOLS, len(msg)), np.uint64)
+    dividend[:K_SYMBOLS] = msg.T
+    work = np.ascontiguousarray(msg[:, :N_PARITY]).view(">u4")[:, 0].astype(np.uint64)
+    for col in dividend[N_PARITY:]:
+        work <<= 8
+        work |= col
+        work ^= _DIVISION_TAPS64.take(work >> 32)
+    return np.concatenate([msg, work.astype(">u4").view(np.uint8).reshape(-1, N_PARITY)], axis=1)
 
 
 def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     """uint8[N, 320] frames from uint8[N, 270] info bits; row n equals
     build_frame(info[n]) whichever encoder computes the parity.
-    `parallel` is one GF(2) matrix product; `reference` (long division)
-    and `lfsr` (the shift-register recurrence) each run 27 steps across
-    all 2N codewords at once, with GF(32) table gathers."""
+    `parallel` is one GF(2) matrix product on bits; `reference` (long
+    division) and `lfsr` (the shift-register recurrence) each run 27 steps
+    across all 2N codewords at once on GF(32) symbols, a row's working
+    symbols packed in one machine word. Their codewords go to bits in one
+    gather of 8-byte words, read back as bytes through the stride-8 wire
+    index."""
     info = np.asarray(info, dtype=np.uint8)
     if info.ndim != 2 or info.shape[1] != INFO_BITS_PER_FRAME:
         raise ValueError(f"expected shape (N, {INFO_BITS_PER_FRAME}), got {info.shape}")
     n = len(info)
     halves = (info ^ _PRBS_ARRAY).reshape(2 * n, HALF_INFO_BITS)
     if encoder == "parallel":
-        words = np.concatenate([halves, _parity(halves)], axis=1)
+        words, to_wire = np.concatenate([halves, _parity(halves)], axis=1), _TO_WIRE
     elif encoder in ("reference", "lfsr"):
         encode = _divide if encoder == "reference" else shift_in_block
-        words = _SYMBOL_BITS[encode(_to_symbols(halves).astype(np.uint8))]
+        words = _SYMBOL_WORDS.take(encode(_to_symbols(halves))).view(np.uint8)
+        to_wire = _TO_WIRE_PADDED
     else:
         raise ValueError(f"unknown encoder {encoder!r}")
     frames = np.empty((n, FRAME_BITS), np.uint8)
     frames[:, :HEADER_BITS] = _HEADER_ARRAY
-    frames[:, HEADER_BITS:] = words.reshape(n, PAYLOAD_BITS)[:, _TO_WIRE]
+    frames[:, HEADER_BITS:] = words.reshape(n, 2 * words.shape[1])[:, to_wire]
     return frames
 
 
@@ -254,7 +290,7 @@ def _correction_table() -> np.ndarray:
     one pattern with y1 = 1: the 31 single errors and 465 * 31 pairs, with
     syndromes powers[first] + y2 * powers[last] (powers[j]: value 1 at j).
     A nonzero pattern of weight <= 2 has S1 or S2 nonzero: key 0 is empty."""
-    powers = _to_symbols(_syndrome_map().array[::BITS_PER_SYMBOL]).astype(np.uint8)
+    powers = _to_symbols(_syndrome_map().array[::BITS_PER_SYMBOL])
     j1, j2, y2 = np.indices((N_SYMBOLS, N_SYMBOLS, 32), np.uint8)
     keep = np.where(j1 == j2, y2 == 0, (j1 < j2) & (y2 > 0))
     j1, j2, y2 = j1[keep], j2[keep], y2[keep]
@@ -302,10 +338,12 @@ def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _lookup_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(nu, first, y1, last, y2), each [D], of the nonzero int[D, 4]
+    """(nu, first, y1, last, y2), each [D], of the nonzero uint8[D, 4]
     syndromes of D dirty rows: their table entries, the values times their
-    lead, and nu the number of nonzero values (0 if uncorrectable)."""
-    lead, key = _class_of(synd)
+    lead, and nu the number of nonzero values (0 if uncorrectable). The
+    syndromes are cast to intp first: numpy gathers faster by intp indices
+    than by uint8 ones."""
+    lead, key = _class_of(synd.astype(np.intp))
     first, y1, last, y2 = _correction_table()[key].T
     return (y1 > 0) + (y2 > 0).astype(int), first, _GF_MUL[lead, y1], last, _GF_MUL[lead, y2]
 
