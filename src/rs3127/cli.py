@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import os
 import stat
 import sys
@@ -112,9 +113,19 @@ def _cmd_check_netlist(args) -> int:
     return 0
 
 
-# decode's status of a codeword, indexed by ok + (nu > 0). ok must be cast
-# first: bool + bool is OR in numpy, which would read corrected as ok.
-_STATUS_NAMES = (UNCORRECTABLE, OK, CORRECTED)
+# `decode --stats` line of a frame after its `frame=<i>`, indexed by
+# 8 * state A + 2 * state B + header_ok. A codeword's state is ok + nu: 0
+# uncorrectable, 1 ok, 2 and 3 corrected with 1 and 2 symbols (decode_frames
+# gives nu = 0 whenever ok is False).
+_STATES = ((UNCORRECTABLE, 0), (OK, 0), (CORRECTED, 1), (CORRECTED, 2))
+_STATS_SUFFIX = tuple(
+    f" status_a={status_a} corrected_a={count_a}"
+    f" status_b={status_b} corrected_b={count_b} header_ok={good}\n"
+    for (status_a, count_a), (status_b, count_b), good in itertools.product(
+        _STATES, _STATES, (0, 1)))
+
+# Bytes of a record that hold info bits; the rest of its FRAME_BYTES are zero.
+_INFO_BYTES = -(-INFO_BITS_PER_FRAME // 8)
 
 # Record bits INFO_BITS_PER_FRAME..319 (the low bits, big-endian) must be zero.
 _PADDING_MASK = np.frombuffer(
@@ -154,22 +165,17 @@ def _cmd_decode(args) -> int:
         for block in frame_blocks(0, len(frames)):
             info, ok, nu, header_ok = decode_frames(
                 np.unpackbits(frames[block.start:block.stop], axis=1))
-            packed = np.packbits(info, axis=1)  # the last byte zero-filled
-            fh.write(np.pad(packed, ((0, 0), (0, FRAME_BYTES - packed.shape[1]))).tobytes())
+            records = np.zeros((len(block), FRAME_BYTES), np.uint8)
+            records[:, :_INFO_BYTES] = np.packbits(info, axis=1)  # zero-fills the last info byte
+            fh.write(records)
             if args.stats:
-                status = [_STATUS_NAMES[i] for i in (ok.astype(np.intp) + (nu > 0)).tolist()]
-                count = nu.tolist()
-                stats_lines += [
-                    f"frame={index}"
-                    f" status_a={status_a} corrected_a={count_a}"
-                    f" status_b={status_b} corrected_b={count_b}"
-                    f" header_ok={int(good)}"
-                    for index, status_a, count_a, status_b, count_b, good in zip(
-                        block, status[0::2], count[0::2], status[1::2], count[1::2],
-                        header_ok.tolist())]
+                state = (ok + nu).reshape(-1, 2)
+                suffix = (8 * state[:, 0] + 2 * state[:, 1] + header_ok).tolist()
+                stats_lines += [f"frame={index}{_STATS_SUFFIX[code]}"
+                                for index, code in zip(block, suffix)]
     if args.stats:
         with _output(args.stats) as fh:
-            fh.write(("\n".join(stats_lines) + ("\n" if stats_lines else "")).encode("ascii"))
+            fh.write("".join(stats_lines).encode("ascii"))
     return 0
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import math
 import os
 import re
@@ -255,6 +256,64 @@ def test_decode_stats_file(tmp_path):
     assert "status_a=ok" in lines[1] and "status_b=ok" in lines[1]
 
 
+# A codeword's state in a `decode --stats` line: (status, corrected symbols).
+_CODEWORD_STATES = [(rs3127.UNCORRECTABLE, 0), (rs3127.OK, 0),
+                    (rs3127.CORRECTED, 1), (rs3127.CORRECTED, 2)]
+
+
+def _error_symbols(rng, state):
+    """31 error symbols that leave a codeword in state 0..3 of
+    _CODEWORD_STATES: nonzero values at 3 to 8 distinct positions, redrawn
+    until decode calls them uncorrectable, or at state - 1 positions."""
+    while True:
+        count = rng.integers(3, 9) if state == 0 else state - 1
+        errors = [0] * rs3127.N_SYMBOLS
+        for at in rng.choice(rs3127.N_SYMBOLS, count, replace=False):
+            errors[at] = int(rng.integers(1, 32))
+        # a codeword's syndromes, and so its status, are those of its error word
+        if state or rs3127.decode(errors).status == rs3127.UNCORRECTABLE:
+            return errors
+
+
+@pytest.mark.parametrize("block_frames", [128, 4], ids=["arrays", "lists"])
+def test_decode_stats_lines_cover_every_state_and_equal_unframe(
+        tmp_path, monkeypatch, block_frames):
+    """One frame for each of the 32 (state A, state B, header_ok), with its
+    symbol errors placed by `interleave`: every record and `--stats` line
+    equals the one formatted from scalar unframe, and each frame's line
+    shows the state it was built for. In blocks of 4 frames, at most 8
+    codewords are dirty, so `_correct` looks them up as lists."""
+    monkeypatch.setattr(framing, "BLOCK_FRAMES", block_frames)
+    rng = np.random.default_rng(31)
+    combos = list(itertools.product(range(4), range(4), (0, 1)))
+    data = b""
+    for state_a, state_b, header_ok in combos:
+        frame = rs3127.build_frame(rng.integers(0, 2, 270).tolist())
+        flips = [0] * framing.HEADER_BITS + rs3127.interleave(_error_symbols(rng, state_a),
+                                                               _error_symbols(rng, state_b))
+        if not header_ok:
+            flips[rng.integers(framing.HEADER_BITS)] = 1
+        data += rs3127.frame_to_bytes([b ^ f for b, f in zip(frame, flips)])
+    frames, out, stats = tmp_path / "f.bin", tmp_path / "o.bin", tmp_path / "s.txt"
+    frames.write_bytes(data)
+    assert main(["decode", "-i", str(frames), "-o", str(out), "--stats", str(stats)]) == 0
+    got, text = out.read_bytes(), stats.read_text()
+    assert text.endswith("\n") and len(got) == len(data)
+    lines = text.splitlines()
+    assert len(lines) == len(combos)
+    for k, (line, (state_a, state_b, header_ok)) in enumerate(zip(lines, combos)):
+        res = rs3127.unframe(rs3127.bytes_to_frame(data[40 * k:40 * k + 40]))
+        assert got[40 * k:40 * k + 40] == np.packbits(res.info + [0] * 50).tobytes(), k
+        a, b = res.result_a, res.result_b
+        assert line == (f"frame={k} status_a={a.status} corrected_a={a.corrected_symbols}"
+                        f" status_b={b.status} corrected_b={b.corrected_symbols}"
+                        f" header_ok={int(res.header_ok)}")
+        assert ((a.status, a.corrected_symbols), (b.status, b.corrected_symbols),
+                res.header_ok) == (_CODEWORD_STATES[state_a], _CODEWORD_STATES[state_b],
+                                   bool(header_ok))
+    assert len({line.split(" ", 1)[1] for line in lines}) == 32
+
+
 def test_main_reuses_one_parser_with_a_fresh_namespace_per_call(tmp_path, capsys, monkeypatch):
     payload, frames, out, stats = (tmp_path / name for name in ("p.bin", "f.bin", "o.bin", "s.txt"))
     payload.write_bytes(bytes(80))
@@ -479,6 +538,39 @@ def test_a_failure_mid_write_leaves_the_blocks_written(tmp_path, capsys, monkeyp
     assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 2
     assert "injected failure" in capsys.readouterr().err
     assert frames.read_bytes() == first
+
+
+def test_a_failure_mid_decode_leaves_the_records_written_and_no_stats(
+        tmp_path, capsys, monkeypatch):
+    """decode writes each block's records as it goes, so a later block's
+    failure keeps the earlier records, with no stale tail; the stats file
+    is written only after every block has decoded, so it is not made."""
+    payload, frames, out, stats = (tmp_path / name for name in
+                                   ("p.bin", "f.bin", "o.bin", "s.txt"))
+    payload.write_bytes(bytes(range(33)) + bytes([0b11111100]) + bytes(6) + bytes(80))
+    assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 0
+    out.write_bytes(b"\xff" * 10_000)
+    monkeypatch.setattr(framing, "BLOCK_FRAMES", 1)
+    decode_frames, calls = framing.decode_frames, []
+
+    def fail_on_the_second_block(block):
+        calls.append(len(block))
+        if len(calls) == 2:
+            raise ValueError("injected failure")
+        return decode_frames(block)
+
+    monkeypatch.setattr(cli, "decode_frames", fail_on_the_second_block)
+    assert main(["decode", "-i", str(frames), "-o", str(out), "--stats", str(stats)]) == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert calls == [1, 1]
+    assert out.read_bytes() == payload.read_bytes()[:40]
+    assert not stats.exists()
+    # nor is an existing stats file opened
+    stats.write_text("old\n")
+    calls.clear()
+    assert main(["decode", "-i", str(frames), "-o", str(out), "--stats", str(stats)]) == 2
+    assert stats.read_text() == "old\n"
+    capsys.readouterr()
 
 
 def _codec_and_simulate_outputs(tmp_path, capsys):
