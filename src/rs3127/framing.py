@@ -12,15 +12,23 @@ descrambling is the same operation and channel bit errors do not
 multiply. Its x^7 + x^6 + 1 register starts all-ones at each frame and
 shifts out its MSB, so the PRBS is seven ones, then bit n-7 XOR bit n-6.
 
-Two forms compute this chain. `build_frame`/`unframe` (with `scramble`,
-`interleave` and the byte converters) take one frame as lists of bits;
-they are the bit-for-bit reference and encode with the parallel encoder.
+Two forms compute this chain, and both lay bits out on the wire by one
+formula (`_TO_WIRE`, inverted by `_FROM_WIRE`, checked against
+`interleave` on every bit); the layout's independent oracle is
+`frame_reference` in the tests, written bit by bit from the description
+above. `build_frame`/`unframe` take one frame as lists of bits.
+build_frame scrambles, appends each half's parity bits from the parity
+matrix's masks (`parity_bits`), and gathers the header and both
+codewords into wire order with one `operator.itemgetter`. unframe splits
+the payload into symbols (`deinterleave`) for the scalar `decode`, and
+gathers the scrambled info straight off the frame unless a codeword was
+corrected; neither goes through `encode_parallel` or `interleave`.
 The batch kernels `encode_frames`/`decode_frames` take `uint8[N, 270]`
 info and `uint8[N, 320]` frames and turn each layer into one array
 operation: scrambling is an XOR with the PRBS, parity and syndromes are
 each the `products` of a LinearMap (the parity matrix, and the syndrome
-map probed from compute_syndromes), and interleaving is one gather by
-the layout formula (checked against `interleave` on every bit).
+map probed from compute_syndromes), and interleaving is one numpy gather
+by the layout formula.
 `encode_frames` is where an encoder is chosen; all three give the same
 frames, and each runs its own algorithm across the block: the parity
 matrix product, or the 27 steps of long division (`_divide`) or of the
@@ -45,12 +53,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .decoder import DecodeResult, decode
+from .decoder import CORRECTED, DecodeResult, decode
 from .gf32 import MUL, gf_inv
-from .parallel_encoder import encode_parallel, message_to_bits
+from .parallel_encoder import message_to_bits, parity_bits
 from .parallel_gen import (BITS_PER_SYMBOL, LinearMap, bits_to_symbols,
                            default_parity_matrix, symbols_to_bits)
 from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS, compute_syndromes
@@ -76,13 +85,45 @@ BLOCK_FRAMES = 128
 _PRBS_FRAME = [1] * 7
 while len(_PRBS_FRAME) < INFO_BITS_PER_FRAME:
     _PRBS_FRAME.append(_PRBS_FRAME[-7] ^ _PRBS_FRAME[-6])
+# scramble packs a frame's info bits, one byte each, into one int: the
+# PRBS packed the same way, and the bits of those bytes other than bit 0.
+_PRBS_INT = int.from_bytes(bytes(_PRBS_FRAME), "big")
+_NOT_BITS = int.from_bytes(b"\xfe" * INFO_BITS_PER_FRAME, "big")
+
+WORD_BITS = N_SYMBOLS * BITS_PER_SYMBOL  # 155
+# Payload bit k comes from bit 155*c + 5*s + 4-i of [codeword A | codeword B]
+# in info/parity order (s = k // 10, c = k // 5 % 2, i = k % 5); _FROM_WIRE inverts it.
+_k = np.arange(PAYLOAD_BITS)
+_TO_WIRE = WORD_BITS * (_k // 5 % 2) + 5 * (_k // 10) + 4 - _k % 5
+_FROM_WIRE = np.empty_like(_TO_WIRE)
+_FROM_WIRE[_TO_WIRE] = _k
+del _k
+# The scalar chain's two gathers by that formula: the frame from the header
+# and codewords A and B in info/parity order, and the 270 message bits of
+# A then B from a frame.
+_FRAME_FROM_WORDS = itemgetter(*range(HEADER_BITS), *(HEADER_BITS + _TO_WIRE).tolist())
+_MESSAGES_FROM_FRAME = itemgetter(
+    *(HEADER_BITS + _FROM_WIRE.reshape(2, WORD_BITS)[:, :HALF_INFO_BITS].ravel()).tolist())
 
 
-def scramble(bits: list[int]) -> list[int]:
-    """XOR with the fixed per-frame PRBS; applying it twice is identity."""
-    if len(bits) != INFO_BITS_PER_FRAME:
-        raise ValueError(f"expected {INFO_BITS_PER_FRAME} bits, got {len(bits)}")
-    return [b ^ p for b, p in zip(bits, _PRBS_FRAME)]
+def _bit_bytes(bits, size: int) -> bytes:
+    """The values of `size` bits, one byte each, from a list or tuple of
+    ints or from an array (through its tolist). bytes() raises ValueError
+    for a value outside 0..255."""
+    if len(bits) != size:
+        raise ValueError(f"expected {size} bits, got {len(bits)}")
+    return bytes(bits.tolist() if isinstance(bits, np.ndarray) else bits)
+
+
+def scramble(bits) -> list[int]:
+    """XOR with the fixed per-frame PRBS; applying it twice is identity.
+    Takes 270 bits as a list, a tuple (as a gather returns) or an array,
+    and returns a list. A value other than 0 or 1 (False and True count)
+    raises ValueError rather than pass on as value ^ PRBS bit."""
+    packed = int.from_bytes(_bit_bytes(bits, INFO_BITS_PER_FRAME), "big")
+    if packed & _NOT_BITS:
+        raise ValueError("bits must be 0 or 1")
+    return list((packed ^ _PRBS_INT).to_bytes(INFO_BITS_PER_FRAME, "big"))
 
 
 descramble = scramble
@@ -106,13 +147,15 @@ def deinterleave(bits: list[int]) -> tuple[list[int], list[int]]:
 
 
 def build_frame(info: list[int]) -> list[int]:
-    """Scramble, encode both halves (first half -> codeword A), interleave,
-    prepend the sync header. scramble checks the length."""
+    """Scramble, append to each half (the first is codeword A) its parity
+    bits from the parity matrix's masks, and gather the header and both
+    codewords into wire order by the kernels' layout formula. scramble
+    checks the length."""
     scrambled = scramble(info)
     matrix = default_parity_matrix()
-    cw_a = encode_parallel(scrambled[:HALF_INFO_BITS], matrix)
-    cw_b = encode_parallel(scrambled[HALF_INFO_BITS:], matrix)
-    return _HEADER + interleave(cw_a, cw_b)
+    a, b = scrambled[:HALF_INFO_BITS], scrambled[HALF_INFO_BITS:]
+    words = [*_HEADER, *a, *parity_bits(a, matrix), *b, *parity_bits(b, matrix)]
+    return list(_FRAME_FROM_WORDS(words))
 
 
 @dataclass
@@ -126,22 +169,28 @@ class UnframeResult:
 def unframe(frame: list[int]) -> UnframeResult:
     """Inverse chain. A header mismatch is reported, not fatal — the
     channel may corrupt it. Uncorrectable codewords pass their received
-    message region through unmodified."""
+    message region through unmodified. decode's message is the received
+    one unless it corrected the codeword, so without a correction the
+    scrambled info is gathered off the frame, and only a corrected
+    frame's messages are converted back to bits."""
     if len(frame) != FRAME_BITS:
         raise ValueError(f"expected {FRAME_BITS} bits, got {len(frame)}")
     header_ok = frame[:HEADER_BITS] == _HEADER
     word_a, word_b = deinterleave(frame[HEADER_BITS:])
     res_a = decode(word_a)
     res_b = decode(word_b)
-    scrambled = message_to_bits(res_a.message) + message_to_bits(res_b.message)
+    if CORRECTED in (res_a.status, res_b.status):
+        scrambled = message_to_bits(res_a.message) + message_to_bits(res_b.message)
+    else:
+        scrambled = _MESSAGES_FROM_FRAME(frame)
     return UnframeResult(descramble(scrambled), res_a, res_b, header_ok)
 
 
 def frame_to_bytes(frame: list[int]) -> bytes:
-    """Pack 320 bits big-endian: frame bit 0 is the MSB of byte 0."""
-    if len(frame) != FRAME_BITS:
-        raise ValueError(f"expected {FRAME_BITS} bits, got {len(frame)}")
-    return np.packbits(np.array(frame, np.uint8)).tobytes()
+    """Pack 320 bits big-endian: frame bit 0 is the MSB of byte 0. A
+    nonzero value packs as 1; one outside 0..255 raises ValueError."""
+    data = _bit_bytes(frame, FRAME_BITS)
+    return np.packbits(np.frombuffer(data, np.uint8)).tobytes()
 
 
 def bytes_to_frame(data: bytes) -> list[int]:
@@ -154,7 +203,6 @@ def bytes_to_frame(data: bytes) -> list[int]:
 
 _PRBS_ARRAY = np.array(_PRBS_FRAME, dtype=np.uint8)
 _HEADER_ARRAY = np.array(_HEADER, np.uint8)
-WORD_BITS = N_SYMBOLS * BITS_PER_SYMBOL  # 155
 # One codeword's bits in info/parity order (bit 5*s + i is bit i of symbol
 # s), as tables probed from the converter pair that owns that order.
 _SYMBOL_BITS = np.array(symbols_to_bits(range(32)), np.uint8).reshape(32, BITS_PER_SYMBOL)
@@ -182,13 +230,6 @@ _GF_INV = np.array(_INV, np.uint8)
 # same row packed with x^d in byte d.
 _DIVISION_TAPS = _GF_MUL[:, GENERATOR_POLY]
 _DIVISION_TAPS64 = _as_words(_DIVISION_TAPS)
-# Payload bit k comes from bit 155*c + 5*s + 4-i of [codeword A | codeword B]
-# in info/parity order (s = k // 10, c = k // 5 % 2, i = k % 5); _FROM_WIRE inverts it.
-_k = np.arange(PAYLOAD_BITS)
-_TO_WIRE = WORD_BITS * (_k // 5 % 2) + 5 * (_k // 10) + 4 - _k % 5
-_FROM_WIRE = np.empty_like(_TO_WIRE)
-_FROM_WIRE[_TO_WIRE] = _k
-del _k
 # _TO_WIRE for codewords of 8 bytes per symbol (_SYMBOL_WORDS).
 _TO_WIRE_PADDED = _TO_WIRE // BITS_PER_SYMBOL * 8 + _TO_WIRE % BITS_PER_SYMBOL
 

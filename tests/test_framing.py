@@ -1,15 +1,19 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rs3127 import (OK, DEFAULT_SYNC_HEADER, build_frame,
-                    bytes_to_frame, deinterleave, descramble, encode_reference,
-                    frame_to_bytes, interleave, scramble, unframe)
-from rs3127.framing import HEADER_BITS, PAYLOAD_BITS
+                    bytes_to_frame, default_parity_matrix, deinterleave, descramble,
+                    encode_parallel, encode_reference, frame_to_bytes, interleave,
+                    message_to_bits, scramble, unframe)
+from rs3127.framing import _HEADER, HEADER_BITS, PAYLOAD_BITS, decode_frames
 
 from oracles import frame_reference, prbs_reference
+from test_cli import _CODEWORD_STATES, _error_symbols
 
 bit_lists_270 = st.lists(st.integers(0, 1), min_size=270, max_size=270)
 codewords = st.lists(st.integers(0, 31), min_size=31, max_size=31)
@@ -38,6 +42,24 @@ def test_scrambler_state_never_reaches_zero():
 def test_scramble_length_contract():
     with pytest.raises(ValueError):
         scramble([0] * 269)
+
+
+@given(bit_lists_270)
+def test_scramble_takes_any_sequence_of_bits_and_returns_a_list(bits):
+    want = [b ^ p for b, p in zip(bits, prbs_reference(270))]
+    for form in (bits, tuple(bits), [bool(b) for b in bits],
+                 np.array(bits, np.uint8), np.array(bits, bool), np.array(bits)):
+        got = scramble(form)
+        assert type(got) is list and got == want
+
+
+def test_scramble_rejects_a_value_other_than_0_or_1():
+    for value, at in itertools.product([2, 3, 255, 256, -1], [0, 137, 269]):
+        bits = [1] * 270
+        bits[at] = value
+        for form in (bits, tuple(bits)):
+            with pytest.raises(ValueError):
+                scramble(form)
 
 
 # --- interleaver -------------------------------------------------------------
@@ -89,6 +111,43 @@ def test_frame_is_320_bits_with_the_sync_header():
     assert len(frame) == 320
     assert frame[:HEADER_BITS] == [DEFAULT_SYNC_HEADER >> (HEADER_BITS - 1 - i) & 1
                                    for i in range(HEADER_BITS)]
+
+
+@given(bit_lists_270)
+@example([0] * 270)
+@example([1] * 270)
+def test_build_frame_equals_the_symbol_composition(info):
+    """The wire gather gives the frame that encoding each half to symbols
+    and interleaving them gave."""
+    scrambled = scramble(info)
+    matrix = default_parity_matrix()
+    want = _HEADER + interleave(encode_parallel(scrambled[:135], matrix),
+                                encode_parallel(scrambled[135:], matrix))
+    assert build_frame(info) == want
+
+
+def test_unframe_info_from_the_frame_and_from_corrected_messages():
+    """One frame for each of the 16 (state A, state B) of test_cli's
+    _CODEWORD_STATES, with its symbol errors placed by `interleave`.
+    unframe gathers the info off the frame unless a codeword was corrected,
+    and converts decode's messages if one was: either way the info is the
+    descrambled messages, and decode_frames's row."""
+    rng = np.random.default_rng(18)
+    combos = list(itertools.product(range(4), repeat=2))
+    frames = []
+    for state_a, state_b in combos:
+        frame = build_frame(rng.integers(0, 2, 270).tolist())
+        flips = [0] * HEADER_BITS + interleave(_error_symbols(rng, state_a),
+                                               _error_symbols(rng, state_b))
+        frames.append([b ^ f for b, f in zip(frame, flips)])
+    rows = decode_frames(np.array(frames, np.uint8))[0].tolist()
+    for frame, row, (state_a, state_b) in zip(frames, rows, combos):
+        res = unframe(frame)
+        a, b = res.result_a, res.result_b
+        assert ((a.status, a.corrected_symbols), (b.status, b.corrected_symbols)) == (
+            _CODEWORD_STATES[state_a], _CODEWORD_STATES[state_b])
+        assert res.info == descramble(message_to_bits(a.message) + message_to_bits(b.message))
+        assert res.info == row
 
 
 def test_frame_build_is_stateless():
@@ -205,6 +264,23 @@ def test_frame_and_bytes_match_the_layout_oracle(info):
     assert frame_to_bytes(want) == want_bytes
     assert bytes_to_frame(want_bytes) == want
     assert unframe(want).info == info
+
+
+def test_byte_packing_of_every_value_at_every_position():
+    """A nonzero value packs as 1, as numpy packs a uint8 array: frame v
+    holds value (v + k) % 256 at bit k, so the 256 frames put every value
+    0..255 at every position."""
+    for v in range(256):
+        frame = [(v + k) % 256 for k in range(320)]
+        assert frame_to_bytes(frame) == np.packbits(np.array(frame, np.uint8)).tobytes()
+
+
+def test_frame_to_bytes_rejects_a_value_outside_a_byte():
+    for value in (256, -1):
+        frame = [0] * 320
+        frame[100] = value
+        with pytest.raises(ValueError):
+            frame_to_bytes(frame)
 
 
 def test_byte_length_contracts():
