@@ -4,40 +4,42 @@ into 310 payload bits, prepend the 10-bit header — and the exact inverse.
 Frame layout (320 bits): bits 0..9 header, MSB first; payload bit 10*s + i
 (relative to the payload start) is bit 4-i of symbol s of codeword A, and
 10*s + 5 + i is bit 4-i of symbol s of codeword B — 5-bit symbols of the
-two codewords alternate, MSB first on the wire. A frame is thus 64 five-bit
-wire slots; parallel_gen's symbols_to_bits/bits_to_symbols convert them and
-are the one owner of the symbol bit order. The header is always
+two codewords alternate, MSB first on the wire. The header is always
 DEFAULT_SYNC_HEADER. The scrambler is additive and frame-synchronous, so
 descrambling is the same operation and channel bit errors do not
 multiply. Its x^7 + x^6 + 1 register starts all-ones at each frame and
 shifts out its MSB, so the PRBS is seven ones, then bit n-7 XOR bit n-6.
 
-Two forms compute this chain, and both lay bits out on the wire by one
-formula (`_TO_WIRE`, inverted by `_FROM_WIRE`, checked against
-`interleave` on every bit); the layout's independent oracle is
-`frame_reference` in the tests, written bit by bit from the description
-above. `build_frame`/`unframe` take one frame as lists of bits.
-build_frame scrambles, appends each half's parity bits from the parity
-matrix's masks (`parity_bits`), and gathers the header and both
-codewords into wire order with one `operator.itemgetter`. unframe splits
-the payload into symbols (`deinterleave`) for the scalar `decode`, and
-gathers the scrambled info straight off the frame unless a codeword was
-corrected; neither goes through `encode_parallel` or `interleave`.
+Off the wire a codeword is 155 bits in info/parity order (bit 5*s + i is
+bit i of symbol s, as parallel_gen's converters give it), and one index
+states the layout: payload bit k is bit `_TO_WIRE[k]` of [codeword A |
+codeword B], and `_FROM_WIRE` inverts it. Every frame is laid out and
+read back by that index: `interleave`/`deinterleave` and both forms of
+the chain gather by it. Its independent oracles are
+`interleave_reference` and `frame_reference` in the tests, written bit
+by bit from the layout above.
+`build_frame`/`unframe` take one frame as lists of bits. build_frame
+scrambles, appends each half's parity bits from the parity matrix's
+masks (`parity_bits`), and gathers the header and both codewords into
+wire order with one `operator.itemgetter`. unframe gathers both
+codewords back with another, converts them to symbols for the scalar
+`decode`, and takes the scrambled info from that gather unless a
+codeword was corrected.
 The batch kernels `encode_frames`/`decode_frames` take `uint8[N, 270]`
 info and `uint8[N, 320]` frames and turn each layer into one array
 operation: scrambling is an XOR with the PRBS, parity and syndromes are
 each the `products` of a LinearMap (the parity matrix, and the syndrome
 map probed from compute_syndromes), and interleaving is one numpy gather
-by the layout formula.
+by the index.
 `encode_frames` is where an encoder is chosen; all three give the same
-frames, and each runs its own algorithm across the block: the parity
-matrix product, or the 27 steps of long division (`_divide`) or of the
-LFSR recurrence (`serial_encoder.shift_in_block`) on GF(32) symbols,
-none calling a scalar encoder. Those two hold each codeword's working
-symbols in one machine word, one byte per symbol, as a table-driven
-software CRC holds its register, so a step is a few numpy calls on M
-words and not on M x 5 bytes: on a block of 128 frames (2-core Xeon)
-that cut `_divide` from about 300 us to 120 us.
+frames, and each computes the parity by its own algorithm across the
+block: the parity matrix product, or the 27 steps of long division
+(`_divide`) or of the LFSR recurrence (`serial_encoder.shift_in_block`)
+on GF(32) symbols, none calling a scalar encoder. Those two hold each
+codeword's working symbols in one machine word, one byte per symbol, as
+a table-driven software CRC holds its register, so a step is a few numpy
+calls on M words and not on M x 5 bytes: on a block of 128 frames
+(2-core Xeon) that cut `_divide` from about 300 us to 120 us.
 `decode_frames` computes all syndromes in one product and corrects only
 the dirty codewords, each by its syndrome class (`_correct`): the one
 error pattern of weight <= 2 with those syndromes, if there is one, is
@@ -60,7 +62,7 @@ import numpy as np
 from .decoder import CORRECTED, DecodeResult, decode
 from .gf32 import MUL, gf_inv
 from .parallel_encoder import message_to_bits, parity_bits
-from .parallel_gen import (BITS_PER_SYMBOL, LinearMap, bits_to_symbols,
+from .parallel_gen import (BITS_PER_SYMBOL, N_PARITY_BITS, LinearMap, bits_to_symbols,
                            default_parity_matrix, symbols_to_bits)
 from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS, compute_syndromes
 from .serial_encoder import shift_in_block
@@ -73,8 +75,8 @@ HALF_INFO_BITS = 135
 FRAME_BYTES = 40
 
 DEFAULT_SYNC_HEADER = 0b1101010010
-# Its 10 bits as two wire slots, MSB first: the first 10 bits of every frame.
-_HEADER = symbols_to_bits(divmod(DEFAULT_SYNC_HEADER, 1 << BITS_PER_SYMBOL), msb_first=True)
+# Its 10 bits, MSB first: the first 10 bits of every frame.
+_HEADER = [DEFAULT_SYNC_HEADER >> (HEADER_BITS - 1 - i) & 1 for i in range(HEADER_BITS)]
 
 # Frames per kernel call in the CLI and the simulator. A block's parity
 # or syndrome product then has at most 256 rows, which numpy's bundled
@@ -99,11 +101,9 @@ _FROM_WIRE = np.empty_like(_TO_WIRE)
 _FROM_WIRE[_TO_WIRE] = _k
 del _k
 # The scalar chain's two gathers by that formula: the frame from the header
-# and codewords A and B in info/parity order, and the 270 message bits of
-# A then B from a frame.
+# and [codeword A | codeword B] in info/parity order, and back.
 _FRAME_FROM_WORDS = itemgetter(*range(HEADER_BITS), *(HEADER_BITS + _TO_WIRE).tolist())
-_MESSAGES_FROM_FRAME = itemgetter(
-    *(HEADER_BITS + _FROM_WIRE.reshape(2, WORD_BITS)[:, :HALF_INFO_BITS].ravel()).tolist())
+_WORDS_FROM_FRAME = itemgetter(*(HEADER_BITS + _FROM_WIRE).tolist())
 
 
 def _bit_bytes(bits, size: int) -> bytes:
@@ -130,20 +130,20 @@ descramble = scramble
 
 
 def interleave(a: list[int], b: list[int]) -> list[int]:
-    """310 wire bits from two 31-symbol codewords, symbols alternating."""
+    """310 wire bits from two 31-symbol codewords, symbols alternating:
+    the bits of [A | B] gathered by _TO_WIRE."""
     if len(a) != N_SYMBOLS or len(b) != N_SYMBOLS:
         raise ValueError(f"both codewords must have {N_SYMBOLS} symbols")
-    slots = [0] * (2 * N_SYMBOLS)
-    slots[0::2] = a
-    slots[1::2] = b
-    return symbols_to_bits(slots, msb_first=True)
+    return np.array(symbols_to_bits([*a, *b]), np.uint8)[_TO_WIRE].tolist()
 
 
 def deinterleave(bits: list[int]) -> tuple[list[int], list[int]]:
+    """The symbols of codewords A and B from 310 wire bits, gathered by
+    _FROM_WIRE."""
     if len(bits) != PAYLOAD_BITS:
         raise ValueError(f"expected {PAYLOAD_BITS} bits, got {len(bits)}")
-    slots = bits_to_symbols(bits, msb_first=True)
-    return slots[0::2], slots[1::2]
+    symbols = bits_to_symbols(np.asarray(bits)[_FROM_WIRE].tolist())
+    return symbols[:N_SYMBOLS], symbols[N_SYMBOLS:]
 
 
 def build_frame(info: list[int]) -> list[int]:
@@ -167,22 +167,24 @@ class UnframeResult:
 
 
 def unframe(frame: list[int]) -> UnframeResult:
-    """Inverse chain. A header mismatch is reported, not fatal — the
-    channel may corrupt it. Uncorrectable codewords pass their received
-    message region through unmodified. decode's message is the received
-    one unless it corrected the codeword, so without a correction the
-    scrambled info is gathered off the frame, and only a corrected
-    frame's messages are converted back to bits."""
+    """Inverse chain, on a frame as a list, a tuple or an array of bits.
+    A header mismatch is reported, not fatal — the channel may corrupt it.
+    Uncorrectable codewords pass their received message region through
+    unmodified. decode's message is the received one unless it corrected
+    the codeword, so without a correction the scrambled info is the
+    message bits of the gathered codewords, and only a corrected frame's
+    messages are converted back to bits."""
     if len(frame) != FRAME_BITS:
         raise ValueError(f"expected {FRAME_BITS} bits, got {len(frame)}")
-    header_ok = frame[:HEADER_BITS] == _HEADER
-    word_a, word_b = deinterleave(frame[HEADER_BITS:])
-    res_a = decode(word_a)
-    res_b = decode(word_b)
+    header_ok = list(frame[:HEADER_BITS]) == _HEADER
+    words = _WORDS_FROM_FRAME(frame)
+    symbols = bits_to_symbols(words)
+    res_a = decode(symbols[:N_SYMBOLS])
+    res_b = decode(symbols[N_SYMBOLS:])
     if CORRECTED in (res_a.status, res_b.status):
         scrambled = message_to_bits(res_a.message) + message_to_bits(res_b.message)
     else:
-        scrambled = _MESSAGES_FROM_FRAME(frame)
+        scrambled = words[:HALF_INFO_BITS] + words[WORD_BITS:WORD_BITS + HALF_INFO_BITS]
     return UnframeResult(descramble(scrambled), res_a, res_b, header_ok)
 
 
@@ -218,9 +220,6 @@ def _as_words(table: np.ndarray) -> np.ndarray:
     return padded.view("<u8")[:, 0]
 
 
-# A gather of a block of symbols from these words views as 8 bytes per
-# symbol, bit i in byte i.
-_SYMBOL_WORDS = _as_words(_SYMBOL_BITS)
 # GF(32) products and inverses as arrays, so field arithmetic over many
 # codewords is a gather; the inverse of 0 reads as 0.
 _INV = [0] + [gf_inv(a) for a in range(1, 32)]
@@ -230,8 +229,6 @@ _GF_INV = np.array(_INV, np.uint8)
 # same row packed with x^d in byte d.
 _DIVISION_TAPS = _GF_MUL[:, GENERATOR_POLY]
 _DIVISION_TAPS64 = _as_words(_DIVISION_TAPS)
-# _TO_WIRE for codewords of 8 bytes per symbol (_SYMBOL_WORDS).
-_TO_WIRE_PADDED = _TO_WIRE // BITS_PER_SYMBOL * 8 + _TO_WIRE % BITS_PER_SYMBOL
 
 
 def frame_blocks(start: int, stop: int):
@@ -277,25 +274,27 @@ def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     `parallel` is one GF(2) matrix product on bits; `reference` (long
     division) and `lfsr` (the shift-register recurrence) each run 27 steps
     across all 2N codewords at once on GF(32) symbols, a row's working
-    symbols packed in one machine word. Their codewords go to bits in one
-    gather of 8-byte words, read back as bytes through the stride-8 wire
-    index."""
+    symbols packed in one machine word, and only their 4 parity symbols
+    are turned back into bits. Each half then gets its 20 parity bits
+    appended, and one gather by _TO_WIRE puts every encoder's codewords on
+    the wire."""
     info = np.asarray(info, dtype=np.uint8)
     if info.ndim != 2 or info.shape[1] != INFO_BITS_PER_FRAME:
         raise ValueError(f"expected shape (N, {INFO_BITS_PER_FRAME}), got {info.shape}")
     n = len(info)
     halves = (info ^ _PRBS_ARRAY).reshape(2 * n, HALF_INFO_BITS)
     if encoder == "parallel":
-        words, to_wire = np.concatenate([halves, _parity(halves)], axis=1), _TO_WIRE
+        parity = _parity(halves)
     elif encoder in ("reference", "lfsr"):
         encode = _divide if encoder == "reference" else shift_in_block
-        words = _SYMBOL_WORDS.take(encode(_to_symbols(halves))).view(np.uint8)
-        to_wire = _TO_WIRE_PADDED
+        parity = _SYMBOL_BITS.take(encode(_to_symbols(halves))[:, K_SYMBOLS:], axis=0)
+        parity = parity.reshape(2 * n, N_PARITY_BITS)
     else:
         raise ValueError(f"unknown encoder {encoder!r}")
+    words = np.concatenate([halves, parity], axis=1)
     frames = np.empty((n, FRAME_BITS), np.uint8)
     frames[:, :HEADER_BITS] = _HEADER_ARRAY
-    frames[:, HEADER_BITS:] = words.reshape(n, 2 * words.shape[1])[:, to_wire]
+    frames[:, HEADER_BITS:] = words.reshape(n, 2 * WORD_BITS)[:, _TO_WIRE]
     return frames
 
 

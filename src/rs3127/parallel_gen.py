@@ -9,9 +9,9 @@ GF(2)-linear in the message bits.
 
 Bit indexing: information bit 5*j + i is bit i (LSB = x^0 coefficient)
 of message symbol j; parity bit 5*jp + i likewise for parity symbol jp.
-On the wire each symbol goes MSB first instead. `symbols_to_bits` and
-`bits_to_symbols` are the one owner of both orders; the parallel encoder
-and framing convert through them and never shift symbol bits themselves.
+`symbols_to_bits` and `bits_to_symbols` convert in this one order, and
+the parallel encoder and framing never shift symbol bits themselves. Where
+those bits go on the wire is framing's business alone (`_TO_WIRE`).
 
 Netlist text format (one item per line, `#` starts a comment)::
 
@@ -45,23 +45,22 @@ BITS_PER_SYMBOL = 5
 N_INFO_BITS = K_SYMBOLS * BITS_PER_SYMBOL  # 135
 N_PARITY_BITS = N_PARITY * BITS_PER_SYMBOL  # 20
 
-# The five bits of every symbol value, x^0 coefficient first / x^4 first,
-# and the symbol of every such 5-tuple.
-_LSB_FIRST = [tuple(s >> i & 1 for i in range(BITS_PER_SYMBOL)) for s in range(32)]
-_MSB_FIRST = [bits[::-1] for bits in _LSB_FIRST]
-_SYMBOL_OF = [{bits: s for s, bits in enumerate(table)} for table in (_LSB_FIRST, _MSB_FIRST)]
+# The five bits of every symbol value, x^0 coefficient first, and the
+# symbol of every such 5-tuple.
+_BITS_OF = [tuple(s >> i & 1 for i in range(BITS_PER_SYMBOL)) for s in range(32)]
+_SYMBOL_OF = {bits: s for s, bits in enumerate(_BITS_OF)}
 
 
-def symbols_to_bits(symbols, msb_first: bool = False) -> list[int]:
-    """Bit 5*j + i is bit i of symbol j (0..31), or bit 4 - i if msb_first."""
-    table = _MSB_FIRST if msb_first else _LSB_FIRST
-    return list(chain.from_iterable(map(table.__getitem__, symbols)))
+def symbols_to_bits(symbols) -> list[int]:
+    """Bit 5*j + i is bit i of symbol j (0..31)."""
+    return list(chain.from_iterable(map(_BITS_OF.__getitem__, symbols)))
 
 
-def bits_to_symbols(bits, msb_first: bool = False) -> list[int]:
-    """Exact inverse of symbols_to_bits; len(bits) must be a multiple of 5."""
+def bits_to_symbols(bits) -> list[int]:
+    """Exact inverse of symbols_to_bits, from a list, a tuple or an array
+    row of bits; ValueError unless there are a multiple of 5."""
     groups = zip(*[iter(bits)] * BITS_PER_SYMBOL, strict=True)
-    return list(map(_SYMBOL_OF[msb_first].__getitem__, groups))
+    return list(map(_SYMBOL_OF.__getitem__, groups))
 
 
 ZERO = "ZERO"

@@ -134,22 +134,29 @@ def probe_matrix_from_reference_encoder() -> tuple[int, ...]:
     return tuple(rows)
 
 
+def interleave_reference(a: list[int], b: list[int]) -> list[int]:
+    """The 310 payload bits of codewords A and B (31 symbols each), written
+    bit by bit from the layout in the framing module docstring: symbol s
+    of A, then symbol s of B, five bits each, MSB first."""
+    wire = []
+    for s in range(31):
+        for word in (a, b):
+            wire += [(word[s] >> (4 - i)) & 1 for i in range(5)]
+    return wire
+
+
 def frame_reference(info: list[int]) -> list[int]:
     """The 320-bit frame for 270 info bits, written bit by bit from the
     layout in the framing module docstring: scramble with the PRBS,
     info bits 5*j + i -> bit i of message symbol j (first 135 bits feed
-    codeword A), 10-bit header MSB first, then symbol s of A and of B as
-    five bits each, MSB first."""
+    codeword A), 10-bit header MSB first, then interleave_reference."""
     scrambled = [b ^ p for b, p in zip(info, prbs_reference(270))]
     words = []
     for half in (scrambled[:135], scrambled[135:]):
         msg = [sum(half[5 * j + i] << i for i in range(5)) for j in range(27)]
         words.append(rs_encode_reference(msg))
-    frame = [(SYNC_HEADER >> (9 - k)) & 1 for k in range(10)]
-    for s in range(31):
-        for word in words:
-            frame += [(word[s] >> (4 - i)) & 1 for i in range(5)]
-    return frame
+    header = [(SYNC_HEADER >> (9 - k)) & 1 for k in range(10)]
+    return header + interleave_reference(*words)
 
 
 def binom_tail(n: int, p: float, k: int) -> float:

@@ -12,7 +12,7 @@ from rs3127 import (OK, DEFAULT_SYNC_HEADER, build_frame,
                     message_to_bits, scramble, unframe)
 from rs3127.framing import _HEADER, HEADER_BITS, PAYLOAD_BITS, decode_frames
 
-from oracles import frame_reference, prbs_reference
+from oracles import frame_reference, interleave_reference, prbs_reference
 from test_cli import _CODEWORD_STATES, _error_symbols
 
 bit_lists_270 = st.lists(st.integers(0, 1), min_size=270, max_size=270)
@@ -78,6 +78,11 @@ def test_interleave_layout():
     assert out[0:5] == [1, 0, 1, 1, 0]  # symbol 0 of A, MSB first
     assert out[5:10] == [0, 0, 1, 1, 1]
     assert all(bit == 0 for bit in out[10:])
+
+
+@given(codewords, codewords)
+def test_interleave_equals_the_layout_oracle(a, b):
+    assert interleave(a, b) == interleave_reference(a, b)
 
 
 def test_20_bit_burst_at_offset_zero_hits_two_symbols_per_codeword():
@@ -174,6 +179,21 @@ def test_header_corruption_is_flagged_but_payload_still_decodes():
     res = unframe(frame)
     assert not res.header_ok
     assert res.info == payload
+
+
+def test_unframe_reads_a_list_a_tuple_and_an_array_alike():
+    """header_ok is a plain bool, True for the sync header and False with
+    any one header bit flipped, and the info is the payload, whether the
+    frame is a list, a tuple or a uint8 array."""
+    payload = random_payload(random.Random(6007))
+    for flip in (None, *range(HEADER_BITS)):
+        frame = build_frame(payload)
+        if flip is not None:
+            frame[flip] ^= 1
+        for form in (frame, tuple(frame), np.array(frame, np.uint8)):
+            res = unframe(form)
+            assert res.header_ok is (flip is None)
+            assert res.info == payload
 
 
 def burst_recovery(payload, offset, length):

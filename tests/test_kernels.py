@@ -18,7 +18,7 @@ from rs3127.framing import HEADER_BITS, decode_frames, encode_frames, interleave
 from rs3127.parallel_gen import LinearMap, _gf2_rank, build_xor3_network, expected_depth
 from rs3127.serial_encoder import LfsrEncoder, shift_in_block
 
-from oracles import frame_reference, rs_encode_reference
+from oracles import frame_reference, interleave_reference, rs_encode_reference
 
 ENCODERS = ("parallel", "reference", "lfsr")
 bit_lists_270 = st.lists(st.integers(0, 1), min_size=270, max_size=270)
@@ -107,9 +107,8 @@ def test_batch_encoders_equal_the_scalar_encoders_on_a_full_block():
 
 @pytest.mark.parametrize("packed, table", [
     (serial_encoder._TAPS32, serial_encoder._TAPS),
-    (framing._DIVISION_TAPS64, framing._DIVISION_TAPS),
-    (framing._SYMBOL_WORDS, framing._SYMBOL_BITS)],
-    ids=["lfsr-taps", "division-taps", "symbol-bits"])
+    (framing._DIVISION_TAPS64, framing._DIVISION_TAPS)],
+    ids=["lfsr-taps", "division-taps"])
 def test_packed_tables_hold_byte_d_in_bits_8d(packed, table):
     """Byte d of each packed row, read back by shifts, is column d of the
     uint8 table it packs, and the bytes above the table are zero, on a
@@ -166,13 +165,13 @@ def test_kernel_contracts():
         decode_frames(np.zeros((1, 319), np.uint8))
 
 
-def test_wire_gather_puts_every_source_bit_where_interleave_does():
+def test_wire_gather_puts_every_source_bit_where_the_layout_oracle_does():
     """Each of the 310 unit vectors of [codeword A | codeword B] (info/parity
-    bit order) lands on the wire bit interleave puts it on; _FROM_WIRE
-    inverts _TO_WIRE."""
+    bit order) lands on the wire bit interleave_reference puts it on;
+    _FROM_WIRE inverts _TO_WIRE."""
     for j, unit in enumerate(np.eye(310, dtype=np.uint8)):
         symbols = framing._to_symbols(unit).tolist()
-        want = interleave(symbols[:31], symbols[31:])
+        want = interleave_reference(symbols[:31], symbols[31:])
         assert unit[framing._TO_WIRE].tolist() == want
         assert framing._FROM_WIRE[j] == want.index(1)
     assert sorted(framing._TO_WIRE.tolist()) == list(range(310))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from rs3127 import parity_bits
 from rs3127.parallel_gen import (MATRIX_HEADER, N_INFO_BITS, N_PARITY_BITS,
-                                 LinearMap, build_xor3_network,
+                                 LinearMap, bits_to_symbols, build_xor3_network,
                                  derive_parity_matrix, emit_netlist,
                                  expected_depth, matrix_from_text,
-                                 matrix_to_text, parse_netlist)
+                                 matrix_to_text, parse_netlist, symbols_to_bits)
 
 from oracles import probe_matrix_from_reference_encoder
 
@@ -187,6 +187,22 @@ def test_matrix_text_rejects_malformed_rows():
     good = matrix_to_text(derive_parity_matrix())
     with pytest.raises(ValueError, match="20 matrix rows"):
         matrix_from_text("\n".join(good.splitlines()[:-1]) + "\n")
+
+
+# --- symbol/bit converters ----------------------------------------------------
+
+def test_converters_put_bit_i_of_symbol_j_at_5j_plus_i():
+    """All 32 symbols round-trip, bit 5*j + i is bit i of symbol j,
+    bits_to_symbols reads a list, a tuple and an array row alike, and a
+    length that is not a multiple of 5 raises ValueError."""
+    symbols = list(range(32))
+    bits = symbols_to_bits(symbols)
+    assert bits == [s >> i & 1 for s in symbols for i in range(5)]
+    for form in (bits, tuple(bits), np.array([bits], np.uint8)[0]):
+        assert bits_to_symbols(form) == symbols
+    for length in (1, 4, 6, 159):
+        with pytest.raises(ValueError):
+            bits_to_symbols([0] * length)
 
 
 # --- LinearMap ---------------------------------------------------------------
