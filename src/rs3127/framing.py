@@ -341,11 +341,20 @@ def _correction_table() -> np.ndarray:
     return table
 
 
-# Dirty codewords up to which `_correct` uses `_lookup_lists`, not
-# `_lookup_arrays`; both see only the dirty rows, so one count serves any
-# block size. Timing each form alone on D rows (2-core Xeon), lists took
-# 0.3 us + 0.86 us per row and arrays 13 us + 0.07 us: equal near 16.
-_FEW_DIRTY = 16
+# Dirty codewords up to which `_correct` solves each row on its own
+# (`_lookup_lists` and per-row writes), not in table gathers
+# (`_lookup_arrays` and fancy-index writes); both see only the dirty rows,
+# so one count serves any block size. `_correct` on 16 codewords with D of
+# them dirty, per-row against array form (us, median of five runs of the
+# min of 300 x 20 calls, 2-core Xeon):
+#
+#     D     0     1     2     4     8    10    11    12    14    16
+#   row    13    18    19    23    35    38    42    38    44    50
+#   array  19    41    40    43    40    42    42    41    41    43
+#
+# Per-row adds about 2.3 us a dirty row, the array form about 28 us at any
+# count: per-row is faster up to 10, level at 11 and 12, slower from 14.
+_FEW_DIRTY = 12
 
 
 def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,11 +363,13 @@ def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     One product gives the syndromes of all rows; a row with zero syndrome
     is clean and costs nothing more. A dirty row gets the error pattern of
-    weight <= 2 with its syndromes from `_correction_table`, through
-    `_lookup_lists` for at most _FEW_DIRTY dirty rows, else through
-    `_lookup_arrays`, and is uncorrectable if there is none. bits is a copy
-    of words, one 5-bit group per symbol, with each error value XORed into
-    its group. ok is False only for the codewords decode reports
+    weight <= 2 with its syndromes from `_correction_table`, and is
+    uncorrectable if there is none. For at most _FEW_DIRTY dirty rows the
+    lookup is `_lookup_lists`, and each row's fix is written on its own
+    (its nu and its two 5-bit groups, or ok False); for more, the lookup
+    is `_lookup_arrays` and the fixes are written by fancy indexing. bits
+    is a copy of words, one 5-bit group per symbol, with each error value
+    XORed into its group. ok is False only for the codewords decode reports
     uncorrectable, which stay as received; nu is the number of symbols
     corrected. Row for row this is what decode returns."""
     synd = _to_symbols(_syndrome_map().products(words))
@@ -367,10 +378,17 @@ def _correct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bits = words.reshape(-1, N_SYMBOLS, BITS_PER_SYMBOL).copy()
     if not len(rows):
         return ok, bits, nu
-    if len(rows) > _FEW_DIRTY:
-        fix_nu, first, y1, last, y2 = _lookup_arrays(synd[rows])
-    else:
-        fix_nu, first, y1, last, y2 = np.array(_lookup_lists(synd[rows].tolist()), int).T
+    if len(rows) <= _FEW_DIRTY:
+        for r, (fix_nu, first, y1, last, y2) in zip(rows.tolist(),
+                                                    _lookup_lists(synd[rows].tolist())):
+            if fix_nu:
+                nu[r] = fix_nu
+                bits[r, first] ^= _SYMBOL_BITS[y1]
+                bits[r, last] ^= _SYMBOL_BITS[y2]
+            else:
+                ok[r] = False
+        return ok, bits, nu
+    fix_nu, first, y1, last, y2 = _lookup_arrays(synd[rows])
     ok[rows], nu[rows] = fix_nu > 0, fix_nu
     bits[rows, first] ^= _SYMBOL_BITS[y1]
     bits[rows, last] ^= _SYMBOL_BITS[y2]

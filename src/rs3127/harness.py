@@ -9,7 +9,8 @@ counters as a serial run.
 `integers(0, 2, 270)` on frame_rng(seed, index), and the flips are
 channel_flips on the same generator. The simulator draws the same bits
 in blocks of framing.BLOCK_FRAMES frames (`_draw_block`). It keeps one
-Philox per call, re-keys it to (seed, index) at counter 0 for each frame,
+Philox per thread, built on first use, and re-keys it to (seed, index) at
+counter 0 for each frame, so no state carries over from an earlier call,
 and reads the block's payloads and independent flips off the raw 64-bit
 words in a few array operations; bursts alone are drawn per frame,
 continuing each frame's stream. Each block then runs through the batch
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -119,7 +121,9 @@ def _draw_block(cfg: ChannelConfig, block: range,
     135 + 320 raw words (320 only when ber > 0) land in one array. numpy
     draws an integer in [0, 2) from one uint32, low half of a word first,
     as the uint32's top bit, and random() as (word >> 11) * 2**-53, which
-    is below ber exactly when word >> 11 is below ceil(ber * 2**53).
+    is below ber exactly when word >> 11 is below ceil(ber * 2**53), that
+    is, when word is at most ceil(ber * 2**53) * 2**11 - 1 (which fits in
+    64 bits, also at ber = 1).
     Bursts are drawn through gen, so they continue each frame's stream
     right after those words."""
     n = len(block)
@@ -145,7 +149,7 @@ def _draw_block(cfg: ChannelConfig, block: range,
     halves = words[:, :_PAYLOAD_WORDS].astype("<u8", copy=False).view("<u4")
     payload = halves >= 2**31
     if cfg.ber > 0:
-        flips = (words[:, _PAYLOAD_WORDS:] >> 11) < math.ceil(cfg.ber * 2.0**53)
+        flips = words[:, _PAYLOAD_WORDS:] <= (math.ceil(cfg.ber * 2.0**53) << 11) - 1
     else:
         flips = np.zeros((n, FRAME_BITS), bool)
     flips = flips.view(np.uint8)
@@ -154,25 +158,42 @@ def _draw_block(cfg: ChannelConfig, block: range,
     return payload.view(np.uint8), flips
 
 
+_local = threading.local()
+
+
+def _thread_generator() -> np.random.Generator:
+    """This thread's generator for _draw_block, which sets its whole state
+    for every frame. One per thread, so that two threads simulating at
+    once never re-key each other's."""
+    try:
+        return _local.gen
+    except AttributeError:
+        _local.gen = np.random.Generator(np.random.Philox(key=0))
+        return _local.gen
+
+
 def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
-    stats = TrialStats()
-    gen = np.random.Generator(np.random.Philox(key=0))  # re-keyed for every frame
+    """Counters of frames start..start+count-1, from each block's wrong
+    bits per codeword half: pre counts the payload bits the channel
+    flipped, post the info bits wrong after decoding."""
+    stats = TrialStats(frames_total=count)
+    gen = _thread_generator()
     for block in frame_blocks(start, start + count):
         payload, flips = _draw_block(cfg, block, gen)
-        info, ok, _, _ = decode_frames(encode_frames(payload) ^ flips)
+        frames = encode_frames(payload)
+        frames ^= flips
+        info, ok, _, _ = decode_frames(frames)
 
-        pre_bits = flips[:, HEADER_BITS:].sum(axis=1)
-        wrong = info != payload
-        post_bits = wrong.sum(axis=1)
-        wrong_half = wrong.reshape(-1, HALF_INFO_BITS).any(axis=1)
-        stats.frames_total += len(block)
-        stats.bit_err_pre += int(pre_bits.sum())
-        stats.bit_err_post += int(post_bits.sum())
-        stats.frames_err_pre += int(np.count_nonzero(pre_bits))
-        stats.frames_err_post += int(np.count_nonzero(post_bits))
-        stats.frames_recovered += int(np.count_nonzero((pre_bits > 0) & (post_bits == 0)))
-        stats.detected_uncorrectable += int(np.count_nonzero(~ok))
-        stats.miscorrections += int(np.count_nonzero(wrong_half & ok))
+        pre = flips[:, HEADER_BITS:].sum(axis=1)
+        half = (info != payload).reshape(-1, HALF_INFO_BITS).sum(axis=1)
+        post = half[::2] + half[1::2]
+        stats.bit_err_pre += int(pre.sum())
+        stats.bit_err_post += int(half.sum())
+        stats.frames_err_pre += int(np.count_nonzero(pre))
+        stats.frames_err_post += int(np.count_nonzero(post))
+        stats.frames_recovered += int(np.count_nonzero((pre > 0) & (post == 0)))
+        stats.detected_uncorrectable += len(ok) - int(np.count_nonzero(ok))
+        stats.miscorrections += int(np.count_nonzero(ok & (half > 0)))
     return stats
 
 

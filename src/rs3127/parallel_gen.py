@@ -46,13 +46,15 @@ N_INFO_BITS = K_SYMBOLS * BITS_PER_SYMBOL  # 135
 N_PARITY_BITS = N_PARITY * BITS_PER_SYMBOL  # 20
 
 # The five bits of every symbol value, x^0 coefficient first, and the
-# symbol of every such 5-tuple.
-_BITS_OF = [tuple(s >> i & 1 for i in range(BITS_PER_SYMBOL)) for s in range(32)]
-_SYMBOL_OF = {bits: s for s, bits in enumerate(_BITS_OF)}
+# symbol of every such 5-tuple. Both are dicts, so a value outside them
+# raises KeyError: a list would read symbol -1 as 31.
+_BITS_OF = {s: tuple(s >> i & 1 for i in range(BITS_PER_SYMBOL)) for s in range(32)}
+_SYMBOL_OF = {bits: s for s, bits in _BITS_OF.items()}
 
 
 def symbols_to_bits(symbols) -> list[int]:
-    """Bit 5*j + i is bit i of symbol j (0..31)."""
+    """Bit 5*j + i is bit i of symbol j; KeyError for a symbol outside
+    0..31."""
     return list(chain.from_iterable(map(_BITS_OF.__getitem__, symbols)))
 
 

@@ -11,6 +11,7 @@ from rs3127 import (OK, DEFAULT_SYNC_HEADER, build_frame,
                     encode_parallel, encode_reference, frame_to_bytes, interleave,
                     message_to_bits, scramble, unframe)
 from rs3127.framing import _HEADER, HEADER_BITS, PAYLOAD_BITS, decode_frames
+from rs3127.parallel_gen import symbols_to_bits
 
 from oracles import frame_reference, interleave_reference, prbs_reference
 from test_cli import _CODEWORD_STATES, _error_symbols
@@ -102,6 +103,23 @@ def test_interleave_length_contracts():
         interleave([0] * 30, [0] * 31)
     with pytest.raises(ValueError):
         deinterleave([0] * 309)
+
+
+@pytest.mark.parametrize("symbol", [-1, 32])
+@pytest.mark.parametrize("place", [0, 26])
+def test_a_symbol_outside_0_to_31_raises_at_either_end(symbol, place):
+    """A symbol just below or just above the field raises KeyError through
+    each converter, where a table indexed by it would wrap -1 to 31."""
+    word = [0] * 31
+    word[place] = symbol
+    with pytest.raises(KeyError):
+        symbols_to_bits(word)
+    with pytest.raises(KeyError):
+        message_to_bits(word[:27])
+    with pytest.raises(KeyError):
+        interleave(word, [0] * 31)
+    with pytest.raises(KeyError):
+        interleave([0] * 31, word)
 
 
 # --- frame build / unframe ---------------------------------------------------

@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rs3127
 from rs3127 import (UNCORRECTABLE, ChannelConfig, TrialStats, apply_channel,
                     build_frame, emit_stats, frame_rng, run_simulation, run_sweep,
                     unframe)
@@ -111,6 +117,62 @@ def test_worker_count_is_capped_by_cpus_and_frames(monkeypatch, cpus, jobs, fram
     stats = run_simulation(cfg, jobs=jobs)
     assert _SerialPool.max_workers == pools
     assert stats == harness._run_frames(cfg, 0, frames)
+
+
+def _fresh_process_record(cfg):
+    """emit_stats of cfg from `python -m rs3127 simulate` in a new interpreter."""
+    argv = ["simulate", "--ber", repr(cfg.ber), "--burst-len", str(cfg.burst_len),
+            "--burst-rate", repr(cfg.burst_rate), "--frames", str(cfg.frames),
+            "--seed", str(cfg.seed)]
+    env = dict(os.environ, PYTHONPATH=str(Path(rs3127.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "rs3127", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_no_generator_state_carries_over_from_an_earlier_call():
+    """The thread's generator is reused from call to call. A bursty config
+    leaves it holding half of a raw word (has_uint32), from its last
+    `integers` draw; a burst-free config and another bursty one run after
+    it still give the records of a fresh process."""
+    run_simulation(ChannelConfig(ber=1e-3, burst_len=6, burst_rate=3.0, seed=2, frames=40))
+    assert harness._thread_generator().bit_generator.state["has_uint32"] == 1
+    for cfg in (ChannelConfig(ber=2e-2, seed=6, frames=40),
+                ChannelConfig(ber=1e-3, burst_len=6, burst_rate=3.0, seed=7, frames=40)):
+        assert emit_stats([(cfg, run_simulation(cfg))]) == _fresh_process_record(cfg)
+
+
+def test_threads_simulating_at_once_get_their_serial_counters():
+    """Four threads, more than the cores of a small host, run four
+    configs (three bursty) at the same time, ten times each, with the interpreter
+    switching threads as often as it can: each thread re-keys its own
+    generator, so every run gives the serial counters. With one generator
+    shared by all threads, runs interleave their re-keying and this fails."""
+    cfgs = [ChannelConfig(ber=ber, burst_len=burst_len, burst_rate=rate, seed=21 + k, frames=40)
+            for k, (ber, burst_len, rate) in enumerate(
+                [(1e-2, 6, 0.5), (2e-3, 20, 1.0), (5e-3, 0, 0.0), (1e-3, 6, 3.0)])]
+    want = [run_simulation(cfg) for cfg in cfgs]
+    got = [[] for _ in cfgs]
+    start = threading.Barrier(len(cfgs))
+
+    def simulate(k):
+        start.wait(timeout=60)
+        for _ in range(10):
+            got[k].append(run_simulation(cfgs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=simulate, args=(k,)) for k in range(len(cfgs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[stats] * 10 for stats in want]
 
 
 def test_accounting_identity():
