@@ -1,26 +1,19 @@
 """Channel simulator and pre/post-correction statistics.
 
-Each frame's payload and corruption stream come from a Philox generator
-keyed by (seed, frame index), so trials are replay-identical and
-independent of execution order — worker-pool runs merge to the same
-counters as a serial run.
-
-`frame_rng` and `channel_flips` define that stream: the payload is
-`integers(0, 2, 270)` on frame_rng(seed, index), and the flips are
-channel_flips on the same generator. The simulator draws the same bits
-in blocks of framing.BLOCK_FRAMES frames (`_draw_block`). It keeps one
-Philox per thread, built on first use, and re-keys it to (seed, index) at
-counter 0 for each frame, so no state carries over from an earlier call,
-and reads the block's payloads and independent flips off the raw 64-bit
-words in a few array operations; bursts alone are drawn per frame,
-continuing each frame's stream. Each block then runs through the batch
-kernels `encode_frames` and `decode_frames`; `apply_channel` and the
-scalar `build_frame`/`unframe` give the same frames and decodes one at
-a time.
+Each frame's payload and flips come from a Philox generator keyed by
+(seed, frame index), so trials are replay-identical and independent of
+execution order: worker-pool runs merge to the serial counters.
+`frame_rng` and `channel_flips` define that stream (the payload is
+`integers(0, 2, 270)`, then the flips). The simulator draws only the
+flips, a block of frames at a time (`_draw_block`), and decodes them
+against the frame of the all-zero payload, since no counter depends on
+the payload (`_run_frames`); `apply_channel` and `build_frame`/`unframe`
+run the full chain one frame at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -46,6 +39,10 @@ class ChannelConfig:
     frames: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("burst_len", "seed", "frames"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.ber <= 1.0:
             raise ValueError(f"ber must be in [0, 1], got {self.ber}")
         if not math.isfinite(self.burst_rate):
@@ -110,22 +107,17 @@ def apply_channel(frame: list[int], cfg: ChannelConfig,
     return (np.array(frame, np.uint8) ^ channel_flips(cfg, rng)).tolist()
 
 
-def _draw_block(cfg: ChannelConfig, block: range,
-                gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(payload uint8[n, 270], flips uint8[n, 320]) of the frames in block:
-    row r equals frame_rng(cfg.seed, block[r]).integers(0, 2, 270)
-    followed by channel_flips(cfg, rng) on the same generator.
+def _draw_block(cfg: ChannelConfig, block: range, gen: np.random.Generator) -> np.ndarray:
+    """flips uint8[n, 320] of the frames in block: row r equals
+    channel_flips(cfg, rng) on rng = frame_rng(cfg.seed, block[r]) right
+    after the payload draw integers(0, 2, 270), which spends 135 raw words.
 
     gen's Philox is re-keyed to (seed, frame index) at counter 0 for each
-    frame, which is the generator frame_rng builds, and its first
-    135 + 320 raw words (320 only when ber > 0) land in one array. numpy
-    draws an integer in [0, 2) from one uint32, low half of a word first,
-    as the uint32's top bit, and random() as (word >> 11) * 2**-53, which
-    is below ber exactly when word >> 11 is below ceil(ber * 2**53), that
-    is, when word is at most ceil(ber * 2**53) * 2**11 - 1 (which fits in
-    64 bits, also at ber = 1).
-    Bursts are drawn through gen, so they continue each frame's stream
-    right after those words."""
+    frame, as frame_rng builds it, and its first 135 + 320 raw words (320
+    only when ber > 0) land in one array. random() < ber holds exactly
+    when the word is at most ceil(ber * 2**53) * 2**11 - 1: random() is
+    (word >> 11) * 2**-53, and the bound fits in 64 bits, also at ber = 1.
+    Bursts are drawn through gen, continuing each frame's stream."""
     n = len(block)
     n_words = _PAYLOAD_WORDS + (FRAME_BITS if cfg.ber > 0 else 0)
     words = np.empty((n, n_words), np.uint64)
@@ -145,9 +137,6 @@ def _draw_block(cfg: ChannelConfig, block: range,
             for _ in range(gen.poisson(cfg.burst_rate)):
                 bursts.append((row, int(gen.integers(0, FRAME_BITS - span + 1))))
 
-    # Little-endian view: the low half of each word first on any host.
-    halves = words[:, :_PAYLOAD_WORDS].astype("<u8", copy=False).view("<u4")
-    payload = halves >= 2**31
     if cfg.ber > 0:
         flips = words[:, _PAYLOAD_WORDS:] <= (math.ceil(cfg.ber * 2.0**53) << 11) - 1
     else:
@@ -155,7 +144,7 @@ def _draw_block(cfg: ChannelConfig, block: range,
     flips = flips.view(np.uint8)
     for row, off in bursts:
         flips[row, off:off + span] ^= 1
-    return payload.view(np.uint8), flips
+    return flips
 
 
 _local = threading.local()
@@ -172,20 +161,31 @@ def _thread_generator() -> np.random.Generator:
         return _local.gen
 
 
+@functools.cache
+def _zero_frame() -> np.ndarray:
+    """uint8[1, 320]: the frame of the all-zero payload."""
+    return encode_frames(np.zeros((1, INFO_BITS_PER_FRAME), np.uint8))
+
+
 def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
     """Counters of frames start..start+count-1, from each block's wrong
     bits per codeword half: pre counts the payload bits the channel
-    flipped, post the info bits wrong after decoding."""
+    flipped, post the info bits wrong after decoding.
+
+    Encoding is affine: the frame of payload p is Z ^ C(p), Z the frame
+    of p = 0 (`_zero_frame`) and C(p) two codewords. Decoding reads only
+    each codeword's syndrome, which for Z ^ C(p) ^ e is that of e, XORs
+    in the fix it gives, and descrambles. So decoding Z ^ e gives the same
+    ok and nu, and as info the info decoded from Z ^ C(p) ^ e XOR p: the
+    wrong info bits. No block is encoded."""
     stats = TrialStats(frames_total=count)
     gen = _thread_generator()
     for block in frame_blocks(start, start + count):
-        payload, flips = _draw_block(cfg, block, gen)
-        frames = encode_frames(payload)
-        frames ^= flips
-        info, ok, _, _ = decode_frames(frames)
+        flips = _draw_block(cfg, block, gen)
+        info, ok, _, _ = decode_frames(flips ^ _zero_frame())
 
         pre = flips[:, HEADER_BITS:].sum(axis=1)
-        half = (info != payload).reshape(-1, HALF_INFO_BITS).sum(axis=1)
+        half = info.reshape(-1, HALF_INFO_BITS).sum(axis=1)
         post = half[::2] + half[1::2]
         stats.bit_err_pre += int(pre.sum())
         stats.bit_err_post += int(half.sum())

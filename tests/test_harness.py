@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ from rs3127 import (UNCORRECTABLE, ChannelConfig, TrialStats, apply_channel,
                     build_frame, emit_stats, frame_rng, run_simulation, run_sweep,
                     unframe)
 from rs3127 import harness
-from rs3127.framing import BLOCK_FRAMES, frame_blocks
+from rs3127.framing import BLOCK_FRAMES, encode_frames, frame_blocks
 from rs3127.harness import _draw_block, channel_flips
 
 
@@ -32,6 +33,21 @@ def test_config_validation():
     for rate in (320.5, 1e9):
         with pytest.raises(ValueError, match=f"burst_rate must be at most 320, got {rate}"):
             ChannelConfig(burst_len=6, burst_rate=rate)
+
+
+@pytest.mark.parametrize("field", ["seed", "burst_len", "frames"])
+def test_integer_fields_reject_other_values(field):
+    """A float seed used to run the stream of its integer part while the
+    record printed the float; a float burst_len or frames failed inside
+    the draw with TypeError."""
+    for value in (1.5, 2.0, "3", True, None):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            ChannelConfig(**{field: value})
+    cfg = ChannelConfig(ber=1e-2, burst_len=6, burst_rate=0.5, seed=3, frames=20)
+    as_numpy = ChannelConfig(ber=1e-2, burst_len=np.int64(6), burst_rate=0.5,
+                             seed=np.uint64(3), frames=np.int32(20))
+    assert emit_stats([(as_numpy, run_simulation(as_numpy))]) == emit_stats(
+        [(cfg, run_simulation(cfg))])
 
 
 def test_quiet_channel_is_identity():
@@ -281,13 +297,11 @@ def test_block_draw_is_the_per_frame_stream(seed):
         cfg = ChannelConfig(ber=ber, burst_len=burst_len, burst_rate=burst_rate,
                             seed=seed, frames=stop)
         gen = np.random.Generator(np.random.Philox(key=0))
-        drawn = [_draw_block(cfg, block, gen) for block in blocks]
-        payload = np.concatenate([p for p, _ in drawn])
-        flips = np.concatenate([f for _, f in drawn])
-        assert payload.dtype == flips.dtype == np.uint8
+        flips = np.concatenate([_draw_block(cfg, block, gen) for block in blocks])
+        assert flips.dtype == np.uint8
         for row, index in enumerate(range(start, stop)):
             rng = frame_rng(seed, index)
-            assert np.array_equal(payload[row], rng.integers(0, 2, size=270))
+            rng.integers(0, 2, size=270)  # the payload draw comes first
             assert np.array_equal(flips[row], channel_flips(cfg, rng))
 
 
@@ -313,6 +327,23 @@ def _scalar_simulation(cfg):
             stats.detected_uncorrectable += res.status == UNCORRECTABLE
             stats.miscorrections += wrong and res.status != UNCORRECTABLE
     return stats
+
+
+def test_no_block_is_encoded(monkeypatch):
+    """Each block's flips are decoded against one cached frame of the
+    all-zero payload, so a run encodes at most that one frame."""
+    calls = []
+
+    def counting_encode_frames(*args, **kwargs):
+        calls.append(len(args[0]))
+        return encode_frames(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "encode_frames", counting_encode_frames)
+    harness._zero_frame.cache_clear()
+    cfg = ChannelConfig(ber=5e-3, burst_len=6, burst_rate=0.3, seed=29, frames=300)
+    assert len(list(frame_blocks(0, cfg.frames))) == 3
+    run_simulation(cfg)
+    assert calls in ([], [1])
 
 
 def test_block_path_equals_the_scalar_chain():

@@ -14,7 +14,8 @@ from rs3127 import (CORRECTED, OK, UNCORRECTABLE, build_frame, chien_search,
                     compute_syndromes, decode, default_parity_matrix, encode_reference,
                     forney, is_codeword, lfsr_encode, parity_bits, solve_locator, unframe)
 from rs3127 import framing, serial_encoder
-from rs3127.framing import HEADER_BITS, decode_frames, encode_frames, interleave
+from rs3127.framing import (HEADER_BITS, PAYLOAD_BITS, decode_frames, encode_frames,
+                            interleave)
 from rs3127.parallel_gen import LinearMap, _gf2_rank, build_xor3_network, expected_depth
 from rs3127.serial_encoder import LfsrEncoder, shift_in_block
 
@@ -227,6 +228,85 @@ def test_decode_frames_covers_header_hits_and_heavy_errors():
     assert statuses[2] == CORRECTED
     assert statuses[8:] == [CORRECTED, CORRECTED, OK, OK]
     assert UNCORRECTABLE in statuses[4:8]
+
+
+# Error symbols of one codeword: position -> nonzero value, 0 to 8 of them,
+# so each codeword gets 0, 1-2 (correctable) or >= 3 errors.
+codeword_errors = st.dictionaries(st.integers(0, 30), st.integers(1, 31), max_size=8)
+
+
+def _error_frame(header, errors_a, errors_b):
+    """320 flip bits: header bits as given, then both codewords' error
+    symbols in wire order."""
+    return header + interleave(*([errors.get(s, 0) for s in range(31)]
+                                 for errors in (errors_a, errors_b)))
+
+
+@given(st.lists(st.tuples(bit_lists_270, st.lists(st.integers(0, 1), min_size=10, max_size=10),
+                          codeword_errors, codeword_errors), min_size=1, max_size=4))
+@example([([1] * 270, [1] * 10, {0: 1, 9: 31, 30: 7}, {4: 2})])
+@example([([0, 1] * 135, [0] * 10, {}, {s: s + 1 for s in range(8)})])
+def test_decoding_depends_on_the_error_pattern_alone(cases):
+    """The fact the simulator rests on: decoding the frame of payload p
+    with flips e gives the ok and nu of decoding Z ^ e, Z the frame of
+    the all-zero payload, and info that differs from Z ^ e's by p."""
+    payload = _as_block([info for info, *_ in cases], 270)
+    errors = _as_block([_error_frame(*case[1:]) for case in cases], 320)
+    zero = encode_frames(np.zeros((1, 270), np.uint8))
+    info, ok, nu, _ = decode_frames(encode_frames(payload) ^ errors)
+    wrong, ok_zero, nu_zero, _ = decode_frames(zero ^ errors)
+    assert np.array_equal(info ^ payload, wrong)
+    assert np.array_equal(ok, ok_zero) and np.array_equal(nu, nu_zero)
+
+
+def test_burst_profile_holds_for_every_payload():
+    """Every payload burst of 1 to 20 bits at every offset, in one decode
+    against the frame of the all-zero payload: by the test above, each
+    outcome is that burst's outcome on every payload. A burst is aligned
+    when it starts on a symbol boundary; a frame is miscorrected when a
+    codeword reports ok (clean or corrected) with wrong info."""
+    bursts = [(length, offset) for length in range(1, 21)
+              for offset in range(PAYLOAD_BITS - length + 1)]
+    errors = np.zeros((len(bursts), 320), np.uint8)
+    for row, (length, offset) in enumerate(bursts):
+        errors[row, HEADER_BITS + offset:HEADER_BITS + offset + length] = 1
+    info, ok, _, _ = decode_frames(encode_frames(np.zeros((1, 270), np.uint8)) ^ errors)
+    wrong = info.reshape(-1, 2, 135).any(axis=2)
+    ok = ok.reshape(-1, 2)
+    recovered = ~wrong.any(axis=1)
+    miscorrected = (ok & wrong).any(axis=1)
+    assert not (recovered & miscorrected).any()
+    assert (~ok)[~recovered & ~miscorrected].any(axis=1).all()
+
+    lengths = np.array([length for length, _ in bursts])
+    aligned = np.array([offset % 5 == 0 for _, offset in bursts])
+    assert recovered[lengths <= 16].all()
+    assert recovered[(lengths > 16) & aligned].all()
+    misaligned = {}
+    for length in range(17, 21):
+        rows = (lengths == length) & ~aligned
+        misaligned[length] = (int(recovered[rows].sum()), int(rows.sum()),
+                              int(miscorrected[rows].sum()))
+    assert misaligned == {17: (181, 235, 0), 18: (126, 234, 0),
+                          19: (67, 233, 58), 20: (4, 232, 174)}
+    last = np.flatnonzero(lengths == 20)
+    outcomes = (int(recovered[last].sum()), int(miscorrected[last].sum()))
+    assert (len(last), *outcomes, len(last) - sum(outcomes)) == (291, 63, 174, 54)
+
+    rnd = random.Random(21)
+    payload = [rnd.getrandbits(1) for _ in range(270)]
+    frame = build_frame(payload)
+    sample = rnd.sample(range(len(bursts)), 40) + rnd.sample(last.tolist(), 20)
+    sample += np.flatnonzero(miscorrected)[:5].tolist()
+    for row in sample:
+        length, offset = bursts[row]
+        received = list(frame)
+        for i in range(HEADER_BITS + offset, HEADER_BITS + offset + length):
+            received[i] ^= 1
+        out = unframe(received)
+        assert [a ^ b for a, b in zip(out.info, payload)] == info[row].tolist(), bursts[row]
+        assert [out.result_a.status != UNCORRECTABLE,
+                out.result_b.status != UNCORRECTABLE] == ok[row].tolist(), bursts[row]
 
 
 def test_decode_frames_corrects_every_single_symbol_error():
