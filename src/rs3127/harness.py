@@ -5,16 +5,16 @@ Each frame's payload and flips come from a Philox generator keyed by
 execution order: worker-pool runs merge to the serial counters.
 `frame_rng` and `channel_flips` define that stream (the payload is
 `integers(0, 2, 270)`, then the flips). The simulator draws only the
-flips, a block of frames at a time (`_draw_block`), and decodes them
-against the frame of the all-zero payload, since no counter depends on
-the payload (`_run_frames`); `apply_channel` and `build_frame`/`unframe`
-run the full chain one frame at a time.
+flips, a block of frames at a time (`_draw_block`), and decodes the bare
+error words, since a decode reads only the syndrome (`_run_frames`);
+`apply_channel` and `build_frame`/`unframe` run the full chain one frame
+at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -22,9 +22,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .framing import (FRAME_BITS, HALF_INFO_BITS, HEADER_BITS,
-                      INFO_BITS_PER_FRAME, decode_frames, encode_frames,
-                      frame_blocks)
+from .decoder import decode_words
+from .framing import FRAME_BITS, HEADER_BITS, INFO_BITS_PER_FRAME, frame_blocks, frame_words
+from .rs_core import K_SYMBOLS
 
 # Raw words of a frame's payload draw: one per two payload bits.
 _PAYLOAD_WORDS = INFO_BITS_PER_FRAME // 2
@@ -43,6 +43,12 @@ class ChannelConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("ber", "burst_rate"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            # a plain float, so the record prints ber=0.0 and never np.float64(...)
+            object.__setattr__(self, name, float(value))
         if not 0.0 <= self.ber <= 1.0:
             raise ValueError(f"ber must be in [0, 1], got {self.ber}")
         if not math.isfinite(self.burst_rate):
@@ -112,20 +118,23 @@ def _draw_block(cfg: ChannelConfig, block: range, gen: np.random.Generator) -> n
     channel_flips(cfg, rng) on rng = frame_rng(cfg.seed, block[r]) right
     after the payload draw integers(0, 2, 270), which spends 135 raw words.
 
-    gen's Philox is re-keyed to (seed, frame index) at counter 0 for each
-    frame, as frame_rng builds it, and its first 135 + 320 raw words (320
-    only when ber > 0) land in one array. random() < ber holds exactly
-    when the word is at most ceil(ber * 2**53) * 2**11 - 1: random() is
-    (word >> 11) * 2**-53, and the bound fits in 64 bits, also at ber = 1.
-    Bursts are drawn through gen, continuing each frame's stream."""
-    n = len(block)
+    With ber 0 and no bursts gen is not touched. Otherwise its Philox is
+    re-keyed to (seed, frame index) at counter 0 for each frame, as
+    frame_rng builds it, and its first 135 + 320 raw words (320 only when
+    ber > 0) land in one array. random() < ber holds exactly when the word
+    is at most ceil(ber * 2**53) * 2**11 - 1: random() is (word >> 11) *
+    2**-53, and the bound fits in 64 bits, also at ber = 1. Bursts are
+    drawn through gen, continuing each frame's stream."""
+    flips = np.zeros((len(block), FRAME_BITS), np.uint8)
+    bursty = cfg.burst_rate > 0 and cfg.burst_len > 0
+    if cfg.ber == 0 and not bursty:
+        return flips
     n_words = _PAYLOAD_WORDS + (FRAME_BITS if cfg.ber > 0 else 0)
-    words = np.empty((n, n_words), np.uint64)
+    words = np.empty((len(block), n_words), np.uint64)
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": [cfg.seed, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = state["state"]["key"]
-    bursty = cfg.burst_rate > 0 and cfg.burst_len > 0
     span = min(cfg.burst_len, FRAME_BITS)
     bursts = []
     bitgen = gen.bit_generator
@@ -138,10 +147,8 @@ def _draw_block(cfg: ChannelConfig, block: range, gen: np.random.Generator) -> n
                 bursts.append((row, int(gen.integers(0, FRAME_BITS - span + 1))))
 
     if cfg.ber > 0:
-        flips = words[:, _PAYLOAD_WORDS:] <= (math.ceil(cfg.ber * 2.0**53) << 11) - 1
-    else:
-        flips = np.zeros((n, FRAME_BITS), bool)
-    flips = flips.view(np.uint8)
+        bound = (math.ceil(cfg.ber * 2.0**53) << 11) - 1
+        flips = (words[:, _PAYLOAD_WORDS:] <= bound).view(np.uint8)
     for row, off in bursts:
         flips[row, off:off + span] ^= 1
     return flips
@@ -161,31 +168,25 @@ def _thread_generator() -> np.random.Generator:
         return _local.gen
 
 
-@functools.cache
-def _zero_frame() -> np.ndarray:
-    """uint8[1, 320]: the frame of the all-zero payload."""
-    return encode_frames(np.zeros((1, INFO_BITS_PER_FRAME), np.uint8))
-
-
 def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
     """Counters of frames start..start+count-1, from each block's wrong
     bits per codeword half: pre counts the payload bits the channel
     flipped, post the info bits wrong after decoding.
 
-    Encoding is affine: the frame of payload p is Z ^ C(p), Z the frame
-    of p = 0 (`_zero_frame`) and C(p) two codewords. Decoding reads only
-    each codeword's syndrome, which for Z ^ C(p) ^ e is that of e, XORs
-    in the fix it gives, and descrambles. So decoding Z ^ e gives the same
-    ok and nu, and as info the info decoded from Z ^ C(p) ^ e XOR p: the
-    wrong info bits. No block is encoded."""
+    A received codeword is c ^ e, c the sent one and e the error word the
+    flips put on it. A decode reads only the syndrome, which is that of e,
+    and XORs in the fix it gives: so decoding e alone gives the same ok
+    and nu, and as message the decoded one XOR the sent one, which
+    descrambling leaves as it is: the wrong info bits. So no block is
+    encoded, and neither header nor scrambler is read."""
     stats = TrialStats(frames_total=count)
     gen = _thread_generator()
     for block in frame_blocks(start, start + count):
         flips = _draw_block(cfg, block, gen)
-        info, ok, _, _ = decode_frames(flips ^ _zero_frame())
+        ok, bits, _ = decode_words(frame_words(flips))
 
         pre = flips[:, HEADER_BITS:].sum(axis=1)
-        half = info.reshape(-1, HALF_INFO_BITS).sum(axis=1)
+        half = bits[:, :K_SYMBOLS].sum(axis=(1, 2))
         post = half[::2] + half[1::2]
         stats.bit_err_pre += int(pre.sum())
         stats.bit_err_post += int(half.sum())
@@ -230,8 +231,7 @@ def emit_stats(results, csv: bool = False) -> str:
     names = _CFG_FIELDS + _STAT_FIELDS
     rows = []
     for cfg, stats in results:
-        rows.append([repr(getattr(cfg, n)) if isinstance(getattr(cfg, n), float)
-                     else str(getattr(cfg, n)) for n in _CFG_FIELDS]
+        rows.append([str(getattr(cfg, n)) for n in _CFG_FIELDS]
                     + [str(getattr(stats, n)) for n in _STAT_FIELDS])
     if csv:
         lines = [",".join(names)] + [",".join(row) for row in rows]

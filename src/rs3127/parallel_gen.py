@@ -9,9 +9,10 @@ GF(2)-linear in the message bits.
 
 Bit indexing: information bit 5*j + i is bit i (LSB = x^0 coefficient)
 of message symbol j; parity bit 5*jp + i likewise for parity symbol jp.
-`symbols_to_bits` and `bits_to_symbols` convert in this one order, and
-the parallel encoder and framing never shift symbol bits themselves. Where
-those bits go on the wire is framing's business alone (`_TO_WIRE`).
+`symbols_to_bits`/`bits_to_symbols` (lists) and `SYMBOL_BITS`/
+`bits_to_symbol_array` (arrays) convert in this one order, and no other
+module shifts symbol bits itself. Where those bits go on the wire is
+framing's business alone (`_TO_WIRE`).
 
 Netlist text format (one item per line, `#` starts a comment)::
 
@@ -38,12 +39,13 @@ from itertools import chain
 import numpy as np
 
 from .gf32 import PRIMITIVE_POLY
-from .rs_core import FIRST_ROOT, K_SYMBOLS, N_PARITY
+from .rs_core import FIRST_ROOT, K_SYMBOLS, N_PARITY, N_SYMBOLS
 from .serial_encoder import shift_in_block
 
 BITS_PER_SYMBOL = 5
 N_INFO_BITS = K_SYMBOLS * BITS_PER_SYMBOL  # 135
 N_PARITY_BITS = N_PARITY * BITS_PER_SYMBOL  # 20
+WORD_BITS = N_SYMBOLS * BITS_PER_SYMBOL  # 155
 
 # The five bits of every symbol value, x^0 coefficient first, and the
 # symbol of every such 5-tuple. Both are dicts, so a value outside them
@@ -63,6 +65,27 @@ def bits_to_symbols(bits) -> list[int]:
     row of bits; ValueError unless there are a multiple of 5."""
     groups = zip(*[iter(bits)] * BITS_PER_SYMBOL, strict=True)
     return list(map(_SYMBOL_OF.__getitem__, groups))
+
+
+# The same order as arrays, probed from the converter pair: row s holds the
+# five bits of symbol s, and a symbol is its bits times _BIT_WEIGHTS.
+SYMBOL_BITS = np.array(symbols_to_bits(range(32)), np.uint8).reshape(32, BITS_PER_SYMBOL)
+_BIT_WEIGHTS = np.array(bits_to_symbols(np.eye(BITS_PER_SYMBOL, dtype=int).ravel().tolist()),
+                        np.float32)
+
+
+def bits_to_symbol_array(bits: np.ndarray) -> np.ndarray:
+    """uint8 symbols from bits in info/parity order along the last axis:
+    one float32 BLAS product (exact: its sums are at most 31)."""
+    symbols = (bits.reshape(-1, BITS_PER_SYMBOL) @ _BIT_WEIGHTS).astype(np.uint8)
+    return symbols.reshape(*bits.shape[:-1], bits.shape[-1] // BITS_PER_SYMBOL)
+
+
+def parity_by_symbols(encode, messages: np.ndarray) -> np.ndarray:
+    """uint8[M, 20] parity bits of uint8[M, 135] message bits by `encode`,
+    a block encoder of uint8[M, 27] message symbols into [M, 31] codewords."""
+    parity = SYMBOL_BITS.take(encode(bits_to_symbol_array(messages))[:, K_SYMBOLS:], axis=0)
+    return parity.reshape(len(messages), N_PARITY_BITS)
 
 
 ZERO = "ZERO"
@@ -131,10 +154,7 @@ class LinearMap:
 
 def derive_parity_matrix() -> LinearMap:
     """The parity bits of the block LFSR, probed on the 135 unit-bit messages."""
-    def parity(bits: np.ndarray) -> list[list[int]]:
-        msgs = np.array([bits_to_symbols(row) for row in bits.tolist()], np.uint8)
-        return [symbols_to_bits(word[K_SYMBOLS:]) for word in shift_in_block(msgs).tolist()]
-    return LinearMap.probe(parity, N_INFO_BITS)
+    return LinearMap.probe(functools.partial(parity_by_symbols, shift_in_block), N_INFO_BITS)
 
 
 @functools.cache

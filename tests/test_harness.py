@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ import rs3127
 from rs3127 import (UNCORRECTABLE, ChannelConfig, TrialStats, apply_channel,
                     build_frame, emit_stats, frame_rng, run_simulation, run_sweep,
                     unframe)
-from rs3127 import harness
-from rs3127.framing import BLOCK_FRAMES, encode_frames, frame_blocks
+from rs3127 import framing, harness
+from rs3127.framing import BLOCK_FRAMES, frame_blocks
 from rs3127.harness import _draw_block, channel_flips
 
 
@@ -48,6 +49,26 @@ def test_integer_fields_reject_other_values(field):
                              seed=np.uint64(3), frames=np.int32(20))
     assert emit_stats([(as_numpy, run_simulation(as_numpy))]) == emit_stats(
         [(cfg, run_simulation(cfg))])
+
+
+@pytest.mark.parametrize("field", ["ber", "burst_rate"])
+def test_float_fields_hold_plain_floats(field):
+    """A numpy float used to print as np.float64(...) in the record and an
+    int as 0 where the CLI prints 0.0; True was accepted, and a string
+    raised TypeError. Any real number is stored as a float, and anything
+    else raises ValueError."""
+    for value in ("0.1", True, np.True_, None, 1j):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be a number, got {value!r}")):
+            ChannelConfig(**{field: value})
+    base = {"ber": 1e-2, "burst_len": 6, "burst_rate": 0.5, "seed": 3, "frames": 20}
+    for value, plain in ((np.float64(0.001), 0.001), (0, 0.0), (1, 1.0), (np.float32(0.5), 0.5)):
+        cfg = ChannelConfig(**{**base, field: value})
+        assert type(getattr(cfg, field)) is float and getattr(cfg, field) == plain
+        record = emit_stats([(cfg, run_simulation(cfg))])
+        assert f" {field}={plain!r} " in f" {record}"
+        assert record == emit_stats([(ChannelConfig(**{**base, field: plain}),
+                                      run_simulation(cfg))])
 
 
 def test_quiet_channel_is_identity():
@@ -330,20 +351,41 @@ def _scalar_simulation(cfg):
 
 
 def test_no_block_is_encoded(monkeypatch):
-    """Each block's flips are decoded against one cached frame of the
-    all-zero payload, so a run encodes at most that one frame."""
-    calls = []
-
-    def counting_encode_frames(*args, **kwargs):
-        calls.append(len(args[0]))
-        return encode_frames(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "encode_frames", counting_encode_frames)
-    harness._zero_frame.cache_clear()
+    """Each block's flips are decoded as bare error words, so a run never
+    encodes a frame: with encode_frames made to raise wherever it is held,
+    a 3-block run gives the counters it gives without the patch."""
     cfg = ChannelConfig(ber=5e-3, burst_len=6, burst_rate=0.3, seed=29, frames=300)
     assert len(list(frame_blocks(0, cfg.frames))) == 3
-    run_simulation(cfg)
-    assert calls in ([], [1])
+    want = run_simulation(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simulator encoded a block")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("rs3127")]:
+        for name, value in list(vars(module).items()):
+            if value is framing.encode_frames:
+                monkeypatch.setattr(module, name, refuse)
+    assert run_simulation(cfg) == want
+
+
+def test_a_clean_channel_draws_nothing(monkeypatch):
+    """With ber 0 and no bursts every flip is 0, known before any draw: the
+    thread's generator is never touched, and the records are those of
+    frames that all arrive intact."""
+    def refuse(*args):
+        raise AssertionError("a clean channel drew from its generator")
+
+    untouchable = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=refuse))
+    monkeypatch.setattr(harness, "_thread_generator", lambda: untouchable)
+    cfgs = [ChannelConfig(ber=0.0, seed=1, frames=300),
+            ChannelConfig(ber=0.0, burst_len=6, seed=1, frames=300),
+            ChannelConfig(ber=0.0, burst_rate=2.0, seed=1, frames=300)]
+    clean = ("frames_total=300 frames_err_pre=0 frames_err_post=0 frames_recovered=0"
+             " miscorrections=0 detected_uncorrectable=0 bit_err_pre=0 bit_err_post=0")
+    assert emit_stats([(cfg, run_simulation(cfg)) for cfg in cfgs]).splitlines() == [
+        "ber=0.0 burst_len=0 burst_rate=0.0 seed=1 frames=300 " + clean,
+        "ber=0.0 burst_len=6 burst_rate=0.0 seed=1 frames=300 " + clean,
+        "ber=0.0 burst_len=0 burst_rate=2.0 seed=1 frames=300 " + clean]
 
 
 def test_block_path_equals_the_scalar_chain():

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from rs3127 import (CORRECTED, OK, UNCORRECTABLE, build_frame, chien_search,
                     compute_syndromes, decode, default_parity_matrix, encode_reference,
                     forney, is_codeword, lfsr_encode, parity_bits, solve_locator, unframe)
-from rs3127 import framing, serial_encoder
+from rs3127 import decoder, framing, rs_core, serial_encoder
+from rs3127.decoder import decode_words
 from rs3127.framing import (HEADER_BITS, PAYLOAD_BITS, decode_frames, encode_frames,
-                            interleave)
-from rs3127.parallel_gen import LinearMap, _gf2_rank, build_xor3_network, expected_depth
+                            frame_words, interleave)
+from rs3127.parallel_gen import (LinearMap, _gf2_rank, bits_to_symbol_array,
+                                 build_xor3_network, expected_depth)
 from rs3127.serial_encoder import LfsrEncoder, shift_in_block
 
 from oracles import frame_reference, interleave_reference, rs_encode_reference
@@ -45,7 +47,7 @@ def test_encode_frames_equals_build_frame_and_the_layout_oracle(rows):
 
 # --- the batch long-division and LFSR encoders ---------------------------------
 
-BATCH_ENCODERS = {"reference": (framing._divide, encode_reference),
+BATCH_ENCODERS = {"reference": (rs_core.divide_block, encode_reference),
                   "lfsr": (shift_in_block, lfsr_encode)}
 messages = st.lists(st.integers(0, 31), min_size=27, max_size=27)
 
@@ -108,7 +110,7 @@ def test_batch_encoders_equal_the_scalar_encoders_on_a_full_block():
 
 @pytest.mark.parametrize("packed, table", [
     (serial_encoder._TAPS32, serial_encoder._TAPS),
-    (framing._DIVISION_TAPS64, framing._DIVISION_TAPS)],
+    (rs_core._DIVISION_TAPS64, rs_core._DIVISION_TAPS)],
     ids=["lfsr-taps", "division-taps"])
 def test_packed_tables_hold_byte_d_in_bits_8d(packed, table):
     """Byte d of each packed row, read back by shifts, is column d of the
@@ -125,13 +127,13 @@ def test_each_encoder_runs_its_own_algorithm(monkeypatch):
     """The three encoders give the same frames but stay three
     architectures: none is an alias of another's kernel."""
     ran = []
-    for kernel in ("_parity", "_divide", "shift_in_block"):
+    for kernel in ("_parity", "divide_block", "shift_in_block"):
         original = getattr(framing, kernel)
         monkeypatch.setattr(framing, kernel,
                             lambda x, kernel=kernel, original=original:
                             ran.append(kernel) or original(x))
     info = np.zeros((2, 270), np.uint8)
-    for encoder, kernel in (("parallel", "_parity"), ("reference", "_divide"),
+    for encoder, kernel in (("parallel", "_parity"), ("reference", "divide_block"),
                             ("lfsr", "shift_in_block")):
         ran.clear()
         encode_frames(info, encoder=encoder)
@@ -171,7 +173,7 @@ def test_wire_gather_puts_every_source_bit_where_the_layout_oracle_does():
     bit order) lands on the wire bit interleave_reference puts it on;
     _FROM_WIRE inverts _TO_WIRE."""
     for j, unit in enumerate(np.eye(310, dtype=np.uint8)):
-        symbols = framing._to_symbols(unit).tolist()
+        symbols = bits_to_symbol_array(unit).tolist()
         want = interleave_reference(symbols[:31], symbols[31:])
         assert unit[framing._TO_WIRE].tolist() == want
         assert framing._FROM_WIRE[j] == want.index(1)
@@ -249,7 +251,9 @@ def _error_frame(header, errors_a, errors_b):
 def test_decoding_depends_on_the_error_pattern_alone(cases):
     """The fact the simulator rests on: decoding the frame of payload p
     with flips e gives the ok and nu of decoding Z ^ e, Z the frame of
-    the all-zero payload, and info that differs from Z ^ e's by p."""
+    the all-zero payload, and info that differs from Z ^ e's by p; and
+    decode_words on e's bare error words, as the simulator decodes them,
+    gives the same ok and nu, and those wrong info bits as messages."""
     payload = _as_block([info for info, *_ in cases], 270)
     errors = _as_block([_error_frame(*case[1:]) for case in cases], 320)
     zero = encode_frames(np.zeros((1, 270), np.uint8))
@@ -257,6 +261,9 @@ def test_decoding_depends_on_the_error_pattern_alone(cases):
     wrong, ok_zero, nu_zero, _ = decode_frames(zero ^ errors)
     assert np.array_equal(info ^ payload, wrong)
     assert np.array_equal(ok, ok_zero) and np.array_equal(nu, nu_zero)
+    ok_bare, bits, nu_bare = decode_words(frame_words(errors))
+    assert np.array_equal(bits[:, :27].reshape(len(cases), 270), info ^ payload)
+    assert np.array_equal(ok_bare, ok) and np.array_equal(nu_bare, nu)
 
 
 def test_burst_profile_holds_for_every_payload():
@@ -389,25 +396,25 @@ def _error_keys(received, symbols):
     return nonzero.sum(axis=1), low | high << 10
 
 
-# Per form of _correct: the other form, and a _FEW_DIRTY that selects this
-# one whatever the number of dirty rows.
+# Per form of decode_words: the other form, and a _FEW_DIRTY that selects
+# this one whatever the number of dirty rows.
 FORMS = {"per-row": ("_lookup_arrays", SYNDROMES), "array": ("_lookup_lists", -1)}
 
 
 def _take_form(monkeypatch, form):
-    """Make _correct solve every dirty row in `form` ("per-row" or "array"),
-    whatever their number, and make the other form raise."""
+    """Make decode_words solve every dirty row in `form` ("per-row" or
+    "array"), whatever their number, and make the other form raise."""
     refused, few_dirty = FORMS[form]
 
     def refuse(*args):
-        raise AssertionError(f"_correct ran {refused}")
+        raise AssertionError(f"decode_words ran {refused}")
 
-    monkeypatch.setattr(framing, "_FEW_DIRTY", few_dirty)
-    monkeypatch.setattr(framing, refused, refuse)
+    monkeypatch.setattr(decoder, "_FEW_DIRTY", few_dirty)
+    monkeypatch.setattr(decoder, refused, refuse)
 
 
 def test_corrector_on_every_syndrome(monkeypatch):
-    """_correct corrects exactly the 961 + 446,865 syndromes of weight-1 and
+    """decode_words corrects exactly the 961 + 446,865 syndromes of weight-1 and
     weight-2 error patterns, each with its own pattern and count, and flags
     all the others, in each of its two forms; the scalar decoder agrees on
     every 97th syndrome (a full scalar sweep agrees too, but its 2^20
@@ -421,15 +428,15 @@ def test_corrector_on_every_syndrome(monkeypatch):
             for lo in range(0, SYNDROMES, chunk):
                 ks = np.arange(lo, lo + chunk)
                 words = _parity_region_words(ks)
-                ok, bits, nu = framing._correct(words)
-                symbols = framing._to_symbols(bits.reshape(-1, 155))
-                count, key = _error_keys(framing._to_symbols(words), symbols)
+                ok, bits, nu = decode_words(words)
+                symbols = bits_to_symbol_array(bits.reshape(-1, 155))
+                count, key = _error_keys(bits_to_symbol_array(words), symbols)
                 assert symbols.shape == (chunk, 31)
                 assert (ok == (want_nu[ks] >= 0)).all()
                 assert (nu == np.maximum(want_nu[ks], 0)).all() and (count == nu).all()
                 assert (key == np.where(nu > 0, want_key[ks], 0)).all()
                 for r in range(-lo % 97, chunk, 97):
-                    res = decode(framing._to_symbols(words[r]).tolist())
+                    res = decode(bits_to_symbol_array(words[r]).tolist())
                     status = (CORRECTED if nu[r] else OK) if ok[r] else UNCORRECTABLE
                     assert (res.status, res.corrected_symbols, res.message) == (
                         status, nu[r], symbols[r, :27].tolist())
@@ -458,7 +465,7 @@ def test_each_uncorrectable_exit_passes_the_message_through():
     the sent one."""
     found = {}
     for k in range(1, SYNDROMES):
-        word = framing._to_symbols(_parity_region_words(np.array([k])))[0].tolist()
+        word = bits_to_symbol_array(_parity_region_words(np.array([k])))[0].tolist()
         found.setdefault(_scalar_exit(word), word)
         if {"degree", "roots", "recheck"} <= found.keys():
             break
@@ -507,12 +514,12 @@ def test_the_dirty_count_selects_the_form(monkeypatch, extra, form, n_frames):
     ones are scattered, so both picking them out and writing their
     corrections back to the right rows are checked. The form is given the
     syndromes of the dirty rows only."""
-    n_dirty = framing._FEW_DIRTY + extra
+    n_dirty = decoder._FEW_DIRTY + extra
     frames = _dirty_block(n_dirty, 19 + extra, n_frames)
     taken = {"per-row": "_lookup_lists", "array": "_lookup_arrays"}[form]
-    solve, given = getattr(framing, taken), []
-    monkeypatch.setattr(framing, FORMS[form][0], lambda *args: pytest.fail("wrong form"))
-    monkeypatch.setattr(framing, taken,
+    solve, given = getattr(decoder, taken), []
+    monkeypatch.setattr(decoder, FORMS[form][0], lambda *args: pytest.fail("wrong form"))
+    monkeypatch.setattr(decoder, taken,
                         lambda *args: given.append(np.array(args).reshape(-1, 4)) or solve(*args))
     results, _ = _assert_matches_unframe(frames)
     given = np.concatenate(given)
@@ -543,14 +550,14 @@ def test_both_forms_give_identical_arrays(monkeypatch, n_dirty, n_frames):
 
 @pytest.mark.parametrize("form", FORMS)
 def test_the_corrector_never_writes_into_its_input(monkeypatch, form):
-    """_correct corrects a copy, in which exactly nu 5-bit groups of a row
-    differ from the received word, and decode_frames leaves the caller's
-    frames as they were."""
+    """decode_words corrects a copy, in which exactly nu 5-bit groups of a
+    row differ from the received word, and decode_frames leaves the
+    caller's frames as they were."""
     _take_form(monkeypatch, form)
     frames = _dirty_block(6, 29)
-    words = frames[:, HEADER_BITS:][:, framing._FROM_WIRE].reshape(-1, 155)
+    words = frame_words(frames)
     frames_before, words_before = frames.copy(), words.copy()
-    ok, bits, nu = framing._correct(words)
+    ok, bits, nu = decode_words(words)
     assert np.array_equal(words, words_before) and (nu > 0).any()
     changed = (bits != words.reshape(-1, 31, 5)).any(axis=2).sum(axis=1)
     assert (changed == nu).all()
@@ -572,7 +579,10 @@ def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
     def refuse(word):
         raise AssertionError("decode_frames called the scalar decode")
 
-    monkeypatch.setattr(framing, "decode", refuse)
+    for module in [m for name, m in sys.modules.items() if name.startswith("rs3127")]:
+        for name, value in list(vars(module).items()):
+            if value is decode:
+                monkeypatch.setattr(module, name, refuse)
     got = decode_frames(frames)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -582,17 +592,17 @@ def test_only_a_dirty_block_builds_the_correction_table():
     blocks never build _correction_table, so a clean stream and the first
     frame of a fresh interpreter do not pay for it; the first block with a
     dirty codeword builds it."""
-    framing._correction_table.cache_clear()
+    decoder._correction_table.cache_clear()
     rnd = random.Random(31)
     info = np.array([[rnd.getrandbits(1) for _ in range(270)] for _ in range(4)], np.uint8)
     for encoder in ("parallel", "reference", "lfsr"):
         frames = encode_frames(info, encoder)
     assert unframe(build_frame(info[0].tolist())).info == info[0].tolist()
     assert np.array_equal(decode_frames(frames)[0], info)
-    assert framing._correction_table.cache_info().currsize == 0
+    assert decoder._correction_table.cache_info().currsize == 0
     frames[0, HEADER_BITS] ^= 1
     assert decode_frames(frames)[2].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
-    assert framing._correction_table.cache_info().currsize == 1
+    assert decoder._correction_table.cache_info().currsize == 1
 
 
 # --- the parity map ------------------------------------------------------------
@@ -613,19 +623,19 @@ def test_parity_array_equals_the_rows_and_parity_bits():
 def test_syndrome_map_is_a_rank_20_linear_map_over_155_bits():
     """The constructor checks rank 20; every row of a random block maps to
     the syndromes compute_syndromes gives its symbols."""
-    synd = framing._syndrome_map()
+    synd = decoder._syndrome_map()
     assert isinstance(synd, LinearMap)
     assert (synd.n_in, len(synd.bitmasks)) == (155, 20)
     assert _gf2_rank(synd.bitmasks) == 20
     words = np.random.default_rng(3003).integers(0, 2, (300, 155), dtype=np.uint8)
-    got = framing._to_symbols(synd.products(words)).tolist()
-    assert got == [compute_syndromes(w) for w in framing._to_symbols(words).tolist()]
+    got = bits_to_symbol_array(synd.products(words)).tolist()
+    assert got == [compute_syndromes(w) for w in bits_to_symbol_array(words).tolist()]
 
 
 def test_xor3_trees_of_the_syndrome_map_give_back_its_masks():
     """A network over 155 inputs reads each input's mask off its index.
     Every syndrome row has fan-in 80, so every tree has depth 4."""
-    synd = framing._syndrome_map()
+    synd = decoder._syndrome_map()
     net = build_xor3_network(synd)
     assert net.bitmasks == synd.bitmasks
     assert {mask.bit_count() for mask in synd.bitmasks} == {80}
