@@ -182,7 +182,7 @@ def _correction_table() -> np.ndarray:
 
 
 # Dirty codewords up to which `decode_words` solves each row on its own
-# (`_lookup_lists` and per-row writes), not in table gathers
+# (`lookup_lists` and per-row writes), not in table gathers
 # (`_lookup_arrays` and fancy-index writes); both see only the dirty rows,
 # so one count serves any block size. `decode_words` on 16 codewords with D
 # of them dirty, per-row against array form (us, median of five runs of
@@ -205,7 +205,7 @@ def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     is clean and costs nothing more. A dirty row gets the error pattern of
     weight <= 2 with its syndromes from `_correction_table`, and is
     uncorrectable if there is none. For at most _FEW_DIRTY dirty rows the
-    lookup is `_lookup_lists`, and each row's fix is written on its own
+    lookup is `lookup_lists`, and each row's fix is written on its own
     (its nu and its two 5-bit groups, or ok False); for more, the lookup
     is `_lookup_arrays` and the fixes are written by fancy indexing. bits
     is a copy of words, one 5-bit group per symbol, with each error value
@@ -220,7 +220,7 @@ def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         return ok, bits, nu
     if len(rows) <= _FEW_DIRTY:
         for r, (fix_nu, first, y1, last, y2) in zip(rows.tolist(),
-                                                    _lookup_lists(synd[rows].tolist())):
+                                                    lookup_lists(synd[rows].tolist())):
             if fix_nu:
                 nu[r] = fix_nu
                 bits[r, first] ^= SYMBOL_BITS[y1]
@@ -246,9 +246,14 @@ def _lookup_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
     return (y1 > 0) + (y2 > 0).astype(int), first, _GF_MUL[lead, y1], last, _GF_MUL[lead, y2]
 
 
-def _lookup_lists(synd: list[list[int]]) -> list[tuple[int, int, int, int, int]]:
-    """`_lookup_arrays` one row at a time, on lists and a flat memoryview of
-    the table (entry k is items 4k..4k+3), cheaper per item than numpy."""
+def lookup_lists(synd: list[list[int]]) -> list[tuple[int, int, int, int, int]]:
+    """The fix (nu, first, y1, last, y2) of each nonzero syndrome [S1, S2,
+    S3, S4]: nu is 0 where the codeword is uncorrectable, else values y1 at
+    symbol first and y2 at last (y2 = 0 when nu is 1) are XORed in. This is
+    `_lookup_arrays` one row at a time, on lists and a flat memoryview of
+    the table (entry k is items 4k..4k+3), cheaper per item than numpy.
+    `decode_words` calls it for a few dirty rows, and the simulator for the
+    syndromes of a sparse block's flips."""
     table = memoryview(_correction_table()).cast("B")
     fixes = []
     for s1, s2, s3, s4 in synd:

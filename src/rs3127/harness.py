@@ -5,14 +5,19 @@ Each frame's payload and flips come from a Philox generator keyed by
 execution order: worker-pool runs merge to the serial counters.
 `frame_rng` and `channel_flips` define that stream (the payload is
 `integers(0, 2, 270)`, then the flips). The simulator draws only the
-flips, a block of frames at a time (`_draw_block`), and decodes the bare
-error words, since a decode reads only the syndrome (`_run_frames`);
-`apply_channel` and `build_frame`/`unframe` run the full chain one frame
-at a time.
+flips, a block of frames at a time (`_draw_block`): each frame's Philox
+starts at the counter past the payload's raw words, so they are never
+made. It decodes the bare error words, since a decode reads only the
+syndrome (`_run_frames`). A block with few flipped bits is decoded from
+those bits alone: syndromes are linear in the error, so a codeword's are
+the XOR of the syndrome columns of its flipped bits, and only the
+nonzero ones are looked up. `apply_channel` and `build_frame`/`unframe`
+run the full chain one frame at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -22,12 +27,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decoder import decode_words
+from .decoder import _syndrome_map, decode_words, lookup_lists
 from .framing import FRAME_BITS, HEADER_BITS, INFO_BITS_PER_FRAME, frame_blocks, frame_words
+from .parallel_gen import bits_to_symbol_array
 from .rs_core import K_SYMBOLS
 
 # Raw words of a frame's payload draw: one per two payload bits.
+# `_draw_block` starts each frame past them at Philox counter
+# _SKIP_COUNTER and drops _SKIP_WORDS words; its docstring says why.
 _PAYLOAD_WORDS = INFO_BITS_PER_FRAME // 2
+_SKIP_COUNTER, _SKIP_WORDS = divmod(_PAYLOAD_WORDS, 4)
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,10 @@ class ChannelConfig:
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             # a plain float, so the record prints ber=0.0 and never np.float64(...)
-            object.__setattr__(self, name, float(value))
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
         if not 0.0 <= self.ber <= 1.0:
             raise ValueError(f"ber must be in [0, 1], got {self.ber}")
         if not math.isfinite(self.burst_rate):
@@ -116,23 +128,28 @@ def apply_channel(frame: list[int], cfg: ChannelConfig,
 def _draw_block(cfg: ChannelConfig, block: range, gen: np.random.Generator) -> np.ndarray:
     """flips uint8[n, 320] of the frames in block: row r equals
     channel_flips(cfg, rng) on rng = frame_rng(cfg.seed, block[r]) right
-    after the payload draw integers(0, 2, 270), which spends 135 raw words.
+    after the payload draw integers(0, 2, 270), which spends the stream's
+    first 135 raw words.
 
     With ber 0 and no bursts gen is not touched. Otherwise its Philox is
-    re-keyed to (seed, frame index) at counter 0 for each frame, as
-    frame_rng builds it, and its first 135 + 320 raw words (320 only when
-    ber > 0) land in one array. random() < ber holds exactly when the word
-    is at most ceil(ber * 2**53) * 2**11 - 1: random() is (word >> 11) *
-    2**-53, and the bound fits in 64 bits, also at ber = 1. Bursts are
-    drawn through gen, continuing each frame's stream."""
+    keyed (seed, frame index) for each frame, as frame_rng keys it, and
+    started past those 135 words without making most of them. Philox
+    raises its counter before it makes each four raw words, so set to
+    counter c with its buffer spent it next makes words 4c..4c+3: from
+    divmod(135, 4) = (33, 3), counter 33 makes words 132..135 first, and
+    the 3 words before word 135 are drawn and dropped. The 320 words after
+    them (when ber > 0) land in one array. random() < ber holds exactly
+    when the word is at most ceil(ber * 2**53) * 2**11 - 1: random() is
+    (word >> 11) * 2**-53, and the bound fits in 64 bits, also at ber = 1.
+    Bursts are drawn through gen, continuing each frame's stream."""
     flips = np.zeros((len(block), FRAME_BITS), np.uint8)
     bursty = cfg.burst_rate > 0 and cfg.burst_len > 0
     if cfg.ber == 0 and not bursty:
         return flips
-    n_words = _PAYLOAD_WORDS + (FRAME_BITS if cfg.ber > 0 else 0)
+    n_words = _SKIP_WORDS + (FRAME_BITS if cfg.ber > 0 else 0)
     words = np.empty((len(block), n_words), np.uint64)
     state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": [cfg.seed, 0]},
+             "state": {"counter": [_SKIP_COUNTER, 0, 0, 0], "key": [cfg.seed, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = state["state"]["key"]
     span = min(cfg.burst_len, FRAME_BITS)
@@ -148,7 +165,7 @@ def _draw_block(cfg: ChannelConfig, block: range, gen: np.random.Generator) -> n
 
     if cfg.ber > 0:
         bound = (math.ceil(cfg.ber * 2.0**53) << 11) - 1
-        flips = (words[:, _PAYLOAD_WORDS:] <= bound).view(np.uint8)
+        flips = (words[:, _SKIP_WORDS:] <= bound).view(np.uint8)
     for row, off in bursts:
         flips[row, off:off + span] ^= 1
     return flips
@@ -168,6 +185,24 @@ def _thread_generator() -> np.random.Generator:
         return _local.gen
 
 
+# Set bits up to which a block is decoded from its flipped bits alone
+# (`_count_sparse`), not as whole codewords (`_count_dense`). Counting a
+# block of 8 or 128 frames with F flips at random places, count_nonzero
+# included, sparse against dense (us, min of 2 x 40 rounds of 10 passes
+# over 20 blocks, the two alternating, 2-core Xeon):
+#
+#     F          0     4     8    16    32    48    64    80    96   128
+#   8  sparse    7    16    22    32    49    57    66    73    81    97
+#   8  dense    39    54    60    69    75    75    78    77    81    73
+#   128 sparse  11    24    33    69    82   105   129   147   155   189
+#   128 dense  146   161   168   245   190   188   186   178   174   175
+#
+# Sparse costs about 0.8 us a flip at 8 frames and 1.7 us at 128 (more
+# dirty codewords to look up), dense about the same at any count: sparse
+# is faster up to 80 at both sizes and slower at 128.
+_FEW_FLIPS = 80
+
+
 def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
     """Counters of frames start..start+count-1, from each block's wrong
     bits per codeword half: pre counts the payload bits the channel
@@ -178,24 +213,107 @@ def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
     and XORs in the fix it gives: so decoding e alone gives the same ok
     and nu, and as message the decoded one XOR the sent one, which
     descrambling leaves as it is: the wrong info bits. So no block is
-    encoded, and neither header nor scrambler is read."""
+    encoded, and neither header nor scrambler is read. A block with at
+    most _FEW_FLIPS set bits goes by those bits (`_count_sparse`): the
+    syndromes of e are the XOR of the syndrome columns of its set bits,
+    and a clean block needs no decode. Others decode all their codewords
+    (`_count_dense`)."""
     stats = TrialStats(frames_total=count)
     gen = _thread_generator()
     for block in frame_blocks(start, start + count):
         flips = _draw_block(cfg, block, gen)
-        ok, bits, _ = decode_words(frame_words(flips))
-
-        pre = flips[:, HEADER_BITS:].sum(axis=1)
-        half = bits[:, :K_SYMBOLS].sum(axis=(1, 2))
-        post = half[::2] + half[1::2]
-        stats.bit_err_pre += int(pre.sum())
-        stats.bit_err_post += int(half.sum())
-        stats.frames_err_pre += int(np.count_nonzero(pre))
-        stats.frames_err_post += int(np.count_nonzero(post))
-        stats.frames_recovered += int(np.count_nonzero((pre > 0) & (post == 0)))
-        stats.detected_uncorrectable += len(ok) - int(np.count_nonzero(ok))
-        stats.miscorrections += int(np.count_nonzero(ok & (half > 0)))
+        if np.count_nonzero(flips) <= _FEW_FLIPS:
+            _count_sparse(np.flatnonzero(flips.view(bool)).tolist(), stats)
+        else:
+            _count_dense(flips, stats)
     return stats
+
+
+def _count_dense(flips: np.ndarray, stats: TrialStats) -> None:
+    """Add the counters of flips uint8[n, 320]: every codeword's error word
+    (`frame_words`) is decoded by `decode_words`, and the message bits that
+    come back are the wrong info bits."""
+    ok, bits, _ = decode_words(frame_words(flips))
+    pre = flips[:, HEADER_BITS:].sum(axis=1)
+    half = bits[:, :K_SYMBOLS].sum(axis=(1, 2))
+    post = half[::2] + half[1::2]
+    stats.bit_err_pre += int(pre.sum())
+    stats.bit_err_post += int(half.sum())
+    stats.frames_err_pre += int(np.count_nonzero(pre))
+    stats.frames_err_post += int(np.count_nonzero(post))
+    stats.frames_recovered += int(np.count_nonzero((pre > 0) & (post == 0)))
+    stats.detected_uncorrectable += len(ok) - int(np.count_nonzero(ok))
+    stats.miscorrections += int(np.count_nonzero(ok & (half > 0)))
+
+
+@functools.cache
+def _flip_table() -> list:
+    """Per frame bit, what flipping it does: None for a header bit, else
+    (half, column, symbol, value). The bit lies in codeword A (half 0) or
+    B (half 1), it XORs value into the symbol at index symbol, and column
+    into that codeword's syndromes, packed S1 << 15 | S2 << 10 | S3 << 5 | S4.
+    Probed on the unit frames through `frame_words` and the decoder's
+    syndrome map, so the wire layout is still framing's alone."""
+    words = frame_words(np.eye(FRAME_BITS, dtype=np.uint8))
+    rows = np.flatnonzero(words.any(axis=1))  # 2 * frame bit + half, per payload bit
+    words = words[rows]
+    symbols = bits_to_symbol_array(words)
+    at = symbols.argmax(axis=1)
+    columns = bits_to_symbol_array(_syndrome_map().products(words)).astype(int) @ [
+        1 << 15, 1 << 10, 1 << 5, 1]
+    table = [None] * FRAME_BITS
+    for row, column, symbol, value in zip(rows.tolist(), columns.tolist(), at.tolist(),
+                                          symbols[np.arange(len(rows)), at].tolist()):
+        table[row // 2] = (row % 2, column, symbol, value)
+    return table
+
+
+def _count_sparse(flat: list[int], stats: TrialStats) -> None:
+    """Add the counters of a block from the flat indices of its set flips
+    (frame row * 320 + frame bit), as `_count_dense` counts them.
+
+    Per codeword, the flips give its syndromes and its error value at each
+    info symbol. The nonzero syndromes go to `lookup_lists`, as a few
+    dirty rows of `decode_words` do. A codeword's wrong info bits are its
+    info flips, plus popcount(e ^ y) - popcount(e) for each info symbol the
+    decoder fixes by y where the error is e; an uncorrectable codeword is
+    left as received."""
+    table = _flip_table()
+    pre, synd, errors = {}, {}, {}
+    for i in flat:
+        row, bit = divmod(i, FRAME_BITS)
+        entry = table[bit]
+        if entry is None:
+            continue
+        half, column, symbol, value = entry
+        word = 2 * row + half
+        pre[row] = pre.get(row, 0) + 1
+        synd[word] = synd.get(word, 0) ^ column
+        if symbol < K_SYMBOLS:
+            errors[word, symbol] = errors.get((word, symbol), 0) ^ value
+    wrong = dict.fromkeys(synd, 0)
+    for (word, _), value in errors.items():
+        wrong[word] += value.bit_count()
+    dirty = [word for word, s in synd.items() if s]
+    fixes = lookup_lists([[s >> 15, s >> 10 & 31, s >> 5 & 31, s & 31]
+                          for s in map(synd.get, dirty)])
+    failed = set()
+    for word, (nu, first, y1, last, y2) in zip(dirty, fixes):
+        if not nu:
+            failed.add(word)
+            continue
+        for symbol, y in ((first, y1), (last, y2)):
+            if y and symbol < K_SYMBOLS:
+                e = errors.get((word, symbol), 0)
+                wrong[word] += (e ^ y).bit_count() - e.bit_count()
+    post = [wrong.get(2 * row, 0) + wrong.get(2 * row + 1, 0) for row in pre]
+    stats.bit_err_pre += sum(pre.values())
+    stats.bit_err_post += sum(post)
+    stats.frames_err_pre += len(pre)
+    stats.frames_err_post += len(post) - post.count(0)
+    stats.frames_recovered += post.count(0)
+    stats.detected_uncorrectable += len(failed)
+    stats.miscorrections += sum(1 for word, n in wrong.items() if n and word not in failed)
 
 
 def run_simulation(cfg: ChannelConfig, jobs: int = 1) -> TrialStats:

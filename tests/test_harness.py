@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,8 +17,10 @@ from rs3127 import (UNCORRECTABLE, ChannelConfig, TrialStats, apply_channel,
                     build_frame, emit_stats, frame_rng, run_simulation, run_sweep,
                     unframe)
 from rs3127 import framing, harness
-from rs3127.framing import BLOCK_FRAMES, frame_blocks
+from rs3127.framing import BLOCK_FRAMES, encode_frames, frame_blocks
 from rs3127.harness import _draw_block, channel_flips
+
+from oracles import interleave_reference
 
 
 def test_config_validation():
@@ -54,10 +57,11 @@ def test_integer_fields_reject_other_values(field):
 @pytest.mark.parametrize("field", ["ber", "burst_rate"])
 def test_float_fields_hold_plain_floats(field):
     """A numpy float used to print as np.float64(...) in the record and an
-    int as 0 where the CLI prints 0.0; True was accepted, and a string
-    raised TypeError. Any real number is stored as a float, and anything
-    else raises ValueError."""
-    for value in ("0.1", True, np.True_, None, 1j):
+    int as 0 where the CLI prints 0.0; True was accepted, a string raised
+    TypeError, and an int too large for a float OverflowError. Any real
+    number a float can hold is stored as a float, and anything else raises
+    ValueError."""
+    for value in ("0.1", True, np.True_, None, 1j, 10**400):
         with pytest.raises(ValueError,
                            match=re.escape(f"{field} must be a number, got {value!r}")):
             ChannelConfig(**{field: value})
@@ -326,15 +330,13 @@ def test_block_draw_is_the_per_frame_stream(seed):
             assert np.array_equal(flips[row], channel_flips(cfg, rng))
 
 
-def _scalar_simulation(cfg):
-    """Counters from the per-frame chain: frame_rng, the payload draw,
-    apply_channel on build_frame, unframe."""
-    stats = TrialStats(frames_total=cfg.frames)
-    for index in range(cfg.frames):
-        rng = frame_rng(cfg.seed, index)
-        payload = rng.integers(0, 2, size=270).tolist()
+def _scalar_counters(payloads, flips):
+    """Counters from the per-frame chain: build_frame of each payload, its
+    flips XORed in, unframe."""
+    stats = TrialStats(frames_total=len(payloads))
+    for payload, flip in zip(payloads, flips):
         frame = build_frame(payload)
-        received = apply_channel(frame, cfg, rng)
+        received = [b ^ f for b, f in zip(frame, flip)]
         out = unframe(received)
         pre = sum(a != b for a, b in zip(frame[10:], received[10:]))
         post = sum(a != b for a, b in zip(out.info, payload))
@@ -348,6 +350,17 @@ def _scalar_simulation(cfg):
             stats.detected_uncorrectable += res.status == UNCORRECTABLE
             stats.miscorrections += wrong and res.status != UNCORRECTABLE
     return stats
+
+
+def _scalar_simulation(cfg):
+    """Counters from the per-frame chain on each frame's stream: frame_rng,
+    the payload draw, then channel_flips."""
+    payloads, flips = [], []
+    for index in range(cfg.frames):
+        rng = frame_rng(cfg.seed, index)
+        payloads.append(rng.integers(0, 2, size=270).tolist())
+        flips.append(channel_flips(cfg, rng).tolist())
+    return _scalar_counters(payloads, flips)
 
 
 def test_no_block_is_encoded(monkeypatch):
@@ -395,3 +408,167 @@ def test_block_path_equals_the_scalar_chain():
     assert want.frames_recovered and want.miscorrections and want.detected_uncorrectable
     assert run_simulation(cfg) == want
     assert run_simulation(cfg, jobs=3) == want
+
+
+# --- sparse blocks: decoded from their flipped bits alone ---------------------
+
+# _FEW_FLIPS that sends every block down one path: -1 even an empty one
+# to the dense path.
+PATHS = {"sparse": 10**9, "dense": -1}
+
+
+def _counters_of(monkeypatch, flips, few_flips):
+    """_run_frames' counters of one block whose draw is flips, on the path
+    that few_flips selects."""
+    monkeypatch.setattr(harness, "_draw_block", lambda cfg, block, gen: flips[block.start:block.stop])
+    monkeypatch.setattr(harness, "_FEW_FLIPS", few_flips)
+    return harness._run_frames(ChannelConfig(frames=len(flips)), 0, len(flips))
+
+
+def _symbol_errors(rnd, counts):
+    """uint8[len(counts), 320] flips: for each (a, b) in counts, a symbols
+    of codeword A and b of B (positions from the tuple when it holds
+    lists) get random nonzero errors, laid out by the layout oracle."""
+    rows = []
+    for count in counts:
+        halves = []
+        for spec in count:
+            err = [0] * 31
+            for pos in (spec if isinstance(spec, list) else rnd.sample(range(31), spec)):
+                err[pos] = rnd.randrange(1, 32)
+            halves.append(err)
+        rows.append([0] * 10 + interleave_reference(*halves))
+    return np.array(rows, np.uint8)
+
+
+def _hand_made(case):
+    rnd = random.Random(case)
+    if case == "header-only":
+        flips = np.zeros((6, 320), np.uint8)
+        flips[[0, 0, 2, 5, 5, 5], [0, 9, 4, 1, 2, 3]] = 1
+        return flips
+    if case == "parity-only":
+        return _symbol_errors(rnd, [([28], [27, 30]), ([27, 28], [29]), ([], [29, 30]),
+                                    ([30], []), ([27], [28])])
+    if case == "one-and-two-symbols":
+        return _symbol_errors(rnd, [(1, 0), (0, 1), (2, 1), (1, 2), (2, 2), ([0, 26], [26, 27])])
+    if case == "uncorrectable":
+        return _symbol_errors(rnd, [(3, 0), (4, 5), (0, 3), (6, 6), (3, 3), (5, 0), (3, 4), (8, 2),
+                                    ([27, 29, 30], []), ([], [27, 28, 29, 30])])
+    if case == "codeword":
+        # a nonzero codeword pair with the header left alone: syndrome 0 in
+        # both halves, so each is taken as clean, with wrong info bits
+        payloads = np.random.default_rng(3).integers(0, 2, (2, 3, 270), dtype=np.uint8)
+        payloads[1, 2, 135:] = payloads[0, 2, 135:]  # frame 2: codeword B the same
+        return encode_frames(payloads[0]) ^ encode_frames(payloads[1])
+    if case == "single-bits":
+        flips = np.zeros((12, 320), np.uint8)
+        for row in range(12):
+            flips[row, rnd.sample(range(320), rnd.randint(0, 6))] = 1
+        return flips
+    raise ValueError(case)
+
+
+CASES = ["header-only", "parity-only", "one-and-two-symbols", "uncorrectable", "codeword",
+         "single-bits"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_sparse_path_equals_dense_path_and_the_chain(monkeypatch, case):
+    """A block decoded from its flipped bits gives the counters of the same
+    block decoded as whole codewords, and of the scalar chain on random
+    payloads with those flips."""
+    flips = _hand_made(case)
+    got = {path: _counters_of(monkeypatch, flips, few) for path, few in PATHS.items()}
+    assert got["sparse"] == got["dense"]
+    payloads = np.random.default_rng(7).integers(0, 2, (len(flips), 270), dtype=np.uint8)
+    stats = got["sparse"]
+    assert stats == _scalar_counters(payloads.tolist(), flips.tolist())
+    if case == "header-only":
+        assert stats == TrialStats(frames_total=len(flips))
+    if case in ("parity-only", "one-and-two-symbols"):
+        assert stats.frames_recovered == stats.frames_err_pre == len(flips)
+        assert stats.bit_err_post == stats.miscorrections == stats.detected_uncorrectable == 0
+    if case == "uncorrectable":
+        assert stats.detected_uncorrectable and stats.miscorrections
+    if case == "codeword":
+        parity_flips = int(framing.frame_words(flips)[:, 135:].sum())
+        assert stats.detected_uncorrectable == 0 and stats.frames_recovered == 0
+        assert stats.miscorrections == 5 and stats.frames_err_post == 3
+        assert stats.bit_err_post == stats.bit_err_pre - parity_flips > 0
+
+
+def test_sparse_path_equals_dense_path_on_a_grid_of_configs(monkeypatch):
+    """Drawn blocks of every kind: clean, sparse, burst-only and dense,
+    with bursts longer than a frame, at the two extreme seeds."""
+    for ber, burst_len, burst_rate, seed in itertools.product(
+            (0.0, 1e-4, 1e-3, 1e-2, 0.5, 1.0), (0, 6, 20, 400), (0.0, 0.1, 2.0), (1, 2**64 - 1)):
+        cfg = ChannelConfig(ber=ber, burst_len=burst_len, burst_rate=burst_rate,
+                            seed=seed, frames=BLOCK_FRAMES + 9)
+        got = []
+        for few_flips in PATHS.values():
+            monkeypatch.setattr(harness, "_FEW_FLIPS", few_flips)
+            got.append(harness._run_frames(cfg, 0, cfg.frames))
+        assert got[0] == got[1], cfg
+
+
+@pytest.mark.parametrize("extra, dense", [(0, False), (1, True)], ids=["at-few", "one-more"])
+def test_the_flip_count_selects_the_path(monkeypatch, extra, dense):
+    """A block with _FEW_FLIPS set bits, header bits included, never calls
+    decode_words; one with _FEW_FLIPS + 1 decodes all its codewords once.
+    Both give the scalar chain's counters."""
+    flips = np.zeros((BLOCK_FRAMES, 320), np.uint8)
+    at = np.random.default_rng(31).choice(flips.size, harness._FEW_FLIPS + extra, replace=False)
+    flips.ravel()[at] = 1
+    assert flips[:, :10].any()
+    calls, decode_words = [], harness.decode_words
+    monkeypatch.setattr(harness, "decode_words",
+                        lambda words: calls.append(len(words)) or decode_words(words))
+    stats = _counters_of(monkeypatch, flips, harness._FEW_FLIPS)
+    assert calls == ([2 * BLOCK_FRAMES] if dense else [])
+    payloads = np.random.default_rng(37).integers(0, 2, flips.shape[:1] + (270,), dtype=np.uint8)
+    assert stats == _scalar_counters(payloads.tolist(), flips.tolist())
+
+
+class _RawSizes:
+    """Stands in for the thread's generator: passes every call on to a real
+    Philox generator, and records the size of each random_raw call."""
+
+    def __init__(self):
+        self.gen = np.random.Generator(np.random.Philox(key=0))
+        self.bit_generator = self
+        self.sizes = []
+
+    @property
+    def state(self):
+        return self.gen.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.gen.bit_generator.state = value
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.gen.bit_generator.random_raw(size)
+
+    def poisson(self, lam):
+        return self.gen.poisson(lam)
+
+    def integers(self, low, high):
+        return self.gen.integers(low, high)
+
+
+@pytest.mark.parametrize("ber, burst_len, burst_rate, words", [
+    (1e-3, 6, 0.5, 3 + 320), (2e-2, 0, 0.0, 3 + 320), (0.0, 20, 1.0, 3)],
+    ids=["bursty", "burst-free", "bursts-only"])
+def test_the_draw_skips_the_payload_words(monkeypatch, ber, burst_len, burst_rate, words):
+    """Each frame's draw starts past the payload's 135 raw words: it asks
+    for the 3 raw words of their last four that come before the flips,
+    then the 320 flip words (none at BER 0), and the counters are those
+    of the per-frame stream."""
+    spy = _RawSizes()
+    monkeypatch.setattr(harness, "_thread_generator", lambda: spy)
+    cfg = ChannelConfig(ber=ber, burst_len=burst_len, burst_rate=burst_rate, seed=41, frames=40)
+    stats = run_simulation(cfg)
+    assert spy.sizes == [words] * cfg.frames
+    assert stats == _scalar_simulation(cfg)

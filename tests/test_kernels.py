@@ -398,7 +398,7 @@ def _error_keys(received, symbols):
 
 # Per form of decode_words: the other form, and a _FEW_DIRTY that selects
 # this one whatever the number of dirty rows.
-FORMS = {"per-row": ("_lookup_arrays", SYNDROMES), "array": ("_lookup_lists", -1)}
+FORMS = {"per-row": ("_lookup_arrays", SYNDROMES), "array": ("lookup_lists", -1)}
 
 
 def _take_form(monkeypatch, form):
@@ -516,7 +516,7 @@ def test_the_dirty_count_selects_the_form(monkeypatch, extra, form, n_frames):
     syndromes of the dirty rows only."""
     n_dirty = decoder._FEW_DIRTY + extra
     frames = _dirty_block(n_dirty, 19 + extra, n_frames)
-    taken = {"per-row": "_lookup_lists", "array": "_lookup_arrays"}[form]
+    taken = {"per-row": "lookup_lists", "array": "_lookup_arrays"}[form]
     solve, given = getattr(decoder, taken), []
     monkeypatch.setattr(decoder, FORMS[form][0], lambda *args: pytest.fail("wrong form"))
     monkeypatch.setattr(decoder, taken,
