@@ -115,7 +115,7 @@ def forney(lam, omega, position: int) -> int:
 def decode(received: list[int]) -> DecodeResult:
     """Full pipeline; all failure modes are reported in-band via status."""
     received = list(received)
-    synd = compute_syndromes(received)  # checks the length
+    synd = compute_syndromes(received)  # checks the length and the range
     if not any(synd):
         return DecodeResult(received[:K_SYMBOLS], 0, OK)
     loc = solve_locator(synd)
@@ -147,10 +147,16 @@ def _syndrome_map() -> LinearMap:
                                           bits_to_symbol_array(words).tolist()], WORD_BITS)
 
 
-# The key of a syndrome's class: S1..S4 divided by their lead (S1, or S2
-# when S1 is 0), 5 bits each with S1 highest. S1/lead is 0 or 1, so keys
-# are below 2^16; S1 = S2 = 0 reads as key 0 through the inverse of 0.
+# Packing of S1..S4 into one int, 5 bits each with S1 highest. A class key
+# packs them divided by their lead (S1, or S2 when S1 is 0): keys are below
+# 2^16, and S1 = S2 = 0 reads as key 0 through the inverse of 0.
 _KEY_WEIGHTS = np.array([1 << 15, 1 << 10, 1 << 5, 1])
+
+
+def packed_syndromes(words: np.ndarray) -> np.ndarray:
+    """int[M]: the syndromes of uint8[M, 155] words in info/parity bit
+    order, packed by _KEY_WEIGHTS as `lookup_lists` takes them."""
+    return bits_to_symbol_array(_syndrome_map().products(words)) @ _KEY_WEIGHTS
 
 
 def _class_of(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,57 +187,27 @@ def _correction_table() -> np.ndarray:
     return table
 
 
-# Dirty codewords up to which `decode_words` solves each row on its own
-# (`lookup_lists` and per-row writes), not in table gathers
-# (`_lookup_arrays` and fancy-index writes); both see only the dirty rows,
-# so one count serves any block size. `decode_words` on 16 codewords with D
-# of them dirty, per-row against array form (us, median of five runs of
-# the min of 300 x 20 calls, 2-core Xeon):
-#
-#     D     0     1     2     4     8    10    11    12    14    16
-#   row    13    18    19    23    35    38    42    38    44    50
-#   array  19    41    40    43    40    42    42    41    41    43
-#
-# Per-row adds about 2.3 us a dirty row, the array form about 28 us at any
-# count: per-row is faster up to 10, level at 11 and 12, slower from 14.
-_FEW_DIRTY = 12
-
-
 def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode uint8[M, 155] codewords in info/parity bit order:
     (ok bool[M], bits uint8[M, 31, 5], nu int[M]).
 
     One product gives the syndromes of all rows; a row with zero syndrome
-    is clean and costs nothing more. A dirty row gets the error pattern of
-    weight <= 2 with its syndromes from `_correction_table`, and is
-    uncorrectable if there is none. For at most _FEW_DIRTY dirty rows the
-    lookup is `lookup_lists`, and each row's fix is written on its own
-    (its nu and its two 5-bit groups, or ok False); for more, the lookup
-    is `_lookup_arrays` and the fixes are written by fancy indexing. bits
-    is a copy of words, one 5-bit group per symbol, with each error value
-    XORed into its group. ok is False only for the codewords decode reports
+    is clean and costs nothing more. The dirty rows get, in one
+    `_lookup_arrays` call, the error pattern of weight <= 2 with their
+    syndromes from `_correction_table` (uncorrectable if there is none),
+    written by fancy indexing into bits, a copy of words with one 5-bit
+    group per symbol. ok is False only for the codewords decode reports
     uncorrectable, which stay as received; nu is the number of symbols
     corrected. Row for row this is what decode returns."""
     synd = bits_to_symbol_array(_syndrome_map().products(words))
     rows = np.flatnonzero(synd.any(axis=1))
     ok, nu = np.ones(len(words), bool), np.zeros(len(words), int)
     bits = words.reshape(-1, N_SYMBOLS, BITS_PER_SYMBOL).copy()
-    if not len(rows):
-        return ok, bits, nu
-    if len(rows) <= _FEW_DIRTY:
-        for r, (fix_nu, first, y1, last, y2) in zip(rows.tolist(),
-                                                    lookup_lists(synd[rows].tolist())):
-            if fix_nu:
-                nu[r] = fix_nu
-                bits[r, first] ^= SYMBOL_BITS[y1]
-                bits[r, last] ^= SYMBOL_BITS[y2]
-            else:
-                ok[r] = False
-        return ok, bits, nu
-    fix_nu, first, y1, last, y2 = _lookup_arrays(synd[rows])
-    ok[rows], nu[rows] = fix_nu > 0, fix_nu
-    bits[rows, first] ^= SYMBOL_BITS[y1]
-    bits[rows, last] ^= SYMBOL_BITS[y2]
+    if len(rows):
+        fix_nu, first, y1, last, y2 = _lookup_arrays(synd[rows])
+        ok[rows], nu[rows] = fix_nu > 0, fix_nu
+        bits[rows, first] ^= SYMBOL_BITS[y1]
+        bits[rows, last] ^= SYMBOL_BITS[y2]
     return ok, bits, nu
 
 
@@ -246,20 +222,20 @@ def _lookup_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
     return (y1 > 0) + (y2 > 0).astype(int), first, _GF_MUL[lead, y1], last, _GF_MUL[lead, y2]
 
 
-def lookup_lists(synd: list[list[int]]) -> list[tuple[int, int, int, int, int]]:
-    """The fix (nu, first, y1, last, y2) of each nonzero syndrome [S1, S2,
-    S3, S4]: nu is 0 where the codeword is uncorrectable, else values y1 at
-    symbol first and y2 at last (y2 = 0 when nu is 1) are XORed in. This is
-    `_lookup_arrays` one row at a time, on lists and a flat memoryview of
-    the table (entry k is items 4k..4k+3), cheaper per item than numpy.
-    `decode_words` calls it for a few dirty rows, and the simulator for the
-    syndromes of a sparse block's flips."""
+def lookup_lists(synd: list[int]) -> list[tuple[int, int, int, int, int]]:
+    """The fix (nu, first, y1, last, y2) of each nonzero packed syndrome
+    (`packed_syndromes`): nu is 0 where the codeword is uncorrectable, else
+    values y1 at symbol first and y2 at last (y2 = 0 when nu is 1) are
+    XORed in. This is `_lookup_arrays` one row at a time, on ints and a
+    flat memoryview of the table (entry k is items 4k..4k+3), cheaper per
+    item than numpy for the few dirty codewords of a sparse block."""
     table = memoryview(_correction_table()).cast("B")
     fixes = []
-    for s1, s2, s3, s4 in synd:
+    for s in synd:
+        s1, s2 = s >> 15, s >> 10 & 31
         lead = s1 or s2
         m, scale = MUL[_INV[lead]], MUL[lead]
-        at = 4 * (m[s1] << 15 | m[s2] << 10 | m[s3] << 5 | m[s4])
+        at = 4 * (m[s1] << 15 | m[s2] << 10 | m[s >> 5 & 31] << 5 | m[s & 31])
         first, y1, last, y2 = table[at:at + 4]
         fixes.append(((y1 > 0) + (y2 > 0), first, scale[y1], last, scale[y2]))
     return fixes

@@ -154,12 +154,18 @@ def unframe(frame: list[int]) -> UnframeResult:
     unmodified. decode's message is the received one unless it corrected
     the codeword, so without a correction the scrambled info is the
     message bits of the gathered codewords, and only a corrected frame's
-    messages are converted back to bits."""
+    messages are converted back to bits. A value other than 0 or 1 raises
+    ValueError, in the header checked only when it mismatches."""
     if len(frame) != FRAME_BITS:
         raise ValueError(f"expected {FRAME_BITS} bits, got {len(frame)}")
     header_ok = list(frame[:HEADER_BITS]) == _HEADER
+    if not header_ok and not {*frame[:HEADER_BITS]} <= {0, 1}:
+        raise ValueError("bits must be 0 or 1")
     words = _WORDS_FROM_FRAME(frame)
-    symbols = bits_to_symbols(words)
+    try:
+        symbols = bits_to_symbols(words)
+    except KeyError:
+        raise ValueError("bits must be 0 or 1") from None
     res_a = decode(symbols[:N_SYMBOLS])
     res_b = decode(symbols[N_SYMBOLS:])
     if CORRECTED in (res_a.status, res_b.status):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decoder import _syndrome_map, decode_words, lookup_lists
+from .decoder import decode_words, lookup_lists, packed_syndromes
 from .framing import FRAME_BITS, HEADER_BITS, INFO_BITS_PER_FRAME, frame_blocks, frame_words
 from .parallel_gen import bits_to_symbol_array
 from .rs_core import K_SYMBOLS
@@ -251,16 +251,15 @@ def _flip_table() -> list:
     """Per frame bit, what flipping it does: None for a header bit, else
     (half, column, symbol, value). The bit lies in codeword A (half 0) or
     B (half 1), it XORs value into the symbol at index symbol, and column
-    into that codeword's syndromes, packed S1 << 15 | S2 << 10 | S3 << 5 | S4.
-    Probed on the unit frames through `frame_words` and the decoder's
-    syndrome map, so the wire layout is still framing's alone."""
+    into that codeword's packed syndromes. Probed on the unit frames
+    through `frame_words` and `packed_syndromes`, so the wire layout is
+    still framing's alone and the packing the decoder's."""
     words = frame_words(np.eye(FRAME_BITS, dtype=np.uint8))
     rows = np.flatnonzero(words.any(axis=1))  # 2 * frame bit + half, per payload bit
     words = words[rows]
     symbols = bits_to_symbol_array(words)
     at = symbols.argmax(axis=1)
-    columns = bits_to_symbol_array(_syndrome_map().products(words)).astype(int) @ [
-        1 << 15, 1 << 10, 1 << 5, 1]
+    columns = packed_syndromes(words)
     table = [None] * FRAME_BITS
     for row, column, symbol, value in zip(rows.tolist(), columns.tolist(), at.tolist(),
                                           symbols[np.arange(len(rows)), at].tolist()):
@@ -273,11 +272,10 @@ def _count_sparse(flat: list[int], stats: TrialStats) -> None:
     (frame row * 320 + frame bit), as `_count_dense` counts them.
 
     Per codeword, the flips give its syndromes and its error value at each
-    info symbol. The nonzero syndromes go to `lookup_lists`, as a few
-    dirty rows of `decode_words` do. A codeword's wrong info bits are its
-    info flips, plus popcount(e ^ y) - popcount(e) for each info symbol the
-    decoder fixes by y where the error is e; an uncorrectable codeword is
-    left as received."""
+    info symbol. The nonzero syndromes go to `lookup_lists`. A codeword's
+    wrong info bits are its info flips, plus popcount(e ^ y) - popcount(e)
+    for each info symbol the decoder fixes by y where the error is e; an
+    uncorrectable codeword is left as received."""
     table = _flip_table()
     pre, synd, errors = {}, {}, {}
     for i in flat:
@@ -294,11 +292,9 @@ def _count_sparse(flat: list[int], stats: TrialStats) -> None:
     wrong = dict.fromkeys(synd, 0)
     for (word, _), value in errors.items():
         wrong[word] += value.bit_count()
-    dirty = [word for word, s in synd.items() if s]
-    fixes = lookup_lists([[s >> 15, s >> 10 & 31, s >> 5 & 31, s & 31]
-                          for s in map(synd.get, dirty)])
+    dirty = {word: s for word, s in synd.items() if s}
     failed = set()
-    for word, (nu, first, y1, last, y2) in zip(dirty, fixes):
+    for word, (nu, first, y1, last, y2) in zip(dirty, lookup_lists(list(dirty.values()))):
         if not nu:
             failed.add(word)
             continue

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf32 import MUL
-from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS
+from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS, check_symbols
 
 SHIFT_IN = "shift-in"
 SHIFT_OUT = "shift-out"
@@ -70,8 +70,7 @@ class LfsrEncoder:
 
     def encode(self, msg: list[int]) -> list[int]:
         """Run exactly 31 cycles (27 shift-in + 4 shift-out) for one codeword."""
-        if len(msg) != K_SYMBOLS:
-            raise ValueError(f"message must have {K_SYMBOLS} symbols, got {len(msg)}")
+        check_symbols(msg, K_SYMBOLS, "message")
         self.reset()
         out = [self.cycle(m) for m in msg]
         out += [self.cycle() for _ in range(N_SYMBOLS - K_SYMBOLS)]

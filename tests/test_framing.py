@@ -214,6 +214,21 @@ def test_unframe_reads_a_list_a_tuple_and_an_array_alike():
             assert res.info == payload
 
 
+@pytest.mark.parametrize("value", [2, -1, 255])
+@pytest.mark.parametrize("at", [0, HEADER_BITS, HEADER_BITS + 5],
+                         ids=["header", "codeword-A", "codeword-B"])
+def test_unframe_rejects_a_value_other_than_0_or_1(at, value):
+    """In the header, in codeword A's or in codeword B's first symbol, in a
+    list, a tuple or a uint8 array frame (where -1 wraps to 255), as
+    scramble rejects one; bools still count as bits."""
+    frame = build_frame(random_payload(random.Random(6008)))
+    assert unframe([bool(bit) for bit in frame]).info == unframe(frame).info
+    frame[at] = value
+    for form in (frame, tuple(frame), np.array(frame).astype(np.uint8)):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            unframe(form)
+
+
 def burst_recovery(payload, offset, length):
     frame = build_frame(payload)
     for i in range(HEADER_BITS + offset, HEADER_BITS + offset + length):

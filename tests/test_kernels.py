@@ -396,50 +396,40 @@ def _error_keys(received, symbols):
     return nonzero.sum(axis=1), low | high << 10
 
 
-# Per form of decode_words: the other form, and a _FEW_DIRTY that selects
-# this one whatever the number of dirty rows.
-FORMS = {"per-row": ("_lookup_arrays", SYNDROMES), "array": ("lookup_lists", -1)}
-
-
-def _take_form(monkeypatch, form):
-    """Make decode_words solve every dirty row in `form` ("per-row" or
-    "array"), whatever their number, and make the other form raise."""
-    refused, few_dirty = FORMS[form]
-
-    def refuse(*args):
-        raise AssertionError(f"decode_words ran {refused}")
-
-    monkeypatch.setattr(decoder, "_FEW_DIRTY", few_dirty)
-    monkeypatch.setattr(decoder, refused, refuse)
-
-
-def test_corrector_on_every_syndrome(monkeypatch):
+def test_corrector_on_every_syndrome():
     """decode_words corrects exactly the 961 + 446,865 syndromes of weight-1 and
     weight-2 error patterns, each with its own pattern and count, and flags
-    all the others, in each of its two forms; the scalar decoder agrees on
-    every 97th syndrome (a full scalar sweep agrees too, but its 2^20
-    decode calls took 43 s on a 2-core Xeon)."""
+    all the others; the scalar decoder agrees on every 97th syndrome (a
+    full scalar sweep agrees too, but its 2^20 decode calls took 43 s on a
+    2-core Xeon)."""
     want_nu, want_key = _coset_leaders()
     assert (want_nu == 1).sum() == 961 and (want_nu == 2).sum() == 446_865
     chunk = 1 << 14
-    for form in FORMS:
-        with monkeypatch.context() as patch:
-            _take_form(patch, form)
-            for lo in range(0, SYNDROMES, chunk):
-                ks = np.arange(lo, lo + chunk)
-                words = _parity_region_words(ks)
-                ok, bits, nu = decode_words(words)
-                symbols = bits_to_symbol_array(bits.reshape(-1, 155))
-                count, key = _error_keys(bits_to_symbol_array(words), symbols)
-                assert symbols.shape == (chunk, 31)
-                assert (ok == (want_nu[ks] >= 0)).all()
-                assert (nu == np.maximum(want_nu[ks], 0)).all() and (count == nu).all()
-                assert (key == np.where(nu > 0, want_key[ks], 0)).all()
-                for r in range(-lo % 97, chunk, 97):
-                    res = decode(bits_to_symbol_array(words[r]).tolist())
-                    status = (CORRECTED if nu[r] else OK) if ok[r] else UNCORRECTABLE
-                    assert (res.status, res.corrected_symbols, res.message) == (
-                        status, nu[r], symbols[r, :27].tolist())
+    for lo in range(0, SYNDROMES, chunk):
+        ks = np.arange(lo, lo + chunk)
+        words = _parity_region_words(ks)
+        ok, bits, nu = decode_words(words)
+        symbols = bits_to_symbol_array(bits.reshape(-1, 155))
+        count, key = _error_keys(bits_to_symbol_array(words), symbols)
+        assert symbols.shape == (chunk, 31)
+        assert (ok == (want_nu[ks] >= 0)).all()
+        assert (nu == np.maximum(want_nu[ks], 0)).all() and (count == nu).all()
+        assert (key == np.where(nu > 0, want_key[ks], 0)).all()
+        for r in range(-lo % 97, chunk, 97):
+            res = decode(bits_to_symbol_array(words[r]).tolist())
+            status = (CORRECTED if nu[r] else OK) if ok[r] else UNCORRECTABLE
+            assert (res.status, res.corrected_symbols, res.message) == (
+                status, nu[r], symbols[r, :27].tolist())
+
+
+def test_lookup_lists_equals_the_array_lookup_on_every_syndrome():
+    """The simulator's lookup, on packed ints, gives the fix decode_words'
+    lookup gives, row for row, on all 2^20 - 1 nonzero syndromes."""
+    packed = np.arange(1, SYNDROMES)
+    synd = (packed[:, None] >> np.array([15, 10, 5, 0]) & 31).astype(np.uint8)
+    assert (synd.astype(int) @ decoder._KEY_WEIGHTS == packed).all()
+    want = np.stack(decoder._lookup_arrays(synd), axis=1)
+    assert np.array_equal(np.array(decoder.lookup_lists(packed.tolist())), want)
 
 
 def _scalar_exit(word):
@@ -504,60 +494,58 @@ def _dirty_block(n_dirty, seed, n_frames=None):
     return frames
 
 
-@pytest.mark.parametrize("extra, form, n_frames", [
-    (0, "per-row", None), (1, "array", None), (1, "array", framing.BLOCK_FRAMES),
-], ids=["0-per-row", "1-array", "1-array-mostly-clean"])
-def test_the_dirty_count_selects_the_form(monkeypatch, extra, form, n_frames):
-    """A block with _FEW_DIRTY dirty codewords is solved per row, one with
-    _FEW_DIRTY + 1 in table gathers; the other form is made to raise. In a
-    full block of BLOCK_FRAMES frames most rows are clean and the dirty
-    ones are scattered, so both picking them out and writing their
-    corrections back to the right rows are checked. The form is given the
-    syndromes of the dirty rows only."""
-    n_dirty = decoder._FEW_DIRTY + extra
-    frames = _dirty_block(n_dirty, 19 + extra, n_frames)
-    taken = {"per-row": "lookup_lists", "array": "_lookup_arrays"}[form]
-    solve, given = getattr(decoder, taken), []
-    monkeypatch.setattr(decoder, FORMS[form][0], lambda *args: pytest.fail("wrong form"))
-    monkeypatch.setattr(decoder, taken,
-                        lambda *args: given.append(np.array(args).reshape(-1, 4)) or solve(*args))
+@pytest.mark.parametrize("n_dirty, n_frames", [
+    (1, framing.BLOCK_FRAMES), (12, framing.BLOCK_FRAMES), (13, framing.BLOCK_FRAMES), (13, None),
+], ids=["1", "12", "13", "13-of-15"])
+def test_scattered_dirty_rows_reach_the_array_lookup(monkeypatch, n_dirty, n_frames):
+    """In a full block of BLOCK_FRAMES frames most rows are clean and the
+    dirty ones are scattered, so both picking them out and writing their
+    corrections (and, from 12 dirty rows on, failures) back to the right
+    rows are checked; in a block of 15 frames the first 13 are dirty.
+    `_lookup_arrays` is given the syndromes of the dirty rows only."""
+    frames = _dirty_block(n_dirty, 19 + n_dirty, n_frames)
+    solve, given = decoder._lookup_arrays, []
+    monkeypatch.setattr(decoder, "_lookup_arrays",
+                        lambda synd: given.append(synd) or solve(synd))
     results, _ = _assert_matches_unframe(frames)
     given = np.concatenate(given)
     assert len(given) == n_dirty and given.any(axis=1).all()
     statuses = [r.status for r in results]
     assert len(statuses) - statuses.count(OK) == n_dirty
-    assert {CORRECTED, UNCORRECTABLE} <= set(statuses)
+    assert CORRECTED in statuses and (UNCORRECTABLE in statuses or n_dirty == 1)
 
 
 @pytest.mark.parametrize("n_dirty, n_frames", [(0, 0), (0, 2), (1, 1), (3, 5)],
                          ids=["empty", "clean", "one-dirty-frame", "3-dirty"])
-def test_both_forms_give_identical_arrays(monkeypatch, n_dirty, n_frames):
-    """Empty blocks, clean blocks and blocks with a few dirty codewords come
-    out of either form with the same shapes, dtypes and values."""
+def test_both_forms_give_identical_arrays(n_dirty, n_frames):
+    """Empty blocks, clean blocks and blocks with a few dirty codewords give
+    the values of the scalar form (`unframe`, `decode`) from the batch form
+    (`decode_frames`, `decode_words`), in arrays of fixed shapes and
+    dtypes."""
     frames = _dirty_block(n_dirty, 23)[:n_frames]
-    got = {}
-    for form in FORMS:
-        with monkeypatch.context() as patch:
-            _take_form(patch, form)
-            got[form] = decode_frames(frames)
-    for rows, array in zip(got["per-row"], got["array"]):
-        assert rows.dtype == array.dtype and rows.shape == array.shape
-        assert np.array_equal(rows, array)
-    info, ok, nu, header_ok = got["array"]
+    _assert_matches_unframe(frames)
+    info, ok, nu, header_ok = decode_frames(frames)
     assert info.shape == (n_frames, 270) and ok.shape == nu.shape == (2 * n_frames,)
     assert (info.dtype, ok.dtype, nu.dtype, header_ok.dtype) == (np.uint8, bool, int, bool)
 
 
-@pytest.mark.parametrize("form", FORMS)
-def test_the_corrector_never_writes_into_its_input(monkeypatch, form):
-    """decode_words corrects a copy, in which exactly nu 5-bit groups of a
-    row differ from the received word, and decode_frames leaves the
-    caller's frames as they were."""
-    _take_form(monkeypatch, form)
+def _decode_rows_one_by_one(words):
+    """decode_words on each row as a block of one, stacked back."""
+    ok, bits, nu = zip(*(decode_words(words[r:r + 1]) for r in range(len(words))))
+    return np.concatenate(ok), np.concatenate(bits), np.concatenate(nu)
+
+
+@pytest.mark.parametrize("corrector", [decode_words, _decode_rows_one_by_one],
+                         ids=["array", "per-row"])
+def test_the_corrector_never_writes_into_its_input(corrector):
+    """decode_words, given the whole block or each row as a block of its
+    own, corrects a copy, in which exactly nu 5-bit groups of a row differ
+    from the received word, and decode_frames leaves the caller's frames as
+    they were."""
     frames = _dirty_block(6, 29)
     words = frame_words(frames)
     frames_before, words_before = frames.copy(), words.copy()
-    ok, bits, nu = decode_words(words)
+    ok, bits, nu = corrector(words)
     assert np.array_equal(words, words_before) and (nu > 0).any()
     changed = (bits != words.reshape(-1, 31, 5)).any(axis=2).sum(axis=1)
     assert (changed == nu).all()
@@ -622,7 +610,8 @@ def test_parity_array_equals_the_rows_and_parity_bits():
 
 def test_syndrome_map_is_a_rank_20_linear_map_over_155_bits():
     """The constructor checks rank 20; every row of a random block maps to
-    the syndromes compute_syndromes gives its symbols."""
+    the syndromes compute_syndromes gives its symbols, which
+    packed_syndromes packs S1 << 15 | S2 << 10 | S3 << 5 | S4."""
     synd = decoder._syndrome_map()
     assert isinstance(synd, LinearMap)
     assert (synd.n_in, len(synd.bitmasks)) == (155, 20)
@@ -630,6 +619,8 @@ def test_syndrome_map_is_a_rank_20_linear_map_over_155_bits():
     words = np.random.default_rng(3003).integers(0, 2, (300, 155), dtype=np.uint8)
     got = bits_to_symbol_array(synd.products(words)).tolist()
     assert got == [compute_syndromes(w) for w in bits_to_symbol_array(words).tolist()]
+    assert decoder.packed_syndromes(words).tolist() == [
+        s1 << 15 | s2 << 10 | s3 << 5 | s4 for s1, s2, s3, s4 in got]
 
 
 def test_xor3_trees_of_the_syndrome_map_give_back_its_masks():

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from rs3127 import (GENERATOR_POLY, K_SYMBOLS, N_SYMBOLS, build_generator_poly,
-                    encode_reference, gf_mul, gf_pow, is_codeword)
+                    compute_syndromes, decode, encode_reference, gf_mul, gf_pow, is_codeword,
+                    lfsr_encode)
+from rs3127.serial_encoder import LfsrEncoder
 
 from oracles import alpha_power, expand_generator
 
@@ -103,3 +105,28 @@ def test_length_contracts():
         encode_reference([0] * 26)
     with pytest.raises(ValueError):
         is_codeword([0] * 30)
+
+
+# Each scalar entry point that takes a word of symbols, with its length.
+SCALAR_WORD_CALLS = {
+    "encode_reference": (encode_reference, K_SYMBOLS),
+    "lfsr_encode": (lfsr_encode, K_SYMBOLS),
+    "LfsrEncoder.encode": (lambda word: LfsrEncoder().encode(word), K_SYMBOLS),
+    "compute_syndromes": (compute_syndromes, N_SYMBOLS),
+    "is_codeword": (is_codeword, N_SYMBOLS),
+    "decode": (decode, N_SYMBOLS),
+}
+
+
+@pytest.mark.parametrize("symbol", [-1, 32])
+@pytest.mark.parametrize("call", sorted(SCALAR_WORD_CALLS))
+def test_a_symbol_outside_0_to_31_raises_value_error(call, symbol):
+    """At the first and at the last symbol. Unchecked, -1 would pass into a
+    codeword with the parity of 31, or decode as an error to correct, and
+    32 would index past a GF(32) table."""
+    function, size = SCALAR_WORD_CALLS[call]
+    for place in (0, size - 1):
+        word = [0] * size
+        word[place] = symbol
+        with pytest.raises(ValueError, match=r"symbols must be in 0\.\.31"):
+            function(word)
