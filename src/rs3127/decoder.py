@@ -1,9 +1,10 @@
 """RS(31,27) decoder in two forms: `decode` on one codeword of symbols
 (syndromes, inverse-free Berlekamp-Massey, Chien search, and Forney
-magnitudes), and `decode_words` on a block of codewords in bits, by
-syndrome classes, with decode's result row for row. Both correct up to 2
-symbol errors; anything that fails the consistency checks is flagged
-uncorrectable with the received message region left untouched.
+magnitudes), and `decode_words` on a block of codewords in bits, by the
+classes of their syndromes, packed in one 20-bit int and divided by their
+lead through one scaling table, with decode's result row for row. Both
+correct up to 2 symbol errors; anything that fails the consistency checks
+is flagged uncorrectable with the received message region left untouched.
 
 The locator iteration is division-free: lambda <- gamma*lambda +
 delta*x*B, which tracks the classical Berlekamp-Massey locator up to a
@@ -132,10 +133,14 @@ def decode(received: list[int]) -> DecodeResult:
 
 
 # GF(32) products and inverses as arrays, so field arithmetic over many
-# codewords is a gather; the inverse of 0 reads as 0.
+# codewords is a gather; the inverse of 0 reads as 0. Syndromes S1..S4 pack
+# into one int by _KEY_WEIGHTS, 5 bits each with S1 highest, and c times a
+# packed pair of symbols a << 5 | b is _SCALED[c, a << 5 | b] = c*a << 5 | c*b.
 _INV = [0] + [gf_inv(a) for a in range(1, 32)]
 _GF_MUL = np.array(MUL, np.uint8)
 _GF_INV = np.array(_INV, np.uint8)
+_KEY_WEIGHTS = np.array([1 << 15, 1 << 10, 1 << 5, 1])
+_SCALED = (_GF_MUL[:, :, None].astype(np.uint16) << 5 | _GF_MUL[:, None]).reshape(32, -1)
 
 
 @functools.cache
@@ -147,22 +152,18 @@ def _syndrome_map() -> LinearMap:
                                           bits_to_symbol_array(words).tolist()], WORD_BITS)
 
 
-# Packing of S1..S4 into one int, 5 bits each with S1 highest. A class key
-# packs them divided by their lead (S1, or S2 when S1 is 0): keys are below
-# 2^16, and S1 = S2 = 0 reads as key 0 through the inverse of 0.
-_KEY_WEIGHTS = np.array([1 << 15, 1 << 10, 1 << 5, 1])
-
-
 def packed_syndromes(words: np.ndarray) -> np.ndarray:
     """int[M]: the syndromes of uint8[M, 155] words in info/parity bit
-    order, packed by _KEY_WEIGHTS as `lookup_lists` takes them."""
+    order, packed by _KEY_WEIGHTS: the one form the lookups take."""
     return bits_to_symbol_array(_syndrome_map().products(words)) @ _KEY_WEIGHTS
 
 
 def _class_of(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lead, key), each int[D], of the syndromes S1..S4 in int[D, 4]."""
-    lead = np.where(synd[:, 0] != 0, synd[:, 0], synd[:, 1])
-    return lead, _GF_MUL[_GF_INV[lead][:, None], synd] @ _KEY_WEIGHTS
+    """(lead, key), each [D], of packed syndromes int[D]: key packs them over
+    their lead (S1, or S2 if S1 is 0), below 2^16; S1 = S2 = 0 reads as 0."""
+    lead = np.where(synd >> 15, synd >> 15, synd >> 10 & 31)
+    inv = _GF_INV[lead]
+    return lead, _SCALED[inv, synd >> 10] << 10 | _SCALED[inv, synd & 1023]
 
 
 @functools.cache
@@ -174,13 +175,15 @@ def _correction_table() -> np.ndarray:
 
     Scaling a pattern by c scales its syndromes by c, so each class holds
     one pattern with y1 = 1: the 31 single errors and 465 * 31 pairs, with
-    syndromes powers[first] + y2 * powers[last] (powers[j]: value 1 at j).
-    A nonzero pattern of weight <= 2 has S1 or S2 nonzero: key 0 is empty."""
-    powers = bits_to_symbol_array(_syndrome_map().array[::BITS_PER_SYMBOL])
+    syndromes powers[first] ^ y2 * powers[last] (powers[j]: those of 1 at
+    j; single[y, j]: y times them). A nonzero pattern of weight <= 2 has S1
+    or S2 nonzero: key 0 is empty."""
+    powers = packed_syndromes(np.identity(WORD_BITS, np.uint8)[::BITS_PER_SYMBOL])
+    single = _SCALED[:, powers >> 10].astype(int) << 10 | _SCALED[:, powers & 1023]
     j1, j2, y2 = np.indices((N_SYMBOLS, N_SYMBOLS, 32), np.uint8)
     keep = np.where(j1 == j2, y2 == 0, (j1 < j2) & (y2 > 0))
     j1, j2, y2 = j1[keep], j2[keep], y2[keep]
-    lead, key = _class_of(powers[j1] ^ _GF_MUL[y2[:, None], powers[j2]])
+    lead, key = _class_of(powers[j1] ^ single[y2, j2])
     inv = _GF_INV[lead]
     table = np.zeros((1 << 16, 4), np.uint8)
     table[key] = np.stack([j1, inv, j2, _GF_MUL[inv, y2]], axis=1)
@@ -199,8 +202,8 @@ def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     group per symbol. ok is False only for the codewords decode reports
     uncorrectable, which stay as received; nu is the number of symbols
     corrected. Row for row this is what decode returns."""
-    synd = bits_to_symbol_array(_syndrome_map().products(words))
-    rows = np.flatnonzero(synd.any(axis=1))
+    synd = packed_syndromes(words)
+    rows = np.flatnonzero(synd)
     ok, nu = np.ones(len(words), bool), np.zeros(len(words), int)
     bits = words.reshape(-1, N_SYMBOLS, BITS_PER_SYMBOL).copy()
     if len(rows):
@@ -212,30 +215,26 @@ def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _lookup_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(nu, first, y1, last, y2), each [D], of the nonzero uint8[D, 4]
-    syndromes of D dirty rows: their table entries, the values times their
-    lead, and nu the number of nonzero values (0 if uncorrectable). The
-    syndromes are cast to intp first: numpy gathers faster by intp indices
-    than by uint8 ones."""
-    lead, key = _class_of(synd.astype(np.intp))
+    """(nu, first, y1, last, y2), each [D], of the nonzero packed
+    syndromes int[D] of D dirty rows: their table entries, the values times
+    their lead, and nu the number of nonzero values (0 if uncorrectable)."""
+    lead, key = _class_of(synd)
     first, y1, last, y2 = _correction_table()[key].T
     return (y1 > 0) + (y2 > 0).astype(int), first, _GF_MUL[lead, y1], last, _GF_MUL[lead, y2]
 
 
 def lookup_lists(synd: list[int]) -> list[tuple[int, int, int, int, int]]:
-    """The fix (nu, first, y1, last, y2) of each nonzero packed syndrome
-    (`packed_syndromes`): nu is 0 where the codeword is uncorrectable, else
-    values y1 at symbol first and y2 at last (y2 = 0 when nu is 1) are
-    XORed in. This is `_lookup_arrays` one row at a time, on ints and a
-    flat memoryview of the table (entry k is items 4k..4k+3), cheaper per
-    item than numpy for the few dirty codewords of a sparse block."""
-    table = memoryview(_correction_table()).cast("B")
+    """The fix (nu, first, y1, last, y2) of each nonzero packed syndrome:
+    nu is 0 where the codeword is uncorrectable, else values y1 at symbol
+    first and y2 at last (y2 = 0 when nu is 1) are XORed in. This is
+    `_lookup_arrays` one row at a time, on ints and flat memoryviews of
+    _SCALED and of the table, cheaper per item than numpy for a few rows."""
+    scaled, table = memoryview(_SCALED.ravel()), memoryview(_correction_table()).cast("B")
     fixes = []
     for s in synd:
-        s1, s2 = s >> 15, s >> 10 & 31
-        lead = s1 or s2
-        m, scale = MUL[_INV[lead]], MUL[lead]
-        at = 4 * (m[s1] << 15 | m[s2] << 10 | m[s >> 5 & 31] << 5 | m[s & 31])
+        lead = s >> 15 or s >> 10 & 31
+        row, scale = _INV[lead] << 10, MUL[lead]
+        at = 4 * (scaled[row | s >> 10] << 10 | scaled[row | s & 1023])
         first, y1, last, y2 = table[at:at + 4]
         fixes.append(((y1 > 0) + (y2 > 0), first, scale[y1], last, scale[y2]))
     return fixes

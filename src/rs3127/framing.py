@@ -162,10 +162,7 @@ def unframe(frame: list[int]) -> UnframeResult:
     if not header_ok and not {*frame[:HEADER_BITS]} <= {0, 1}:
         raise ValueError("bits must be 0 or 1")
     words = _WORDS_FROM_FRAME(frame)
-    try:
-        symbols = bits_to_symbols(words)
-    except KeyError:
-        raise ValueError("bits must be 0 or 1") from None
+    symbols = bits_to_symbols(words)
     res_a = decode(symbols[:N_SYMBOLS])
     res_b = decode(symbols[N_SYMBOLS:])
     if CORRECTED in (res_a.status, res_b.status):

@@ -49,22 +49,24 @@ WORD_BITS = N_SYMBOLS * BITS_PER_SYMBOL  # 155
 
 # The five bits of every symbol value, x^0 coefficient first, and the
 # symbol of every such 5-tuple. Both are dicts, so a value outside them
-# raises KeyError: a list would read symbol -1 as 31.
+# is an error, not wrapped: a list would read symbol -1 as 31.
 _BITS_OF = {s: tuple(s >> i & 1 for i in range(BITS_PER_SYMBOL)) for s in range(32)}
 _SYMBOL_OF = {bits: s for s, bits in _BITS_OF.items()}
 
 
 def symbols_to_bits(symbols) -> list[int]:
-    """Bit 5*j + i is bit i of symbol j; KeyError for a symbol outside
-    0..31."""
+    """Bit 5*j + i is bit i of symbol j; KeyError for a symbol outside 0..31."""
     return list(chain.from_iterable(map(_BITS_OF.__getitem__, symbols)))
 
 
 def bits_to_symbols(bits) -> list[int]:
     """Exact inverse of symbols_to_bits, from a list, a tuple or an array
-    row of bits; ValueError unless there are a multiple of 5."""
+    row of bits; ValueError unless there are a multiple of 5, all 0 or 1."""
     groups = zip(*[iter(bits)] * BITS_PER_SYMBOL, strict=True)
-    return list(map(_SYMBOL_OF.__getitem__, groups))
+    try:
+        return list(map(_SYMBOL_OF.__getitem__, groups))
+    except KeyError:
+        raise ValueError("bits must be 0 or 1") from None
 
 
 # The same order as arrays, probed from the converter pair: row s holds the

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf32 import MUL
+from .gf32 import FIELD_SIZE, MUL
 from .rs_core import GENERATOR_POLY, K_SYMBOLS, N_PARITY, N_SYMBOLS, check_symbols
 
 SHIFT_IN = "shift-in"
@@ -50,6 +50,8 @@ class LfsrEncoder:
         """Advance one clock; returns the symbol on the output port."""
         if self.phase >= N_SYMBOLS:
             raise RuntimeError("encoder cycled past phase 31 without reset")
+        if not 0 <= in_symbol < FIELD_SIZE:
+            raise ValueError(f"input symbol must be in 0..{FIELD_SIZE - 1}")
         r0, r1, r2, r3 = self.regs
         if self.phase < K_SYMBOLS:
             f = in_symbol ^ r3

@@ -275,14 +275,15 @@ def _error_symbols(rng, state):
             return errors
 
 
-@pytest.mark.parametrize("block_frames", [128, 4], ids=["arrays", "lists"])
+@pytest.mark.parametrize("block_frames", [128, 4], ids=["arrays", "few-dirty"])
 def test_decode_stats_lines_cover_every_state_and_equal_unframe(
         tmp_path, monkeypatch, block_frames):
     """One frame for each of the 32 (state A, state B, header_ok), with its
     symbol errors placed by `interleave`: every record and `--stats` line
     equals the one formatted from scalar unframe, and each frame's line
     shows the state it was built for. In blocks of 4 frames, at most 8
-    codewords are dirty, so `decode_words` looks them up as lists."""
+    codewords are dirty, and `decode_words` looks them up as it does the
+    dirty codewords of a full block."""
     monkeypatch.setattr(framing, "BLOCK_FRAMES", block_frames)
     rng = np.random.default_rng(31)
     combos = list(itertools.product(range(4), range(4), (0, 1)))

@@ -105,6 +105,11 @@ def test_interleave_length_contracts():
         deinterleave([0] * 309)
 
 
+def test_deinterleave_rejects_a_value_other_than_0_or_1():
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        deinterleave([2] + [0] * 309)
+
+
 @pytest.mark.parametrize("symbol", [-1, 32])
 @pytest.mark.parametrize("place", [0, 26])
 def test_a_symbol_outside_0_to_31_raises_at_either_end(symbol, place):

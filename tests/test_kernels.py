@@ -2,6 +2,7 @@
 corrector against the scalar decoder on every syndrome, and the GF(2)
 parity map the kernels evaluate as a matrix product."""
 
+import hashlib
 import random
 import sys
 
@@ -423,13 +424,20 @@ def test_corrector_on_every_syndrome():
 
 
 def test_lookup_lists_equals_the_array_lookup_on_every_syndrome():
-    """The simulator's lookup, on packed ints, gives the fix decode_words'
-    lookup gives, row for row, on all 2^20 - 1 nonzero syndromes."""
+    """The simulator's lookup gives the fix decode_words' lookup gives, row
+    for row, on all 2^20 - 1 nonzero packed syndromes."""
     packed = np.arange(1, SYNDROMES)
-    synd = (packed[:, None] >> np.array([15, 10, 5, 0]) & 31).astype(np.uint8)
-    assert (synd.astype(int) @ decoder._KEY_WEIGHTS == packed).all()
-    want = np.stack(decoder._lookup_arrays(synd), axis=1)
+    want = np.stack(decoder._lookup_arrays(packed), axis=1)
     assert np.array_equal(np.array(decoder.lookup_lists(packed.tolist())), want)
+
+
+def test_the_correction_table_is_pinned():
+    """Any change to the class table is a declared decision: its shape,
+    dtype and bytes are pinned."""
+    table = decoder._correction_table()
+    assert table.shape == (1 << 16, 4) and table.dtype == np.uint8
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "1423c43862a56d97e7a42258065fdd567b376687a0001b24823f39226dfa85b5")
 
 
 def _scalar_exit(word):
@@ -502,14 +510,15 @@ def test_scattered_dirty_rows_reach_the_array_lookup(monkeypatch, n_dirty, n_fra
     dirty ones are scattered, so both picking them out and writing their
     corrections (and, from 12 dirty rows on, failures) back to the right
     rows are checked; in a block of 15 frames the first 13 are dirty.
-    `_lookup_arrays` is given the syndromes of the dirty rows only."""
+    `_lookup_arrays` is given the packed syndromes of the dirty rows only."""
     frames = _dirty_block(n_dirty, 19 + n_dirty, n_frames)
     solve, given = decoder._lookup_arrays, []
     monkeypatch.setattr(decoder, "_lookup_arrays",
                         lambda synd: given.append(synd) or solve(synd))
     results, _ = _assert_matches_unframe(frames)
     given = np.concatenate(given)
-    assert len(given) == n_dirty and given.any(axis=1).all()
+    synd = decoder.packed_syndromes(frame_words(frames))
+    assert len(given) == n_dirty and given.all() and np.array_equal(given, synd[synd != 0])
     statuses = [r.status for r in results]
     assert len(statuses) - statuses.count(OK) == n_dirty
     assert CORRECTED in statuses and (UNCORRECTABLE in statuses or n_dirty == 1)

@@ -68,6 +68,11 @@ def test_network_evaluation_matches_matrix_path():
         assert encode_parallel(info, NETWORK) == encode_parallel(info, MATRIX)
 
 
+def test_bits_to_message_rejects_a_value_other_than_0_or_1():
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        bits_to_message([2] + [0] * 134)
+
+
 def test_length_contracts():
     with pytest.raises(ValueError):
         message_to_bits([0] * 26)

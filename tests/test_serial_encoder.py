@@ -76,6 +76,15 @@ def test_cycling_past_phase_31_raises():
         enc.cycle(0)
 
 
+@pytest.mark.parametrize("symbol", [-1, 32])
+def test_a_symbol_outside_0_to_31_leaves_a_fresh_encoder_as_it_was(symbol):
+    """Unchecked, -1 would index MUL's row of 31 and load the registers."""
+    enc = LfsrEncoder()
+    with pytest.raises(ValueError, match=r"input symbol must be in 0\.\.31"):
+        enc.cycle(symbol)
+    assert (enc.regs, enc.phase) == ([0, 0, 0, 0], 0)
+
+
 def test_state_is_linear_in_the_message():
     rnd = random.Random(2003)
     for _ in range(50):
