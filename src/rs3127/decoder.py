@@ -1,10 +1,13 @@
-"""RS(31,27) decoder in two forms: `decode` on one codeword of symbols
-(syndromes, inverse-free Berlekamp-Massey, Chien search, and Forney
-magnitudes), and `decode_words` on a block of codewords in bits, by the
-classes of their syndromes, packed in one 20-bit int and divided by their
-lead through one scaling table, with decode's result row for row. Both
-correct up to 2 symbol errors; anything that fails the consistency checks
-is flagged uncorrectable with the received message region left untouched.
+"""RS(31,27) decoder in two forms: `decode` on one codeword of symbols,
+and `decode_words` on a block of codewords in bits. Both pack a
+codeword's syndromes S1..S4 into one 20-bit int. `decode` reads it as
+the XOR of one single-symbol syndrome per symbol, and a dirty word goes
+on to inverse-free Berlekamp-Massey, Chien search and Forney magnitudes.
+`decode_words` keys one table by the classes of the packed syndromes,
+divided by their lead through one scaling table, with decode's result
+row for row. Both correct up to 2 symbol errors; anything that fails the
+consistency checks is flagged uncorrectable with the received message
+region left untouched.
 
 The locator iteration is division-free: lambda <- gamma*lambda +
 delta*x*B, which tracks the classical Berlekamp-Massey locator up to a
@@ -23,7 +26,8 @@ import numpy as np
 from .gf32 import EXP, GROUP_ORDER, MUL, gf_div, gf_inv
 from .parallel_gen import (BITS_PER_SYMBOL, SYMBOL_BITS, WORD_BITS, LinearMap,
                            bits_to_symbol_array, symbols_to_bits)
-from .rs_core import K_SYMBOLS, N_SYMBOLS, T_CORRECT, compute_syndromes, is_codeword, poly_eval
+from .rs_core import (K_SYMBOLS, N_SYMBOLS, T_CORRECT, check_symbols, compute_syndromes,
+                      is_codeword, poly_eval)
 
 OK = "ok"
 CORRECTED = "corrected"
@@ -114,11 +118,18 @@ def forney(lam, omega, position: int) -> int:
 
 
 def decode(received: list[int]) -> DecodeResult:
-    """Full pipeline; all failure modes are reported in-band via status."""
+    """Full pipeline; all failure modes are reported in-band via status.
+    The packed syndrome (by _KEY_WEIGHTS) is the XOR of one
+    `_syndrome_columns` entry per symbol, so a clean word returns after 31
+    lookups; a dirty one unpacks it into S1..S4 for Berlekamp-Massey."""
     received = list(received)
-    synd = compute_syndromes(received)  # checks the length and the range
-    if not any(synd):
+    check_symbols(received, N_SYMBOLS, "received word")
+    packed = 0
+    for column, v in zip(_syndrome_columns(), received):
+        packed ^= column[v]
+    if not packed:
         return DecodeResult(received[:K_SYMBOLS], 0, OK)
+    synd = [packed >> 15, packed >> 10 & 31, packed >> 5 & 31, packed & 31]
     loc = solve_locator(synd)
     nu = len(_trim(loc.lam)) - 1
     positions = chien_search(loc.lam)
@@ -167,6 +178,22 @@ def _class_of(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
+def _syndrome_columns() -> list[list[int]]:
+    """Entry [j][v] is the packed syndrome of value v at position j alone:
+    those of 1 at j (compute_syndromes) scaled by v through _SCALED, as
+    lookup_lists reads it. Syndromes are linear in the symbols, so a
+    word's is the XOR of its 31 entries. Plain ints, built without numpy
+    temporaries: the scalar chain's first decode costs no array memory."""
+    scaled = memoryview(_SCALED.ravel())
+    columns = []
+    for j in range(N_SYMBOLS):
+        s1, s2, s3, s4 = compute_syndromes([0] * j + [1] + [0] * (N_SYMBOLS - 1 - j))
+        columns.append([scaled[v << 10 | s1 << 5 | s2] << 10 | scaled[v << 10 | s3 << 5 | s4]
+                        for v in range(32)])
+    return columns
+
+
+@functools.cache
 def _correction_table() -> np.ndarray:
     """uint8[2^16, 4]: at each key, (first, y1, last, y2) of the error
     pattern of weight 1 or 2 whose syndromes divided by their lead have
@@ -175,15 +202,14 @@ def _correction_table() -> np.ndarray:
 
     Scaling a pattern by c scales its syndromes by c, so each class holds
     one pattern with y1 = 1: the 31 single errors and 465 * 31 pairs, with
-    syndromes powers[first] ^ y2 * powers[last] (powers[j]: those of 1 at
-    j; single[y, j]: y times them). A nonzero pattern of weight <= 2 has S1
+    syndromes single[1, first] ^ single[y2, last] (single[y, j]: entry
+    [j][y] of `_syndrome_columns`). A nonzero pattern of weight <= 2 has S1
     or S2 nonzero: key 0 is empty."""
-    powers = packed_syndromes(np.identity(WORD_BITS, np.uint8)[::BITS_PER_SYMBOL])
-    single = _SCALED[:, powers >> 10].astype(int) << 10 | _SCALED[:, powers & 1023]
+    single = np.array(_syndrome_columns()).T
     j1, j2, y2 = np.indices((N_SYMBOLS, N_SYMBOLS, 32), np.uint8)
     keep = np.where(j1 == j2, y2 == 0, (j1 < j2) & (y2 > 0))
     j1, j2, y2 = j1[keep], j2[keep], y2[keep]
-    lead, key = _class_of(powers[j1] ^ single[y2, j2])
+    lead, key = _class_of(single[1, j1] ^ single[y2, j2])
     inv = _GF_INV[lead]
     table = np.zeros((1 << 16, 4), np.uint8)
     table[key] = np.stack([j1, inv, j2, _GF_MUL[inv, y2]], axis=1)

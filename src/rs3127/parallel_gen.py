@@ -55,8 +55,11 @@ _SYMBOL_OF = {bits: s for s, bits in _BITS_OF.items()}
 
 
 def symbols_to_bits(symbols) -> list[int]:
-    """Bit 5*j + i is bit i of symbol j; KeyError for a symbol outside 0..31."""
-    return list(chain.from_iterable(map(_BITS_OF.__getitem__, symbols)))
+    """Bit 5*j + i is bit i of symbol j; ValueError for a symbol outside 0..31."""
+    try:
+        return list(chain.from_iterable(map(_BITS_OF.__getitem__, symbols)))
+    except KeyError:
+        raise ValueError("symbols must be in 0..31") from None
 
 
 def bits_to_symbols(bits) -> list[int]:

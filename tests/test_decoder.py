@@ -7,6 +7,7 @@ import pytest
 from rs3127 import (CORRECTED, OK, UNCORRECTABLE, chien_search,
                     compute_syndromes, decode, encode_reference, forney,
                     gf_mul, gf_pow, solve_locator)
+from rs3127 import decoder
 
 from oracles import alpha_power, classical_bm, clmul_reduce, expand_generator, poly_roots
 
@@ -233,6 +234,40 @@ def test_weight_3_never_recovers_and_uncorrectable_passes_payload_through():
         elif res.message != cw[:27]:
             seen_miscorrection = True
     assert seen_uncorrectable and seen_miscorrection
+
+
+def _packed(synd):
+    """S1..S4 packed as decoder._KEY_WEIGHTS packs them."""
+    return sum(int(w) * s for w, s in zip(decoder._KEY_WEIGHTS, synd))
+
+
+def test_syndrome_columns_are_the_packed_syndromes_of_every_single_symbol_word():
+    """All 31 x 32 words with one symbol v at position j (v = 0 included)."""
+    columns = decoder._syndrome_columns()
+    assert len(columns) == 31 and {len(column) for column in columns} == {32}
+    for j, v in itertools.product(range(31), range(32)):
+        word = [0] * 31
+        word[j] = v
+        assert columns[j][v] == _packed(compute_syndromes(word)), (j, v)
+
+
+def test_decode_hands_a_dirty_word_its_syndromes_and_returns_a_clean_one_at_once(monkeypatch):
+    """decode XORs one column entry per symbol: a dirty word (1 to 5 symbol
+    errors) reaches Berlekamp-Massey with exactly compute_syndromes' S1..S4
+    unpacked from it, and a codeword never does."""
+    seen = []
+    monkeypatch.setattr(decoder, "solve_locator", lambda synd: seen.append(synd) or
+                        solve_locator(synd))
+    rnd = random.Random(5010)
+    for _ in range(500):
+        word = encode_reference(random_message(rnd))
+        assert decode(word).status == OK and seen == []
+        for j in rnd.sample(range(31), rnd.randrange(1, 6)):
+            word[j] ^= rnd.randrange(1, 32)
+        synd = compute_syndromes(word)
+        decode(word)
+        assert seen == ([synd] if any(synd) else [])
+        seen.clear()
 
 
 def test_corrects_parity_region_errors_too():

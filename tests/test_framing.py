@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rs3127 import (OK, DEFAULT_SYNC_HEADER, build_frame,
+from rs3127 import (CORRECTED, OK, UNCORRECTABLE, DEFAULT_SYNC_HEADER, build_frame,
                     bytes_to_frame, default_parity_matrix, deinterleave, descramble,
                     encode_parallel, encode_reference, frame_to_bytes, interleave,
                     message_to_bits, scramble, unframe)
@@ -110,20 +110,23 @@ def test_deinterleave_rejects_a_value_other_than_0_or_1():
         deinterleave([2] + [0] * 309)
 
 
+OUTSIDE_THE_FIELD = r"symbols must be in 0\.\.31"
+
+
 @pytest.mark.parametrize("symbol", [-1, 32])
 @pytest.mark.parametrize("place", [0, 26])
 def test_a_symbol_outside_0_to_31_raises_at_either_end(symbol, place):
-    """A symbol just below or just above the field raises KeyError through
+    """A symbol just below or just above the field raises ValueError through
     each converter, where a table indexed by it would wrap -1 to 31."""
     word = [0] * 31
     word[place] = symbol
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=OUTSIDE_THE_FIELD):
         symbols_to_bits(word)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=OUTSIDE_THE_FIELD):
         message_to_bits(word[:27])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=OUTSIDE_THE_FIELD):
         interleave(word, [0] * 31)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=OUTSIDE_THE_FIELD):
         interleave([0] * 31, word)
 
 
@@ -322,6 +325,97 @@ def test_frame_and_bytes_match_the_layout_oracle(info):
     assert frame_to_bytes(want) == want_bytes
     assert bytes_to_frame(want_bytes) == want
     assert unframe(want).info == info
+
+
+def _frame_int(bits):
+    return int("".join(map(str, bits)), 2)
+
+
+def test_build_frame_equals_the_layout_oracle_at_every_table_entry():
+    """On the zero payload and on each of the 270 unit payloads; and, as
+    the oracle is affine in the payload, on every payload whose scrambled
+    info is a value v in byte j and 0 elsewhere, which reads entry [j][v]
+    of the frame table (the last byte holds info bits 264..269 only)."""
+    zero = frame_reference([0] * 270)
+    assert build_frame([0] * 270) == zero
+    columns = []
+    for k in range(270):
+        unit = [0] * 270
+        unit[k] = 1
+        want = frame_reference(unit)
+        assert build_frame(unit) == want
+        columns.append(_frame_int(want) ^ _frame_int(zero))
+    prbs = prbs_reference(270)
+    base = _frame_int(frame_reference(prbs))  # scrambled info all 0
+    for j in range(34):
+        for v in range(256):
+            scrambled = [0] * 272
+            scrambled[8 * j:8 * j + 8] = [v >> (7 - i) & 1 for i in range(8)]
+            if any(scrambled[270:]):
+                continue
+            want = base
+            for k in np.flatnonzero(scrambled).tolist():
+                want ^= columns[k]
+            got = build_frame([s ^ p for s, p in zip(scrambled, prbs)])
+            assert _frame_int(got) == want, (j, v)
+
+
+@given(bit_lists_270, st.sets(st.integers(0, 319), max_size=8))
+@example([1] * 270, set(range(HEADER_BITS, HEADER_BITS + 40, 5)))
+def test_unframe_equals_decode_frames_on_a_list_a_tuple_and_an_array(info, flips):
+    """info, ok, nu and header_ok of a frame with 0 to 8 flipped bits."""
+    frame = build_frame(info)
+    for at in flips:
+        frame[at] ^= 1
+    want_info, ok, nu, header_ok = decode_frames(np.array([frame], np.uint8))
+    for form in (frame, tuple(frame), np.array(frame, np.uint8)):
+        res = unframe(form)
+        results = (res.result_a, res.result_b)
+        assert res.info == want_info[0].tolist()
+        assert [r.status != UNCORRECTABLE for r in results] == ok.tolist()
+        assert [r.corrected_symbols for r in results] == nu.tolist()
+        assert [r.status == CORRECTED for r in results] == (nu > 0).tolist()
+        assert res.header_ok is bool(header_ok[0])
+
+
+# What scramble, unframe and frame_to_bytes do with one value that is not a
+# bit, in a list or a tuple: the exception, with the message where rs3127
+# writes it, or None where the value is taken as a bit. 48 and 49 are the
+# bytes of the digits "0" and "1", which unframe must not read as bits.
+NOT_A_BIT = "bits must be 0 or 1"
+NON_BITS = {
+    -1: ((ValueError, None), (ValueError, NOT_A_BIT), (ValueError, None)),
+    2: ((ValueError, NOT_A_BIT), (ValueError, NOT_A_BIT), None),
+    48: ((ValueError, NOT_A_BIT), (ValueError, NOT_A_BIT), None),
+    49: ((ValueError, NOT_A_BIT), (ValueError, NOT_A_BIT), None),
+    256: ((ValueError, None), (ValueError, NOT_A_BIT), (ValueError, None)),
+    True: (None, None, None),
+    0.5: ((TypeError, None), (ValueError, NOT_A_BIT), (TypeError, None)),
+}
+
+
+@pytest.mark.parametrize("value", list(NON_BITS), ids=repr)
+@pytest.mark.parametrize("at", [3, 150], ids=["header", "payload"])
+def test_a_value_other_than_0_or_1_raises_at_a_header_and_a_payload_bit(value, at):
+    """The position is a frame bit, and the same index into scramble's
+    270 bits. True counts as 1 everywhere, and a nonzero byte packs as 1."""
+    frame = build_frame(random_payload(random.Random(6009)))
+    calls = ((scramble, frame[HEADER_BITS:][:270]), (unframe, frame), (frame_to_bytes, frame))
+    for (call, bits), outcome in zip(calls, NON_BITS[value]):
+        for form in (list, tuple):
+            given = list(bits)
+            given[at] = value
+            if outcome is None:
+                as_bit = list(bits)
+                as_bit[at] = 1
+                assert call(form(given)) == call(form(as_bit))
+                continue
+            error, message = outcome
+            with pytest.raises(error) as raised:
+                call(form(given))
+            assert type(raised.value) is error
+            if message:
+                assert str(raised.value) == message
 
 
 def test_byte_packing_of_every_value_at_every_position():
