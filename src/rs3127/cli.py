@@ -6,10 +6,13 @@ one frame occupy record bits 0..269 (big-endian bit order) and the
 trailing 50 bits must be zero. A final partial record is zero-padded.
 With that convention `encode | decode` round-trips byte-identically.
 Both commands push the records through the batch kernels in blocks of
-framing.BLOCK_FRAMES frames. Every output file is rewritten in place and
-then cut to length, never truncated first: on ext4 mounted with
-`discard`, freeing a file's blocks (truncate, unlink or rename over it)
-took 40-150 ms, against well under 1 ms to overwrite them.
+framing.BLOCK_FRAMES frames. `decode` hands each block of frames to
+`decode_frames` as read and writes the record bytes it returns, with no
+bit array on the way; only `encode` unpacks the records into bits.
+Every output file is rewritten in place and then, if it was longer, cut
+to length, never truncated first: on ext4 mounted with `discard`,
+freeing a file's blocks (truncate, unlink or rename over it) took
+40-150 ms, against well under 1 ms to overwrite them.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error.
 """
@@ -52,15 +55,18 @@ class _Parser(argparse.ArgumentParser):
 @contextlib.contextmanager
 def _output(path: str):
     """Binary handle on path, created if missing. An existing file is
-    overwritten in place and then truncated at the last byte written, so
-    it ends with the bytes, inode and mode that opening with O_TRUNC gives,
-    without freeing its blocks first. Only a regular file is truncated, so
-    devices and pipes work too."""
+    overwritten in place and then, if it was longer, truncated at the last
+    byte written, so it ends with the bytes, inode and mode that opening
+    with O_TRUNC gives, without freeing its blocks first. Only a regular
+    file is truncated, so devices and pipes work too. Its size on disk
+    before the final flush is at most the bytes written unless it was
+    longer, so a same-size rewrite makes no truncate call."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         try:
             yield fh
         finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            status = os.fstat(fh.fileno())
+            if stat.S_ISREG(status.st_mode) and status.st_size > fh.tell():
                 fh.truncate()
 
 
@@ -163,10 +169,9 @@ def _cmd_decode(args) -> int:
     stats_lines = []
     with _output(args.output) as fh:
         for block in frame_blocks(0, len(frames)):
-            info, ok, nu, header_ok = decode_frames(
-                np.unpackbits(frames[block.start:block.stop], axis=1))
+            info, ok, nu, header_ok = decode_frames(frames[block.start:block.stop])
             records = np.zeros((len(block), FRAME_BYTES), np.uint8)
-            records[:, :_INFO_BYTES] = np.packbits(info, axis=1)  # zero-fills the last info byte
+            records[:, :_INFO_BYTES] = info
             fh.write(records)
             if args.stats:
                 state = (ok + nu).reshape(-1, 2)

@@ -5,9 +5,12 @@ the XOR of one single-symbol syndrome per symbol, and a dirty word goes
 on to inverse-free Berlekamp-Massey, Chien search and Forney magnitudes.
 `decode_words` keys one table by the classes of the packed syndromes,
 divided by their lead through one scaling table, with decode's result
-row for row. Both correct up to 2 symbol errors; anything that fails the
-consistency checks is flagged uncorrectable with the received message
-region left untouched.
+row for row. Its lookup, `block_fixes`, takes a block's packed
+syndromes however they were made (by a product on bits here, by byte
+tables in `framing.decode_frames`) and looks up the dirty ones at once,
+each step a `take` from a table read as flat. Both correct up to 2 symbol
+errors; anything that fails the consistency checks is flagged
+uncorrectable with the received message region left untouched.
 
 The locator iteration is division-free: lambda <- gamma*lambda +
 delta*x*B, which tracks the classical Berlekamp-Massey locator up to a
@@ -152,6 +155,11 @@ _GF_MUL = np.array(MUL, np.uint8)
 _GF_INV = np.array(_INV, np.uint8)
 _KEY_WEIGHTS = np.array([1 << 15, 1 << 10, 1 << 5, 1])
 _SCALED = (_GF_MUL[:, :, None].astype(np.uint16) << 5 | _GF_MUL[:, None]).reshape(32, -1)
+# `take` reads a table as flat, so c*a is _GF_MUL.take(c << 5 | a). By
+# S1 << 5 | S2 (a packed syndrome >> 10): the lead, and where the row of
+# _SCALED that divides by it starts; 0 where S1 = S2 = 0.
+_LEADS = np.where(np.arange(1024) >> 5, np.arange(1024) >> 5, np.arange(1024) & 31)
+_INV_ROWS = _GF_INV[_LEADS].astype(int) << 10
 
 
 @functools.cache
@@ -171,10 +179,12 @@ def packed_syndromes(words: np.ndarray) -> np.ndarray:
 
 def _class_of(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lead, key), each [D], of packed syndromes int[D]: key packs them over
-    their lead (S1, or S2 if S1 is 0), below 2^16; S1 = S2 = 0 reads as 0."""
-    lead = np.where(synd >> 15, synd >> 15, synd >> 10 & 31)
-    inv = _GF_INV[lead]
-    return lead, _SCALED[inv, synd >> 10] << 10 | _SCALED[inv, synd & 1023]
+    their lead (S1, or S2 if S1 is 0), below 2^16; S1 = S2 = 0 reads as 0.
+    Two 1-D takes by S1 << 5 | S2, and two from _SCALED."""
+    high = synd >> 10
+    row = _INV_ROWS.take(high)
+    key = _SCALED.take(row | high) << 10 | _SCALED.take(row | synd & 1023)
+    return _LEADS.take(high), key
 
 
 @functools.cache
@@ -216,25 +226,33 @@ def _correction_table() -> np.ndarray:
     return table
 
 
+def block_fixes(synd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(ok bool[M], nu int[M], rows, first, y1, last, y2) of packed
+    syndromes int[M]: rows are the dirty ones (nonzero syndrome), and
+    first, y1, last, y2 their fixes from one `_lookup_arrays` call, so a
+    clean block costs no lookup. ok is False only for the codewords decode
+    reports uncorrectable, whose fixes are 0; nu is the number of symbols
+    corrected."""
+    rows = np.flatnonzero(synd)
+    ok, nu = np.ones(len(synd), bool), np.zeros(len(synd), int)
+    if not len(rows):
+        return ok, nu, rows, rows, rows, rows, rows
+    fix_nu, first, y1, last, y2 = _lookup_arrays(synd[rows])
+    ok[rows], nu[rows] = fix_nu > 0, fix_nu
+    return ok, nu, rows, first, y1, last, y2
+
+
 def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode uint8[M, 155] codewords in info/parity bit order:
     (ok bool[M], bits uint8[M, 31, 5], nu int[M]).
 
-    One product gives the syndromes of all rows; a row with zero syndrome
-    is clean and costs nothing more. The dirty rows get, in one
-    `_lookup_arrays` call, the error pattern of weight <= 2 with their
-    syndromes from `_correction_table` (uncorrectable if there is none),
+    One product gives the syndromes of all rows (`packed_syndromes`), and
+    `block_fixes` the error pattern of weight <= 2 of each dirty row,
     written by fancy indexing into bits, a copy of words with one 5-bit
-    group per symbol. ok is False only for the codewords decode reports
-    uncorrectable, which stay as received; nu is the number of symbols
-    corrected. Row for row this is what decode returns."""
-    synd = packed_syndromes(words)
-    rows = np.flatnonzero(synd)
-    ok, nu = np.ones(len(words), bool), np.zeros(len(words), int)
+    group per symbol. Row for row this is what decode returns."""
+    ok, nu, rows, first, y1, last, y2 = block_fixes(packed_syndromes(words))
     bits = words.reshape(-1, N_SYMBOLS, BITS_PER_SYMBOL).copy()
     if len(rows):
-        fix_nu, first, y1, last, y2 = _lookup_arrays(synd[rows])
-        ok[rows], nu[rows] = fix_nu > 0, fix_nu
         bits[rows, first] ^= SYMBOL_BITS[y1]
         bits[rows, last] ^= SYMBOL_BITS[y2]
     return ok, bits, nu
@@ -243,10 +261,16 @@ def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _lookup_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:
     """(nu, first, y1, last, y2), each [D], of the nonzero packed
     syndromes int[D] of D dirty rows: their table entries, the values times
-    their lead, and nu the number of nonzero values (0 if uncorrectable)."""
+    their lead, and nu the number of nonzero values (0 if uncorrectable).
+    Every step is a 1-D `take` from a table read as flat: `_class_of`'s,
+    the class table as one little-endian uint32 (first, y1, last, y2) per
+    key, and _GF_MUL."""
     lead, key = _class_of(synd)
-    first, y1, last, y2 = _correction_table()[key].T
-    return (y1 > 0) + (y2 > 0).astype(int), first, _GF_MUL[lead, y1], last, _GF_MUL[lead, y2]
+    entry = _correction_table().view("<u4").take(key)
+    scale = lead << 5
+    y1 = _GF_MUL.take(scale | entry >> 8 & 31)
+    y2 = _GF_MUL.take(scale | entry >> 24)
+    return (y1 > 0) + (y2 > 0).astype(int), entry & 31, y1, entry >> 16 & 31, y2
 
 
 def lookup_lists(synd: list[int]) -> list[tuple[int, int, int, int, int]]:

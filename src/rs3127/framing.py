@@ -27,13 +27,19 @@ frame, takes each symbol of both codewords as a 5-bit field of it
 (`_SYMBOL_SHIFTS`, read off `_FROM_WIRE`), decodes both with the scalar
 `decode`, and descrambles decode's two messages. A round trip took about
 33 us, where converting bit lists took 53 (2-core Xeon, Python 3.11).
-The batch kernels `encode_frames`/`decode_frames` take `uint8[N, 270]`
-info and `uint8[N, 320]` frames: scrambling is an XOR with the PRBS and
-interleaving one gather by the index. `encode_frames` runs the chosen
-encoder's own algorithm across the block, never a scalar encoder, and
-`decode_frames` decodes the codewords of every frame (`frame_words`) in
-one `decoder.decode_words` call. The CLI and the simulator feed the
-kernels in blocks of at most BLOCK_FRAMES frames, which bounds their
+The batch kernel `encode_frames` takes `uint8[N, 270]` info bits and
+gives `uint8[N, 320]` frame bits: scrambling is an XOR with the PRBS and
+interleaving one gather by the index, and it runs the chosen encoder's
+own algorithm across the block, never a scalar encoder. `decode_frames`
+takes the wire bytes, `uint8[N, 40]`, and gives the info as record
+bytes, `uint8[N, 34]`. Its header check, syndromes and clean info are
+XORs of byte-table entries (`_byte_tables`, probed on the unit frames
+through `frame_words` and `flip_table`, so the layout is still stated
+once), the dirty codewords are looked up in one `decoder.block_fixes`
+call, and each fix is a mask of record bytes: no step unpacks a bit.
+`frame_words`, every frame's two codewords in bits, serves the
+simulator's dense blocks and the probes. The CLI and the simulator feed
+the kernels in blocks of at most BLOCK_FRAMES frames, which bounds their
 memory.
 """
 
@@ -44,10 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import DecodeResult, decode, decode_words
-from .parallel_gen import (SYMBOL_BITS, WORD_BITS, bits_to_symbols, default_parity_matrix,
-                           parity_by_symbols, symbols_to_bits)
-from .rs_core import K_SYMBOLS, N_SYMBOLS, divide_block
+from .decoder import DecodeResult, block_fixes, decode, packed_syndromes
+from .parallel_gen import (BITS_PER_SYMBOL, SYMBOL_BITS, WORD_BITS, bits_to_symbol_array,
+                           bits_to_symbols, default_parity_matrix, parity_by_symbols,
+                           symbols_to_bits)
+from .rs_core import N_SYMBOLS, divide_block
 from .serial_encoder import shift_in_block
 
 FRAME_BITS = 320
@@ -100,21 +107,25 @@ _PAD_BITS = 8 * _INFO_BYTES - INFO_BITS_PER_FRAME
 
 def _bit_bytes(bits, size: int) -> bytearray:
     """The values of `size` bits, one byte each, from a list or tuple of
-    ints or from an array (through its tolist). bytearray() raises
-    ValueError for a value outside 0..255 and TypeError for a float."""
+    ints or from an array (through its tolist). A value outside 0..255 or
+    not an int (a float included) raises ValueError("bits must be 0 or
+    1"), as bytearray() refuses it; `scramble` and `_packed` also reject
+    2..255, and `frame_to_bytes` packs them as 1."""
     if len(bits) != size:
         raise ValueError(f"expected {size} bits, got {len(bits)}")
-    return bytearray(bits.tolist() if isinstance(bits, np.ndarray) else bits)
+    try:
+        return bytearray(bits.tolist() if isinstance(bits, np.ndarray) else bits)
+    except (TypeError, ValueError):
+        raise ValueError("bits must be 0 or 1") from None
 
 
 def _packed(bits, size: int) -> int:
     """`size` bits as one int, bits[0] the MSB; ValueError("bits must be 0
     or 1") for any other value, a float included."""
-    if len(bits) != size:
-        raise ValueError(f"expected {size} bits, got {len(bits)}")
+    digits = _bit_bytes(bits, size).translate(_TO_DIGITS)
     try:
-        return int(_bit_bytes(bits, size).translate(_TO_DIGITS), 2)
-    except (TypeError, ValueError):
+        return int(digits, 2)
+    except ValueError:
         raise ValueError("bits must be 0 or 1") from None
 
 
@@ -215,7 +226,8 @@ def unframe(frame: list[int]) -> UnframeResult:
 
 def frame_to_bytes(frame: list[int]) -> bytes:
     """Pack 320 bits big-endian: frame bit 0 is the MSB of byte 0. A
-    nonzero value packs as 1; one outside 0..255 raises ValueError."""
+    nonzero value packs as 1; one outside 0..255, or a float, raises
+    ValueError("bits must be 0 or 1")."""
     data = _bit_bytes(frame, FRAME_BITS)
     return np.packbits(np.frombuffer(data, np.uint8)).tobytes()
 
@@ -230,6 +242,13 @@ def bytes_to_frame(data: bytes) -> list[int]:
 
 _PRBS_ARRAY = np.array(_PRBS_FRAME, dtype=np.uint8)
 _HEADER_ARRAY = np.array(_HEADER, np.uint8)
+
+# Flat index of byte value 0 in row b of a [40, 256] table, one row per
+# frame byte, as uint16: int64 offsets would promote the whole index array.
+_BYTE_OFFSETS = (np.arange(FRAME_BYTES, dtype=np.uint16) << 8)[:, None]
+# Bits of one packed syndrome, and the mask that takes it.
+_SYNDROME_BITS = 4 * BITS_PER_SYMBOL
+_SYNDROME_MASK = (1 << _SYNDROME_BITS) - 1
 
 
 def frame_blocks(start: int, stop: int):
@@ -276,16 +295,146 @@ def frame_words(frames: np.ndarray) -> np.ndarray:
     return frames[:, HEADER_BITS:][:, _FROM_WIRE].reshape(2 * len(frames), WORD_BITS)
 
 
+@functools.cache
+def flip_table() -> list:
+    """Per frame bit, what flipping it does: None for a header bit, else
+    (half, column, symbol, value). The bit lies in codeword A (half 0) or
+    B (half 1), it XORs value into the symbol at index symbol, and column
+    into that codeword's packed syndromes. Probed on the unit frames
+    through `frame_words` and `packed_syndromes`, so the wire layout is
+    stated once, by _TO_WIRE, and the packing is the decoder's."""
+    words = frame_words(np.eye(FRAME_BITS, dtype=np.uint8))
+    rows = np.flatnonzero(words.any(axis=1))  # 2 * frame bit + half, per payload bit
+    words = words[rows]
+    symbols = bits_to_symbol_array(words)
+    at = symbols.argmax(axis=1)
+    columns = packed_syndromes(words)
+    table = [None] * FRAME_BITS
+    for row, column, symbol, value in zip(rows.tolist(), columns.tolist(), at.tolist(),
+                                          symbols[np.arange(len(rows)), at].tolist()):
+        table[row // 2] = (row % 2, column, symbol, value)
+    return table
+
+
+def _span(effects: np.ndarray) -> np.ndarray:
+    """[R, 2^k, X] from effects [R, k, X] of value bits 0..k-1: entry
+    [r, v] is the XOR of the effects of the set bits of v. Built by
+    doubling, one bit at a time."""
+    table = np.zeros((len(effects), 1, effects.shape[2]), effects.dtype)
+    for bit in range(effects.shape[1]):
+        table = np.concatenate([table, table ^ effects[:, bit:bit + 1]], axis=1)
+    return table
+
+
+def _byte_rows(effects: np.ndarray) -> np.ndarray:
+    """[40, 256, X] from the effects [320, X] of single frame bits: frame
+    bit 8b + i is bit 7 - i of the value of byte b."""
+    return _span(effects.reshape(FRAME_BYTES, 8, -1)[:, ::-1])
+
+
+@dataclass(frozen=True)
+class _ByteTables:
+    """decode_frames' tables (see `_byte_tables`). The flat ones are
+    [rows, 256] tables raveled, indexed by 256 * row + byte value."""
+
+    syndromes: np.ndarray   # uint64[40 * 256]: header << 40 | A's packed syndrome << 20 | B's
+    info_from: np.ndarray   # intp[P]: the frame byte of each (record byte, frame byte) pair
+    info_at: np.ndarray     # uint16[P, 1]: 256 * p, the offset of pair p's row
+    info: np.ndarray        # uint8[P * 256]: [p, v], the record byte bits of pair p
+    info_slots: tuple       # (start, stop) of the pairs of each slot
+    info_order: np.ndarray  # intp[34]: the row of each record byte in the slots
+    masks: np.ndarray       # uint8[2 * 31 * 32, 34]: [c, j, y], a fix in record bytes
+
+
+@functools.cache
+def _byte_tables() -> _ByteTables:
+    """The maps from the 40 wire bytes of a frame, probed from the layout
+    and built once, on the first decode_frames call.
+
+    The header, the syndromes and the clean info of a frame are
+    GF(2)-affine in its bits, so each is the XOR of one table entry per
+    frame byte, as table-driven software CRCs are (Sarwate, CACM 1988).
+    All are probed on the unit frames: the header bits at their place
+    in DEFAULT_SYNC_HEADER, the syndromes through `flip_table`, and the
+    info (the message bits of both codewords, `frame_words`) packed into
+    record bytes. A record byte's bits come from 2 to 4 frame bytes, so the
+    info table keeps only those 105 (record byte, frame byte) pairs, with
+    the PRBS XORed into each record byte's first pair. Slot s holds the
+    s-th pair of each record byte that has one, record bytes with more
+    pairs first, so summing a slot into the first is a slice. A fix of
+    value y at symbol j of codeword c flips the info bits of that
+    symbol's frame bits selected by y (their `flip_table` values), so its
+    mask is the XOR of their packed info; parity symbols have none."""
+    effects = flip_table()
+    synd = [1 << 2 * _SYNDROME_BITS + HEADER_BITS - 1 - bit if bit < HEADER_BITS else
+            e[1] << _SYNDROME_BITS * (1 - e[0]) for bit, e in enumerate(effects)]
+    info_bits = frame_words(np.eye(FRAME_BITS, dtype=np.uint8))[:, :HALF_INFO_BITS]
+    info_bytes = np.packbits(info_bits.reshape(FRAME_BITS, INFO_BITS_PER_FRAME), axis=1)
+    info_rows = _byte_rows(info_bytes)
+    used = info_rows.any(axis=1).T  # [34, 40]: the (record byte, frame byte) pairs
+    counts = used.sum(axis=1)
+    order = np.argsort(-counts, kind="stable")
+    pairs, slots = [], []
+    for rank in range(counts.max()):
+        slot = [(r, np.flatnonzero(used[r])[rank]) for r in order if counts[r] > rank]
+        slots.append((len(pairs), len(pairs) + len(slot)))
+        pairs += slot
+    record, source = np.array(pairs).T
+    info = info_rows[source, :, record]
+    info[:_INFO_BYTES] ^= np.packbits(_PRBS_ARRAY)[order, None]  # the zero frame's info
+    symbol_bits = np.zeros((2 * N_SYMBOLS, BITS_PER_SYMBOL, _INFO_BYTES), np.uint8)
+    for bit, e in enumerate(effects):
+        if e is not None:
+            half, _, at, value = e
+            symbol_bits[N_SYMBOLS * half + at, value.bit_length() - 1] = info_bytes[bit]
+    return _ByteTables(_byte_rows(np.array(synd, np.uint64)[:, None]).ravel(), source,
+                       (np.arange(len(source), dtype=np.uint16) << 8)[:, None], info.ravel(),
+                       tuple(slots), np.argsort(order), _span(symbol_bits).reshape(-1, _INFO_BYTES))
+
+
+def _clean_info(by_byte: np.ndarray, tables: _ByteTables) -> np.ndarray:
+    """uint8[N, 34]: the info of frames given byte-major, uint8[40, N], as
+    if no codeword had an error: per record byte, the XOR of one
+    `tables.info` entry per pair, summed slot by slot into the first."""
+    parts = tables.info.take(by_byte[tables.info_from] + tables.info_at)
+    sums = parts[:_INFO_BYTES]
+    for start, stop in tables.info_slots[1:]:
+        sums[:stop - start] ^= parts[start:stop]
+    return np.ascontiguousarray(sums[tables.info_order].T)
+
+
 def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batch unframe: (info uint8[N, 270], ok bool[2N], nu int[2N],
-    header_ok bool[N]), codewords A and B of each frame in turn. All 2N
-    codewords go through `decode_words` together; ok is False exactly for
-    the codewords decode reports uncorrectable, whose received message
-    passes through, and nu is the number of symbols corrected."""
+    """Batch unframe on wire bytes: uint8[N, 40] frames, as a 40-byte
+    record each (frame bit 0 the MSB of byte 0), to (info uint8[N, 34],
+    ok bool[2N], nu int[2N], header_ok bool[N]), codewords A and B of each
+    frame in turn. info holds each frame's 270 info bits packed the same
+    way, the last 2 bits 0. ok is False exactly for the codewords decode
+    reports uncorrectable, whose received message passes through, and nu
+    is the number of symbols corrected.
+
+    Each step is a gather of `_byte_tables` by the frame bytes: the
+    header and the packed syndromes of both codewords are the XOR of one
+    entry per frame byte, the clean info the XOR of one entry per (record
+    byte, frame byte) pair, read from a byte-major copy so that each
+    gather takes a row. The dirty codewords are looked up all at once
+    (`decoder.block_fixes`), and each fix is two masks XORed into its
+    frame's info. No step unpacks a bit."""
     frames = np.asarray(frames, dtype=np.uint8)
-    if frames.ndim != 2 or frames.shape[1] != FRAME_BITS:
-        raise ValueError(f"expected shape (N, {FRAME_BITS}), got {frames.shape}")
-    header_ok = (frames[:, :HEADER_BITS] == _HEADER_ARRAY).all(axis=1)
-    ok, bits, nu = decode_words(frame_words(frames))
-    info = bits[:, :K_SYMBOLS].reshape(len(frames), INFO_BITS_PER_FRAME) ^ _PRBS_ARRAY
+    if frames.ndim != 2 or frames.shape[1] != FRAME_BYTES:
+        raise ValueError(f"expected shape (N, {FRAME_BYTES}), got {frames.shape}")
+    tables = _byte_tables()
+    by_byte = np.ascontiguousarray(frames.T)
+    pairs = np.bitwise_xor.reduce(tables.syndromes.take(by_byte + _BYTE_OFFSETS), axis=0)
+    header_ok = pairs >> 2 * _SYNDROME_BITS == DEFAULT_SYNC_HEADER
+    synd = np.empty(2 * len(frames), np.int64)
+    synd[0::2], synd[1::2] = pairs >> _SYNDROME_BITS & _SYNDROME_MASK, pairs & _SYNDROME_MASK
+    info = _clean_info(by_byte, tables)
+    ok, nu, rows, first, y1, last, y2 = block_fixes(synd)
+    if len(rows):
+        base = (rows & 1) * (N_SYMBOLS << BITS_PER_SYMBOL)
+        fixes = tables.masks.take(base + 32 * first + y1, axis=0)
+        fixes ^= tables.masks.take(base + 32 * last + y2, axis=0)
+        errors = np.zeros((len(synd), _INFO_BYTES), np.uint8)
+        errors[rows] = fixes
+        info ^= errors[0::2] ^ errors[1::2]
     return info, ok, nu, header_ok

@@ -17,19 +17,17 @@ run the full chain one frame at a time.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decoder import decode_words, lookup_lists, packed_syndromes
-from .framing import FRAME_BITS, HEADER_BITS, INFO_BITS_PER_FRAME, frame_blocks, frame_words
-from .parallel_gen import bits_to_symbol_array
+from .decoder import decode_words, lookup_lists
+from .framing import (FRAME_BITS, HEADER_BITS, INFO_BITS_PER_FRAME, flip_table, frame_blocks,
+                      frame_words)
 from .rs_core import K_SYMBOLS
 
 # Raw words of a frame's payload draw: one per two payload bits.
@@ -246,27 +244,6 @@ def _count_dense(flips: np.ndarray, stats: TrialStats) -> None:
     stats.miscorrections += int(np.count_nonzero(ok & (half > 0)))
 
 
-@functools.cache
-def _flip_table() -> list:
-    """Per frame bit, what flipping it does: None for a header bit, else
-    (half, column, symbol, value). The bit lies in codeword A (half 0) or
-    B (half 1), it XORs value into the symbol at index symbol, and column
-    into that codeword's packed syndromes. Probed on the unit frames
-    through `frame_words` and `packed_syndromes`, so the wire layout is
-    still framing's alone and the packing the decoder's."""
-    words = frame_words(np.eye(FRAME_BITS, dtype=np.uint8))
-    rows = np.flatnonzero(words.any(axis=1))  # 2 * frame bit + half, per payload bit
-    words = words[rows]
-    symbols = bits_to_symbol_array(words)
-    at = symbols.argmax(axis=1)
-    columns = packed_syndromes(words)
-    table = [None] * FRAME_BITS
-    for row, column, symbol, value in zip(rows.tolist(), columns.tolist(), at.tolist(),
-                                          symbols[np.arange(len(rows)), at].tolist()):
-        table[row // 2] = (row % 2, column, symbol, value)
-    return table
-
-
 def _count_sparse(flat: list[int], stats: TrialStats) -> None:
     """Add the counters of a block from the flat indices of its set flips
     (frame row * 320 + frame bit), as `_count_dense` counts them.
@@ -276,7 +253,7 @@ def _count_sparse(flat: list[int], stats: TrialStats) -> None:
     wrong info bits are its info flips, plus popcount(e ^ y) - popcount(e)
     for each info symbol the decoder fixes by y where the error is e; an
     uncorrectable codeword is left as received."""
-    table = _flip_table()
+    table = flip_table()
     pre, synd, errors = {}, {}, {}
     for i in flat:
         row, bit = divmod(i, FRAME_BITS)
@@ -321,6 +298,8 @@ def run_simulation(cfg: ChannelConfig, jobs: int = 1) -> TrialStats:
     step = -(-cfg.frames // jobs)
     starts = range(0, cfg.frames, step)
     counts = [min(step, cfg.frames - start) for start in starts]
+    # Imported here: it loads multiprocessing, which a serial run never uses.
+    from concurrent.futures import ProcessPoolExecutor
     total = TrialStats()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for part in pool.map(_run_frames, [cfg] * len(starts), starts, counts):

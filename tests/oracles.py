@@ -162,3 +162,17 @@ def frame_reference(info: list[int]) -> list[int]:
 def binom_tail(n: int, p: float, k: int) -> float:
     """P(X >= k) for X ~ Binomial(n, p)."""
     return sum(comb(n, i) * p**i * (1 - p)**(n - i) for i in range(k, n + 1))
+
+
+def clean_info_reference(frame: list[int]) -> list[int]:
+    """The 270 info bits of a 320-bit frame read as if neither codeword
+    had an error, bit by bit from the layout in the framing module
+    docstring: message symbol s of codeword h (0 for A) sits at payload
+    bit 10*s + 5*h, MSB first; info bit 135*h + 5*s + i is its bit i; and
+    the PRBS descrambles."""
+    info = []
+    for h in range(2):
+        for s in range(27):
+            at = 10 + 10 * s + 5 * h
+            info += [frame[at + 4 - i] for i in range(5)]
+    return [x ^ p for x, p in zip(info, prbs_reference(270))]

@@ -483,6 +483,27 @@ def test_an_existing_longer_output_is_rewritten_exactly(tmp_path, capsys, name):
             assert stale[key].read_bytes() == fresh[key].read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+@pytest.mark.parametrize("shorter_by", [0, 1, 10_000], ids=["same-size", "1-byte-shorter",
+                                                             "much-shorter"])
+def test_an_existing_output_no_longer_than_it_is_rewritten_exactly(
+        tmp_path, capsys, name, shorter_by):
+    """An output whose stale file is as long as what it writes, or shorter
+    (so it needs no truncate), also ends with exactly the fresh bytes."""
+    argv, inputs = _WRITERS[name], _writer_inputs(tmp_path)
+    fresh = {**inputs, "out": tmp_path / "fresh.out", "stats": tmp_path / "fresh.stats"}
+    assert _run_writer(argv, fresh) == 0
+    stale = {**inputs, "out": tmp_path / "stale.out", "stats": tmp_path / "stale.stats"}
+    for key in ("out", "stats"):
+        if fresh[key].exists():
+            stale[key].write_bytes(b"\xff" * max(fresh[key].stat().st_size - shorter_by, 0))
+    assert _run_writer(argv, stale) == 0
+    capsys.readouterr()
+    for key in ("out", "stats"):
+        if fresh[key].exists():
+            assert stale[key].read_bytes() == fresh[key].read_bytes()
+
+
 def test_rewriting_an_output_keeps_its_inode_and_mode(tmp_path):
     paths = {**_writer_inputs(tmp_path), "out": tmp_path / "o.bin", "stats": tmp_path / "s.txt"}
     for key in ("out", "stats"):

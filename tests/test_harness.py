@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import os
@@ -125,7 +126,8 @@ def test_replay_determinism_and_jobs_independence():
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    """Stands in for ProcessPoolExecutor, which run_simulation imports from
+    concurrent.futures when it starts a pool: records max_workers and maps in
     this process, so no worker is ever started."""
 
     max_workers: list = []
@@ -151,7 +153,7 @@ class _SerialPool:
     (1, 2, 100, []),
 ], ids=["per-cpu", "as-asked", "per-frame", "cpus-unknown", "one-cpu"])
 def test_worker_count_is_capped_by_cpus_and_frames(monkeypatch, cpus, jobs, frames, pools):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "max_workers", [])
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     cfg = ChannelConfig(ber=3e-3, burst_len=4, burst_rate=0.2, seed=12, frames=frames)

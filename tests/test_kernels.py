@@ -22,7 +22,9 @@ from rs3127.parallel_gen import (LinearMap, _gf2_rank, bits_to_symbol_array,
                                  build_xor3_network, expected_depth)
 from rs3127.serial_encoder import LfsrEncoder, shift_in_block
 
-from oracles import frame_reference, interleave_reference, rs_encode_reference
+from oracles import (clean_info_reference, frame_reference, interleave_reference,
+                     rs_encode_reference)
+from packing import decode_bit_frames
 
 ENCODERS = ("parallel", "reference", "lfsr")
 bit_lists_270 = st.lists(st.integers(0, 1), min_size=270, max_size=270)
@@ -166,7 +168,9 @@ def test_kernel_contracts():
     with pytest.raises(ValueError):
         encode_frames(np.zeros((1, 270), np.uint8), encoder="bogus")
     with pytest.raises(ValueError):
-        decode_frames(np.zeros((1, 319), np.uint8))
+        decode_frames(np.zeros((1, 39), np.uint8))
+    with pytest.raises(ValueError):
+        decode_frames(np.zeros(40, np.uint8))
 
 
 def test_wire_gather_puts_every_source_bit_where_the_layout_oracle_does():
@@ -189,7 +193,7 @@ def _assert_matches_unframe(frames):
     messages, and (ok, nu) pins decode's status: uncorrectable exactly
     when not ok, corrected exactly when nu > 0. Returns unframe's
     DecodeResults of A and B of each frame in turn, and header_ok."""
-    info, ok, nu, header_ok = decode_frames(frames)
+    info, ok, nu, header_ok = decode_bit_frames(frames)
     assert info.dtype == np.uint8 and info.shape == (len(frames), 270)
     assert ok.dtype == bool and ok.shape == nu.shape == (2 * len(frames),)
     assert header_ok.shape == (len(frames),)
@@ -258,8 +262,8 @@ def test_decoding_depends_on_the_error_pattern_alone(cases):
     payload = _as_block([info for info, *_ in cases], 270)
     errors = _as_block([_error_frame(*case[1:]) for case in cases], 320)
     zero = encode_frames(np.zeros((1, 270), np.uint8))
-    info, ok, nu, _ = decode_frames(encode_frames(payload) ^ errors)
-    wrong, ok_zero, nu_zero, _ = decode_frames(zero ^ errors)
+    info, ok, nu, _ = decode_bit_frames(encode_frames(payload) ^ errors)
+    wrong, ok_zero, nu_zero, _ = decode_bit_frames(zero ^ errors)
     assert np.array_equal(info ^ payload, wrong)
     assert np.array_equal(ok, ok_zero) and np.array_equal(nu, nu_zero)
     ok_bare, bits, nu_bare = decode_words(frame_words(errors))
@@ -278,7 +282,7 @@ def test_burst_profile_holds_for_every_payload():
     errors = np.zeros((len(bursts), 320), np.uint8)
     for row, (length, offset) in enumerate(bursts):
         errors[row, HEADER_BITS + offset:HEADER_BITS + offset + length] = 1
-    info, ok, _, _ = decode_frames(encode_frames(np.zeros((1, 270), np.uint8)) ^ errors)
+    info, ok, _, _ = decode_bit_frames(encode_frames(np.zeros((1, 270), np.uint8)) ^ errors)
     wrong = info.reshape(-1, 2, 135).any(axis=2)
     ok = ok.reshape(-1, 2)
     recovered = ~wrong.any(axis=1)
@@ -329,9 +333,102 @@ def test_decode_frames_corrects_every_single_symbol_error():
             err[pos] = value
             errors.append([0] * HEADER_BITS + interleave(err, err[::-1]))
     frames = np.array(build_frame(info), np.uint8) ^ np.array(errors, np.uint8)
-    got, ok, nu, header_ok = decode_frames(frames)
+    got, ok, nu, header_ok = decode_bit_frames(frames)
     assert (got == np.array(info, np.uint8)).all() and header_ok.all()
     assert ok.all() and (nu == 1).all()
+
+
+# --- the byte tables of decode_frames ---------------------------------------------
+
+def test_the_syndrome_table_on_every_one_byte_frame():
+    """Entry [b, v] is header << 40 | A's packed syndromes << 20 | B's of
+    the frame whose byte b is v and every other byte 0: all 40 x 256 of
+    them, against packed_syndromes of the frame's codewords in bits."""
+    frames = np.zeros((40, 256, 40), np.uint8)
+    frames[np.arange(40), :, np.arange(40)] = np.arange(256, dtype=np.uint8)
+    bits = np.unpackbits(frames.reshape(-1, 40), axis=1)
+    synd = decoder.packed_syndromes(frame_words(bits)).reshape(-1, 2)
+    header = bits[:, :HEADER_BITS] @ (1 << np.arange(HEADER_BITS)[::-1])
+    want = header << 40 | synd[:, 0] << 20 | synd[:, 1]
+    assert np.array_equal(framing._byte_tables().syndromes, want.astype(np.uint64))
+
+
+def test_the_info_table_on_the_zero_frame_and_every_unit_frame():
+    """The info read as if no codeword had an error is affine in the frame
+    bits, so the zero frame and the 320 unit frames pin it; against
+    clean_info_reference, written bit by bit from the layout."""
+    bits = np.vstack([np.zeros((1, 320), np.uint8), np.eye(320, dtype=np.uint8)])
+    by_byte = np.ascontiguousarray(np.packbits(bits, axis=1).T)
+    got = framing._clean_info(by_byte, framing._byte_tables())
+    want = [clean_info_reference(frame) + [0, 0] for frame in bits.tolist()]
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert np.array_equal(got, np.packbits(np.array(want, np.uint8), axis=1))
+
+
+def _single_symbol_errors():
+    """(codeword, position, value) of all 2 x 31 x 31 single-symbol errors,
+    and their 320 flip bits: header clear, the value at that position of
+    that codeword, placed by `interleave`."""
+    hits, flips = [], []
+    for half in range(2):
+        for pos in range(31):
+            for value in range(1, 32):
+                words = [[0] * 31, [0] * 31]
+                words[half][pos] = value
+                hits.append((half, pos, value))
+                flips.append([0] * HEADER_BITS + interleave(*words))
+    return hits, np.array(flips, np.uint8)
+
+
+def test_every_fix_mask_on_every_single_symbol_error():
+    """Mask [c, j, y] is the info bits that value y at symbol j of codeword
+    c flips, in record bytes: y's bits at info bits 135c + 5j.. for a
+    message symbol, none for a parity symbol or y = 0. And decoding each
+    of the 1,922 errors on a random frame corrects it with that mask: the
+    info comes back, with nu 1 on the hit codeword and 0 on the other."""
+    masks = framing._byte_tables().masks.reshape(2, 31, 32, 34)
+    assert not masks[:, :, 0].any()
+    hits, flips = _single_symbol_errors()
+    for (half, pos, value) in hits:
+        info = [0] * 272
+        if pos < 27:
+            for i in range(5):
+                info[135 * half + 5 * pos + i] = value >> i & 1
+        assert np.packbits(info).tolist() == masks[half, pos, value].tolist()
+    rnd = random.Random(41)
+    payload = [rnd.getrandbits(1) for _ in range(270)]
+    frames = np.packbits(np.array(build_frame(payload), np.uint8) ^ flips, axis=1)
+    info, ok, nu, header_ok = decode_frames(frames)
+    assert np.array_equal(info, np.tile(np.packbits(payload + [0, 0]), (len(hits), 1)))
+    assert ok.all() and header_ok.all()
+    assert nu.reshape(-1, 2).tolist() == [[half == 0, half == 1] for half, _, _ in hits]
+
+
+def test_decode_frames_runs_no_bit_kernel_once_its_tables_are_built(monkeypatch):
+    """Once `_byte_tables` is built, decoding a noisy block makes no float
+    product (`LinearMap.products`) and no bits-to-symbols conversion
+    (`bits_to_symbol_array`): both are refused, wherever rs3127 imported
+    them, and the outputs do not change."""
+    rnd = random.Random(43)
+    frames = encode_frames(np.array([[rnd.getrandbits(1) for _ in range(270)]
+                                     for _ in range(16)], np.uint8))
+    for row in range(16):
+        for pos in rnd.sample(range(320), row % 8):
+            frames[row, pos] ^= 1
+    wire = np.packbits(frames, axis=1)
+    want = decode_frames(wire)
+    assert not want[1].all() and (want[2] > 0).any() and not want[3].all()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decode_frames ran a bit kernel")
+
+    monkeypatch.setattr(LinearMap, "products", refuse)
+    for module in [m for name, m in sys.modules.items() if name.startswith("rs3127")]:
+        for name, value in list(vars(module).items()):
+            if value is bits_to_symbol_array:
+                monkeypatch.setattr(module, name, refuse)
+    got = decode_frames(wire)
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
 
 # --- the t = 2 corrector -------------------------------------------------------
@@ -476,7 +573,7 @@ def test_each_uncorrectable_exit_passes_the_message_through():
         assert _scalar_exit(error) == exit
         frames[row, HEADER_BITS:] ^= np.array(interleave(error, [0] * 31), np.uint8)
     results, _ = _assert_matches_unframe(frames)
-    info_got = decode_frames(frames)[0]
+    info_got = decode_bit_frames(frames)[0]
     for row in range(3):
         res = results[2 * row]
         word_a = framing.deinterleave(frames[row, HEADER_BITS:].tolist())[0]
@@ -533,7 +630,7 @@ def test_both_forms_give_identical_arrays(n_dirty, n_frames):
     dtypes."""
     frames = _dirty_block(n_dirty, 23)[:n_frames]
     _assert_matches_unframe(frames)
-    info, ok, nu, header_ok = decode_frames(frames)
+    info, ok, nu, header_ok = decode_bit_frames(frames)
     assert info.shape == (n_frames, 270) and ok.shape == nu.shape == (2 * n_frames,)
     assert (info.dtype, ok.dtype, nu.dtype, header_ok.dtype) == (np.uint8, bool, int, bool)
 
@@ -549,17 +646,18 @@ def _decode_rows_one_by_one(words):
 def test_the_corrector_never_writes_into_its_input(corrector):
     """decode_words, given the whole block or each row as a block of its
     own, corrects a copy, in which exactly nu 5-bit groups of a row differ
-    from the received word, and decode_frames leaves the caller's frames as
-    they were."""
+    from the received word, and decode_frames leaves the caller's wire
+    bytes as they were."""
     frames = _dirty_block(6, 29)
     words = frame_words(frames)
-    frames_before, words_before = frames.copy(), words.copy()
+    wire = np.packbits(frames, axis=1)
+    wire_before, words_before = wire.copy(), words.copy()
     ok, bits, nu = corrector(words)
     assert np.array_equal(words, words_before) and (nu > 0).any()
     changed = (bits != words.reshape(-1, 31, 5)).any(axis=2).sum(axis=1)
     assert (changed == nu).all()
-    decode_frames(frames)
-    assert np.array_equal(frames, frames_before)
+    assert not decode_frames(wire)[1].all()
+    assert np.array_equal(wire, wire_before)
 
 
 def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
@@ -571,7 +669,7 @@ def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
             frames[row, pos] ^= 1
     results, _ = _assert_matches_unframe(frames)
     assert {r.status for r in results} == {OK, CORRECTED, UNCORRECTABLE}
-    want = decode_frames(frames)
+    want = decode_bit_frames(frames)
 
     def refuse(word):
         raise AssertionError("decode_frames called the scalar decode")
@@ -580,7 +678,7 @@ def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
         for name, value in list(vars(module).items()):
             if value is decode:
                 monkeypatch.setattr(module, name, refuse)
-    got = decode_frames(frames)
+    got = decode_bit_frames(frames)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -595,10 +693,10 @@ def test_only_a_dirty_block_builds_the_correction_table():
     for encoder in ("parallel", "reference", "lfsr"):
         frames = encode_frames(info, encoder)
     assert unframe(build_frame(info[0].tolist())).info == info[0].tolist()
-    assert np.array_equal(decode_frames(frames)[0], info)
+    assert np.array_equal(decode_bit_frames(frames)[0], info)
     assert decoder._correction_table.cache_info().currsize == 0
     frames[0, HEADER_BITS] ^= 1
-    assert decode_frames(frames)[2].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert decode_bit_frames(frames)[2].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
     assert decoder._correction_table.cache_info().currsize == 1
 
 
