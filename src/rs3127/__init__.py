@@ -3,8 +3,10 @@
 Three equivalent systematic encoders (reference long division, a
 cycle-accurate serial LFSR, and a one-shot parallel form whose matrix
 is probed from the LFSR), an XOR3-tree netlist generator for the parallel
-form, an inverse-free Berlekamp-Massey decoder, the 320-bit interleaved
-frame format, and a channel-error simulation harness.
+form, a decoder that looks every fix up in one table of syndrome classes
+(with inverse-free Berlekamp-Massey, Chien search and Forney as its
+reference), the 320-bit interleaved frame format, and a channel-error
+simulation harness.
 """
 
 from .gf32 import gf_inv, gf_mul, gf_pow

@@ -30,8 +30,8 @@ import sys
 import numpy as np
 
 from .decoder import CORRECTED, OK, UNCORRECTABLE
-from .framing import (FRAME_BYTES, INFO_BITS_PER_FRAME, decode_frames, encode_frames,
-                      frame_blocks)
+from .framing import (FRAME_BYTES, INFO_BITS_PER_FRAME, INFO_BYTES, decode_frames,
+                      encode_frames, frame_blocks)
 from .harness import ChannelConfig, emit_stats, run_simulation, run_sweep
 from .parallel_gen import (build_xor3_network, derive_parity_matrix,
                            emit_netlist, matrix_from_text, matrix_to_text,
@@ -130,9 +130,6 @@ _STATS_SUFFIX = tuple(
     for (status_a, count_a), (status_b, count_b), good in itertools.product(
         _STATES, _STATES, (0, 1)))
 
-# Bytes of a record that hold info bits; the rest of its FRAME_BYTES are zero.
-_INFO_BYTES = -(-INFO_BITS_PER_FRAME // 8)
-
 # Record bits INFO_BITS_PER_FRAME..319 (the low bits, big-endian) must be zero.
 _PADDING_MASK = np.frombuffer(
     ((1 << (8 * FRAME_BYTES - INFO_BITS_PER_FRAME)) - 1).to_bytes(FRAME_BYTES, "big"),
@@ -171,7 +168,7 @@ def _cmd_decode(args) -> int:
         for block in frame_blocks(0, len(frames)):
             info, ok, nu, header_ok = decode_frames(frames[block.start:block.stop])
             records = np.zeros((len(block), FRAME_BYTES), np.uint8)
-            records[:, :_INFO_BYTES] = info
+            records[:, :INFO_BYTES] = info
             fh.write(records)
             if args.stats:
                 state = (ok + nu).reshape(-1, 2)

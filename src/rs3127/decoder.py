@@ -1,22 +1,23 @@
-"""RS(31,27) decoder in two forms: `decode` on one codeword of symbols,
-and `decode_words` on a block of codewords in bits. Both pack a
-codeword's syndromes S1..S4 into one 20-bit int. `decode` reads it as
-the XOR of one single-symbol syndrome per symbol, and a dirty word goes
-on to inverse-free Berlekamp-Massey, Chien search and Forney magnitudes.
-`decode_words` keys one table by the classes of the packed syndromes,
-divided by their lead through one scaling table, with decode's result
-row for row. Its lookup, `block_fixes`, takes a block's packed
-syndromes however they were made (by a product on bits here, by byte
-tables in `framing.decode_frames`) and looks up the dirty ones at once,
-each step a `take` from a table read as flat. Both correct up to 2 symbol
-errors; anything that fails the consistency checks is flagged
-uncorrectable with the received message region left untouched.
+"""RS(31,27) decoder: every decode is a lookup in one class table on
+packed syndromes, S1..S4 packed into one 20-bit int, S1 highest.
+`decode` on one codeword of symbols reads its packed syndrome as the XOR
+of one single-symbol syndrome per symbol (`_syndrome_columns`), and
+looks a dirty one up with `lookup_lists`, as the simulator's sparse
+blocks do. `block_fixes` takes a block's packed syndromes however they
+were made (by byte tables in `framing.decode_frames`, which the CLI and
+the simulator's dense blocks call) and looks up the dirty ones at once,
+each step a `take` from a table read as flat. The table is keyed by the
+classes of the packed syndromes, divided by their lead through one
+scaling table. Both correct up to 2 symbol errors; anything else is
+flagged uncorrectable with the received message region left untouched.
 
-The locator iteration is division-free: lambda <- gamma*lambda +
-delta*x*B, which tracks the classical Berlekamp-Massey locator up to a
-nonzero scalar. The scalar cancels in the Forney ratio omega/lambda', so
-no normalization step is needed. With generator roots starting at
-alpha^1, the Forney correction factor X^(1-b) is 1.
+`solve_locator`, `chien_search` and `forney` are the reference decoder
+the table is tested against: inverse-free Berlekamp-Massey, Chien search
+and Forney magnitudes. The locator iteration is division-free: lambda <-
+gamma*lambda + delta*x*B, which tracks the classical Berlekamp-Massey
+locator up to a nonzero scalar. The scalar cancels in the Forney ratio
+omega/lambda', so no normalization step is needed. With generator roots
+starting at alpha^1, the Forney correction factor X^(1-b) is 1.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf32 import EXP, GROUP_ORDER, MUL, gf_div, gf_inv
-from .parallel_gen import (BITS_PER_SYMBOL, SYMBOL_BITS, WORD_BITS, LinearMap,
-                           bits_to_symbol_array, symbols_to_bits)
-from .rs_core import (K_SYMBOLS, N_SYMBOLS, T_CORRECT, check_symbols, compute_syndromes,
-                      is_codeword, poly_eval)
+from .rs_core import K_SYMBOLS, N_SYMBOLS, T_CORRECT, check_symbols, compute_syndromes, poly_eval
 
 OK = "ok"
 CORRECTED = "corrected"
@@ -122,9 +120,9 @@ def forney(lam, omega, position: int) -> int:
 
 def decode(received: list[int]) -> DecodeResult:
     """Full pipeline; all failure modes are reported in-band via status.
-    The packed syndrome (by _KEY_WEIGHTS) is the XOR of one
-    `_syndrome_columns` entry per symbol, so a clean word returns after 31
-    lookups; a dirty one unpacks it into S1..S4 for Berlekamp-Massey."""
+    The packed syndrome is the XOR of one `_syndrome_columns` entry per
+    symbol, so a clean word returns after 31 lookups; a dirty one takes
+    its fix from one `lookup_lists` row, which zeroes the syndrome."""
     received = list(received)
     check_symbols(received, N_SYMBOLS, "received word")
     packed = 0
@@ -132,49 +130,27 @@ def decode(received: list[int]) -> DecodeResult:
         packed ^= column[v]
     if not packed:
         return DecodeResult(received[:K_SYMBOLS], 0, OK)
-    synd = [packed >> 15, packed >> 10 & 31, packed >> 5 & 31, packed & 31]
-    loc = solve_locator(synd)
-    nu = len(_trim(loc.lam)) - 1
-    positions = chien_search(loc.lam)
-    if nu > T_CORRECT or len(positions) != nu:
+    [(nu, first, y1, last, y2)] = lookup_lists([packed])
+    if not nu:
         return DecodeResult(received[:K_SYMBOLS], 0, UNCORRECTABLE)
-    fixed = received[:]
-    for j in positions:
-        fixed[j] ^= forney(loc.lam, loc.omega, j)
-    if not is_codeword(fixed):
-        return DecodeResult(received[:K_SYMBOLS], 0, UNCORRECTABLE)
-    return DecodeResult(fixed[:K_SYMBOLS], nu, CORRECTED)
+    received[first] ^= y1
+    received[last] ^= y2
+    return DecodeResult(received[:K_SYMBOLS], nu, CORRECTED)
 
 
 # GF(32) products and inverses as arrays, so field arithmetic over many
 # codewords is a gather; the inverse of 0 reads as 0. Syndromes S1..S4 pack
-# into one int by _KEY_WEIGHTS, 5 bits each with S1 highest, and c times a
-# packed pair of symbols a << 5 | b is _SCALED[c, a << 5 | b] = c*a << 5 | c*b.
+# into one int as S1 << 15 | S2 << 10 | S3 << 5 | S4, and c times a packed
+# pair of symbols a << 5 | b is _SCALED[c, a << 5 | b] = c*a << 5 | c*b.
 _INV = [0] + [gf_inv(a) for a in range(1, 32)]
 _GF_MUL = np.array(MUL, np.uint8)
 _GF_INV = np.array(_INV, np.uint8)
-_KEY_WEIGHTS = np.array([1 << 15, 1 << 10, 1 << 5, 1])
 _SCALED = (_GF_MUL[:, :, None].astype(np.uint16) << 5 | _GF_MUL[:, None]).reshape(32, -1)
 # `take` reads a table as flat, so c*a is _GF_MUL.take(c << 5 | a). By
 # S1 << 5 | S2 (a packed syndrome >> 10): the lead, and where the row of
 # _SCALED that divides by it starts; 0 where S1 = S2 = 0.
 _LEADS = np.where(np.arange(1024) >> 5, np.arange(1024) >> 5, np.arange(1024) & 31)
 _INV_ROWS = _GF_INV[_LEADS].astype(int) << 10
-
-
-@functools.cache
-def _syndrome_map() -> LinearMap:
-    """155 -> 20: output 5*i + b is bit b of syndrome S(i+1) of a codeword
-    in info/parity bit order. Probed from compute_syndromes, row by row;
-    syndromes are GF(2)-linear in the bits."""
-    return LinearMap.probe(lambda words: [symbols_to_bits(compute_syndromes(w)) for w in
-                                          bits_to_symbol_array(words).tolist()], WORD_BITS)
-
-
-def packed_syndromes(words: np.ndarray) -> np.ndarray:
-    """int[M]: the syndromes of uint8[M, 155] words in info/parity bit
-    order, packed by _KEY_WEIGHTS: the one form the lookups take."""
-    return bits_to_symbol_array(_syndrome_map().products(words)) @ _KEY_WEIGHTS
 
 
 def _class_of(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,22 +216,6 @@ def block_fixes(synd: np.ndarray) -> tuple[np.ndarray, ...]:
     fix_nu, first, y1, last, y2 = _lookup_arrays(synd[rows])
     ok[rows], nu[rows] = fix_nu > 0, fix_nu
     return ok, nu, rows, first, y1, last, y2
-
-
-def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode uint8[M, 155] codewords in info/parity bit order:
-    (ok bool[M], bits uint8[M, 31, 5], nu int[M]).
-
-    One product gives the syndromes of all rows (`packed_syndromes`), and
-    `block_fixes` the error pattern of weight <= 2 of each dirty row,
-    written by fancy indexing into bits, a copy of words with one 5-bit
-    group per symbol. Row for row this is what decode returns."""
-    ok, nu, rows, first, y1, last, y2 = block_fixes(packed_syndromes(words))
-    bits = words.reshape(-1, N_SYMBOLS, BITS_PER_SYMBOL).copy()
-    if len(rows):
-        bits[rows, first] ^= SYMBOL_BITS[y1]
-        bits[rows, last] ^= SYMBOL_BITS[y2]
-    return ok, bits, nu
 
 
 def _lookup_arrays(synd: np.ndarray) -> tuple[np.ndarray, ...]:

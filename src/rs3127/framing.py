@@ -37,10 +37,10 @@ XORs of byte-table entries (`_byte_tables`, probed on the unit frames
 through `frame_words` and `flip_table`, so the layout is still stated
 once), the dirty codewords are looked up in one `decoder.block_fixes`
 call, and each fix is a mask of record bytes: no step unpacks a bit.
-`frame_words`, every frame's two codewords in bits, serves the
-simulator's dense blocks and the probes. The CLI and the simulator feed
-the kernels in blocks of at most BLOCK_FRAMES frames, which bounds their
-memory.
+The simulator's dense blocks decode their flips through it too.
+`frame_words`, every frame's two codewords in bits, serves the probes.
+The CLI and the simulator feed the kernels in blocks of at most
+BLOCK_FRAMES frames, which bounds their memory.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import DecodeResult, block_fixes, decode, packed_syndromes
+from .decoder import DecodeResult, _syndrome_columns, block_fixes, decode
 from .parallel_gen import (BITS_PER_SYMBOL, SYMBOL_BITS, WORD_BITS, bits_to_symbol_array,
                            bits_to_symbols, default_parity_matrix, parity_by_symbols,
                            symbols_to_bits)
@@ -100,9 +100,9 @@ _TO_DIGITS = b"01" + b"x" * 254
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 # The five bits of each symbol in info/parity order, one byte each.
 _SYMBOL_BYTES = [row.tobytes() for row in SYMBOL_BITS]
-# The scrambled info packs into 34 bytes, 2 zero bits after it.
-_INFO_BYTES = -(-INFO_BITS_PER_FRAME // 8)
-_PAD_BITS = 8 * _INFO_BYTES - INFO_BITS_PER_FRAME
+# The info packs into 34 bytes of a record, 2 zero bits after it.
+INFO_BYTES = -(-INFO_BITS_PER_FRAME // 8)
+_PAD_BITS = 8 * INFO_BYTES - INFO_BITS_PER_FRAME
 
 
 def _bit_bytes(bits, size: int) -> bytearray:
@@ -178,7 +178,7 @@ def _frame_table() -> list[list[int]]:
     base, *ints = ints
     columns = [column ^ base for column in ints] + [0] * _PAD_BITS
     table = []
-    for j in range(_INFO_BYTES):
+    for j in range(INFO_BYTES):
         row = [0 if j else base]
         for column in reversed(columns[8 * j:8 * j + 8]):
             row += [r ^ column for r in row]
@@ -193,7 +193,7 @@ def build_frame(info: list[int]) -> list[int]:
     checks the length and the values."""
     scrambled = _packed(scramble(info), INFO_BITS_PER_FRAME) << _PAD_BITS
     frame = 0
-    for row, byte in zip(_frame_table(), scrambled.to_bytes(_INFO_BYTES, "big")):
+    for row, byte in zip(_frame_table(), scrambled.to_bytes(INFO_BYTES, "big")):
         frame ^= row[byte]
     return list(format(frame, f"0{FRAME_BITS}b").encode().translate(_FROM_DIGITS))
 
@@ -241,6 +241,8 @@ def bytes_to_frame(data: bytes) -> list[int]:
 # --- batch kernels -------------------------------------------------------------
 
 _PRBS_ARRAY = np.array(_PRBS_FRAME, dtype=np.uint8)
+# The PRBS packed as decode_frames packs the info: uint8[34].
+PRBS_BYTES = np.packbits(_PRBS_ARRAY)
 _HEADER_ARRAY = np.array(_HEADER, np.uint8)
 
 # Flat index of byte value 0 in row b of a [40, 256] table, one row per
@@ -300,19 +302,19 @@ def flip_table() -> list:
     """Per frame bit, what flipping it does: None for a header bit, else
     (half, column, symbol, value). The bit lies in codeword A (half 0) or
     B (half 1), it XORs value into the symbol at index symbol, and column
-    into that codeword's packed syndromes. Probed on the unit frames
-    through `frame_words` and `packed_syndromes`, so the wire layout is
-    stated once, by _TO_WIRE, and the packing is the decoder's."""
+    into that codeword's packed syndromes: the decoder's
+    `_syndrome_columns` entry of that value at that symbol. Probed on the
+    unit frames through `frame_words`, so the wire layout is stated once,
+    by _TO_WIRE."""
     words = frame_words(np.eye(FRAME_BITS, dtype=np.uint8))
     rows = np.flatnonzero(words.any(axis=1))  # 2 * frame bit + half, per payload bit
-    words = words[rows]
-    symbols = bits_to_symbol_array(words)
+    symbols = bits_to_symbol_array(words[rows])
     at = symbols.argmax(axis=1)
-    columns = packed_syndromes(words)
+    columns = _syndrome_columns()
     table = [None] * FRAME_BITS
-    for row, column, symbol, value in zip(rows.tolist(), columns.tolist(), at.tolist(),
-                                          symbols[np.arange(len(rows)), at].tolist()):
-        table[row // 2] = (row % 2, column, symbol, value)
+    for row, symbol, value in zip(rows.tolist(), at.tolist(),
+                                  symbols[np.arange(len(rows)), at].tolist()):
+        table[row // 2] = (row % 2, columns[symbol][value], symbol, value)
     return table
 
 
@@ -381,15 +383,15 @@ def _byte_tables() -> _ByteTables:
         pairs += slot
     record, source = np.array(pairs).T
     info = info_rows[source, :, record]
-    info[:_INFO_BYTES] ^= np.packbits(_PRBS_ARRAY)[order, None]  # the zero frame's info
-    symbol_bits = np.zeros((2 * N_SYMBOLS, BITS_PER_SYMBOL, _INFO_BYTES), np.uint8)
+    info[:INFO_BYTES] ^= PRBS_BYTES[order, None]  # the zero frame's info
+    symbol_bits = np.zeros((2 * N_SYMBOLS, BITS_PER_SYMBOL, INFO_BYTES), np.uint8)
     for bit, e in enumerate(effects):
         if e is not None:
             half, _, at, value = e
             symbol_bits[N_SYMBOLS * half + at, value.bit_length() - 1] = info_bytes[bit]
     return _ByteTables(_byte_rows(np.array(synd, np.uint64)[:, None]).ravel(), source,
                        (np.arange(len(source), dtype=np.uint16) << 8)[:, None], info.ravel(),
-                       tuple(slots), np.argsort(order), _span(symbol_bits).reshape(-1, _INFO_BYTES))
+                       tuple(slots), np.argsort(order), _span(symbol_bits).reshape(-1, INFO_BYTES))
 
 
 def _clean_info(by_byte: np.ndarray, tables: _ByteTables) -> np.ndarray:
@@ -397,7 +399,7 @@ def _clean_info(by_byte: np.ndarray, tables: _ByteTables) -> np.ndarray:
     if no codeword had an error: per record byte, the XOR of one
     `tables.info` entry per pair, summed slot by slot into the first."""
     parts = tables.info.take(by_byte[tables.info_from] + tables.info_at)
-    sums = parts[:_INFO_BYTES]
+    sums = parts[:INFO_BYTES]
     for start, stop in tables.info_slots[1:]:
         sums[:stop - start] ^= parts[start:stop]
     return np.ascontiguousarray(sums[tables.info_order].T)
@@ -434,7 +436,7 @@ def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         base = (rows & 1) * (N_SYMBOLS << BITS_PER_SYMBOL)
         fixes = tables.masks.take(base + 32 * first + y1, axis=0)
         fixes ^= tables.masks.take(base + 32 * last + y2, axis=0)
-        errors = np.zeros((len(synd), _INFO_BYTES), np.uint8)
+        errors = np.zeros((len(synd), INFO_BYTES), np.uint8)
         errors[rows] = fixes
         info ^= errors[0::2] ^ errors[1::2]
     return info, ok, nu, header_ok

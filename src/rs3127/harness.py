@@ -11,8 +11,9 @@ made. It decodes the bare error words, since a decode reads only the
 syndrome (`_run_frames`). A block with few flipped bits is decoded from
 those bits alone: syndromes are linear in the error, so a codeword's are
 the XOR of the syndrome columns of its flipped bits, and only the
-nonzero ones are looked up. `apply_channel` and `build_frame`/`unframe`
-run the full chain one frame at a time.
+nonzero ones are looked up. A denser block's flips are decoded as wire
+frames by `framing.decode_frames`, the CLI's decoder. `apply_channel` and
+`build_frame`/`unframe` run the full chain one frame at a time.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decoder import decode_words, lookup_lists
-from .framing import (FRAME_BITS, HEADER_BITS, INFO_BITS_PER_FRAME, flip_table, frame_blocks,
-                      frame_words)
+from .decoder import lookup_lists
+from .framing import (FRAME_BITS, HALF_INFO_BITS, HEADER_BITS, INFO_BITS_PER_FRAME, PRBS_BYTES,
+                      decode_frames, flip_table, frame_blocks)
 from .rs_core import K_SYMBOLS
 
 # Raw words of a frame's payload draw: one per two payload bits.
@@ -35,6 +36,9 @@ from .rs_core import K_SYMBOLS
 # _SKIP_COUNTER and drops _SKIP_WORDS words; its docstring says why.
 _PAYLOAD_WORDS = INFO_BITS_PER_FRAME // 2
 _SKIP_COUNTER, _SKIP_WORDS = divmod(_PAYLOAD_WORDS, 4)
+# uint8[2, 34]: the info bits of codeword A, then of codeword B, in record
+# bytes as decode_frames returns the info.
+_HALF_MASKS = np.packbits(np.repeat(np.eye(2, dtype=np.uint8), HALF_INFO_BITS, axis=1), axis=1)
 
 
 @dataclass(frozen=True)
@@ -184,20 +188,20 @@ def _thread_generator() -> np.random.Generator:
 
 
 # Set bits up to which a block is decoded from its flipped bits alone
-# (`_count_sparse`), not as whole codewords (`_count_dense`). Counting a
+# (`_count_sparse`), not as whole frames (`_count_dense`). Counting a
 # block of 8 or 128 frames with F flips at random places, count_nonzero
 # included, sparse against dense (us, min of 2 x 40 rounds of 10 passes
 # over 20 blocks, the two alternating, 2-core Xeon):
 #
 #     F          0     4     8    16    32    48    64    80    96   128
-#   8  sparse    7    16    22    32    49    57    66    73    81    97
-#   8  dense    39    54    60    69    75    75    78    77    81    73
-#   128 sparse  11    24    33    69    82   105   129   147   155   189
-#   128 dense  146   161   168   245   190   188   186   178   174   175
+#   8  sparse    6    15    21    33    45    55    63    71    76    96
+#   8  dense    48    81    81    87    83    84    84    85    82    84
+#   128 sparse  11    23    31    47    79   103   126   151   175   219
+#   128 dense  114   156   153   153   164   160   161   159   157   161
 #
-# Sparse costs about 0.8 us a flip at 8 frames and 1.7 us at 128 (more
+# Sparse costs about 0.7 us a flip at 8 frames and 1.6 us at 128 (more
 # dirty codewords to look up), dense about the same at any count: sparse
-# is faster up to 80 at both sizes and slower at 128.
+# is faster up to 80 at both sizes, and slower from 96 at 128 frames.
 _FEW_FLIPS = 80
 
 
@@ -228,12 +232,14 @@ def _run_frames(cfg: ChannelConfig, start: int, count: int) -> TrialStats:
 
 
 def _count_dense(flips: np.ndarray, stats: TrialStats) -> None:
-    """Add the counters of flips uint8[n, 320]: every codeword's error word
-    (`frame_words`) is decoded by `decode_words`, and the message bits that
-    come back are the wrong info bits."""
-    ok, bits, _ = decode_words(frame_words(flips))
+    """Add the counters of flips uint8[n, 320]: the flips, packed as wire
+    bytes, are decoded as frames (`decode_frames`), and the info that comes
+    back XOR the PRBS is the decoded messages, the wrong info bits; the two
+    _HALF_MASKS split them by codeword."""
+    info, ok, _, _ = decode_frames(np.packbits(flips, axis=1))
+    wrong = (info ^ PRBS_BYTES)[:, None] & _HALF_MASKS
+    half = np.bitwise_count(wrong).sum(axis=2, dtype=int).ravel()
     pre = flips[:, HEADER_BITS:].sum(axis=1)
-    half = bits[:, :K_SYMBOLS].sum(axis=(1, 2))
     post = half[::2] + half[1::2]
     stats.bit_err_pre += int(pre.sum())
     stats.bit_err_post += int(half.sum())

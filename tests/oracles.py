@@ -2,10 +2,16 @@
 values in tests. None of these share code with the package paths they
 check: field products are recomputed by shift-and-reduce, the generator
 polynomial by symbolic convolution, the locator by the classical
-division-based Berlekamp-Massey iteration.
+division-based Berlekamp-Massey iteration. The reference decoder and the
+syndrome oracles build on the package's algebra (`compute_syndromes`,
+`solve_locator`, `chien_search`, `forney`), which no decode path of the
+package calls: every decode there is a class-table lookup.
 """
 
+import functools
 from math import comb
+
+import numpy as np
 
 PRIM = 0x25  # x^5 + x^2 + 1, same constant the package is built around
 
@@ -176,3 +182,80 @@ def clean_info_reference(frame: list[int]) -> list[int]:
             at = 10 + 10 * s + 5 * h
             info += [frame[at + 4 - i] for i in range(5)]
     return [x ^ p for x, p in zip(info, prbs_reference(270))]
+
+
+def word_symbols(words) -> np.ndarray:
+    """int64[M, 31] symbols of uint8[M, 155] words in info/parity bit order
+    (bit 5*s + i is bit i of symbol s), by integer shifts."""
+    bits = np.asarray(words, np.int64).reshape(len(words), 31, 5)
+    return (bits << np.arange(5)).sum(axis=2)
+
+
+def pack_syndromes(synd) -> int:
+    """S1..S4 as one int: S1 << 15 | S2 << 10 | S3 << 5 | S4."""
+    s1, s2, s3, s4 = synd
+    return s1 << 15 | s2 << 10 | s3 << 5 | s4
+
+
+def packed_syndromes(words) -> np.ndarray:
+    """int64[M]: the packed syndromes of uint8[M, 155] words, by
+    compute_syndromes on each word's symbols."""
+    from rs3127 import compute_syndromes
+
+    return np.array([pack_syndromes(compute_syndromes(w)) for w in word_symbols(words).tolist()],
+                    np.int64)
+
+
+@functools.cache
+def parity_region_syndromes() -> np.ndarray:
+    """int64[2^20]: entry k is the packed syndrome of the word whose message
+    symbols are 0 and whose parity symbol 27 + s is k >> 5*s & 31. The map
+    from k is GF(2)-linear, so the entries are XORs of those of the 20 unit
+    words (compute_syndromes), built by doubling; it is one to one, so
+    every syndrome appears once."""
+    from rs3127 import compute_syndromes
+
+    synd = np.zeros(1 << 20, np.int64)
+    for bit in range(20):
+        word = [0] * 31
+        word[27 + bit // 5] = 1 << bit % 5
+        synd[1 << bit:2 << bit] = synd[:1 << bit] ^ pack_syndromes(compute_syndromes(word))
+    return synd
+
+
+@functools.cache
+def syndrome_map():
+    """155 -> 20 LinearMap: output 5*i + b is bit b of syndrome S(i+1) of a
+    codeword in info/parity bit order, probed from compute_syndromes."""
+    from rs3127 import compute_syndromes
+    from rs3127.parallel_gen import LinearMap, symbols_to_bits
+
+    return LinearMap.probe(lambda words: [symbols_to_bits(compute_syndromes(w))
+                                          for w in word_symbols(words).tolist()], 155)
+
+
+def decode_reference(received):
+    """The reference decoder, a DecodeResult: syndromes, inverse-free
+    Berlekamp-Massey, Chien search and Forney magnitudes, and a re-check
+    that the corrected word is a codeword. A locator of degree > 2, a root
+    count other than its degree or a failed re-check is uncorrectable,
+    with the received message passed through."""
+    from rs3127 import (CORRECTED, OK, UNCORRECTABLE, chien_search, compute_syndromes,
+                        forney, is_codeword, solve_locator)
+    from rs3127.decoder import DecodeResult
+
+    received = list(received)
+    synd = compute_syndromes(received)
+    if not any(synd):
+        return DecodeResult(received[:27], 0, OK)
+    loc = solve_locator(synd)
+    nu = len(np.trim_zeros(np.array(loc.lam), "b")) - 1
+    positions = chien_search(loc.lam)
+    if nu > 2 or len(positions) != nu:
+        return DecodeResult(received[:27], 0, UNCORRECTABLE)
+    fixed = received[:]
+    for j in positions:
+        fixed[j] ^= forney(loc.lam, loc.omega, j)
+    if not is_codeword(fixed):
+        return DecodeResult(received[:27], 0, UNCORRECTABLE)
+    return DecodeResult(fixed[:27], nu, CORRECTED)

@@ -282,7 +282,7 @@ def test_decode_stats_lines_cover_every_state_and_equal_unframe(
     symbol errors placed by `interleave`: every record and `--stats` line
     equals the one formatted from scalar unframe, and each frame's line
     shows the state it was built for. In blocks of 4 frames, at most 8
-    codewords are dirty, and `decode_words` looks them up as it does the
+    codewords are dirty, and `block_fixes` looks them up as it does the
     dirty codewords of a full block."""
     monkeypatch.setattr(framing, "BLOCK_FRAMES", block_frames)
     rng = np.random.default_rng(31)

@@ -9,7 +9,8 @@ from rs3127 import (CORRECTED, OK, UNCORRECTABLE, chien_search,
                     gf_mul, gf_pow, solve_locator)
 from rs3127 import decoder
 
-from oracles import alpha_power, classical_bm, clmul_reduce, expand_generator, poly_roots
+from oracles import (alpha_power, classical_bm, clmul_reduce, decode_reference, expand_generator,
+                     pack_syndromes, parity_region_syndromes, poly_roots)
 
 
 def random_message(rnd):
@@ -236,11 +237,6 @@ def test_weight_3_never_recovers_and_uncorrectable_passes_payload_through():
     assert seen_uncorrectable and seen_miscorrection
 
 
-def _packed(synd):
-    """S1..S4 packed as decoder._KEY_WEIGHTS packs them."""
-    return sum(int(w) * s for w, s in zip(decoder._KEY_WEIGHTS, synd))
-
-
 def test_syndrome_columns_are_the_packed_syndromes_of_every_single_symbol_word():
     """All 31 x 32 words with one symbol v at position j (v = 0 included)."""
     columns = decoder._syndrome_columns()
@@ -248,16 +244,21 @@ def test_syndrome_columns_are_the_packed_syndromes_of_every_single_symbol_word()
     for j, v in itertools.product(range(31), range(32)):
         word = [0] * 31
         word[j] = v
-        assert columns[j][v] == _packed(compute_syndromes(word)), (j, v)
+        assert columns[j][v] == pack_syndromes(compute_syndromes(word)), (j, v)
 
 
 def test_decode_hands_a_dirty_word_its_syndromes_and_returns_a_clean_one_at_once(monkeypatch):
     """decode XORs one column entry per symbol: a dirty word (1 to 5 symbol
-    errors) reaches Berlekamp-Massey with exactly compute_syndromes' S1..S4
-    unpacked from it, and a codeword never does."""
-    seen = []
-    monkeypatch.setattr(decoder, "solve_locator", lambda synd: seen.append(synd) or
-                        solve_locator(synd))
+    errors) makes one lookup_lists call, with exactly compute_syndromes'
+    S1..S4 packed, and a codeword makes none. Nothing calls the reference
+    decoder's Berlekamp-Massey."""
+    seen, lookup = [], decoder.lookup_lists
+    monkeypatch.setattr(decoder, "lookup_lists", lambda synd: seen.append(synd) or lookup(synd))
+
+    def refuse(synd):
+        raise AssertionError("decode called solve_locator")
+
+    monkeypatch.setattr(decoder, "solve_locator", refuse)
     rnd = random.Random(5010)
     for _ in range(500):
         word = encode_reference(random_message(rnd))
@@ -266,8 +267,32 @@ def test_decode_hands_a_dirty_word_its_syndromes_and_returns_a_clean_one_at_once
             word[j] ^= rnd.randrange(1, 32)
         synd = compute_syndromes(word)
         decode(word)
-        assert seen == ([synd] if any(synd) else [])
+        assert seen == ([[pack_syndromes(synd)]] if any(synd) else [])
         seen.clear()
+
+
+def test_decode_equals_the_reference_decoder_on_every_syndrome_class():
+    """The table decode against Berlekamp-Massey, Chien, Forney and the
+    re-check (`decode_reference`): status, count and message on one
+    syndrome per nonzero class key (33,792 of them) and on all 1,023
+    nonzero syndromes of key 0 (S1 = S2 = 0), each as its parity-region
+    word XORed into one of 64 random codewords. A word's outcome is fixed
+    by its key, so this covers all 2^20 syndromes."""
+    synd = parity_region_syndromes()
+    word_of = np.empty_like(synd)
+    word_of[synd] = np.arange(len(synd))
+    _, key = decoder._class_of(np.arange(1, 1 << 20))
+    keys, first = np.unique(key, return_index=True)
+    assert keys[0] == 0 and len(keys) == 1 + 33_792
+    chosen = np.concatenate([first[1:] + 1, np.arange(1, 1 << 10)])
+    assert (key[chosen - 1] == 0).sum() == 1023
+    rnd = random.Random(5011)
+    codewords = [encode_reference(random_message(rnd)) for _ in range(64)]
+    for i, k in enumerate(word_of[chosen].tolist()):
+        word = codewords[i % 64][:]
+        for s in range(4):
+            word[27 + s] ^= k >> 5 * s & 31
+        assert decode(word) == decode_reference(word), word
 
 
 def test_corrects_parity_region_errors_too():

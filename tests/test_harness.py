@@ -517,17 +517,17 @@ def test_sparse_path_equals_dense_path_on_a_grid_of_configs(monkeypatch):
 @pytest.mark.parametrize("extra, dense", [(0, False), (1, True)], ids=["at-few", "one-more"])
 def test_the_flip_count_selects_the_path(monkeypatch, extra, dense):
     """A block with _FEW_FLIPS set bits, header bits included, never calls
-    decode_words; one with _FEW_FLIPS + 1 decodes all its codewords once.
+    decode_frames; one with _FEW_FLIPS + 1 decodes all its frames once.
     Both give the scalar chain's counters."""
     flips = np.zeros((BLOCK_FRAMES, 320), np.uint8)
     at = np.random.default_rng(31).choice(flips.size, harness._FEW_FLIPS + extra, replace=False)
     flips.ravel()[at] = 1
     assert flips[:, :10].any()
-    calls, decode_words = [], harness.decode_words
-    monkeypatch.setattr(harness, "decode_words",
-                        lambda words: calls.append(len(words)) or decode_words(words))
+    calls, decode_frames = [], harness.decode_frames
+    monkeypatch.setattr(harness, "decode_frames",
+                        lambda frames: calls.append(len(frames)) or decode_frames(frames))
     stats = _counters_of(monkeypatch, flips, harness._FEW_FLIPS)
-    assert calls == ([2 * BLOCK_FRAMES] if dense else [])
+    assert calls == ([BLOCK_FRAMES] if dense else [])
     payloads = np.random.default_rng(37).integers(0, 2, flips.shape[:1] + (270,), dtype=np.uint8)
     assert stats == _scalar_counters(payloads.tolist(), flips.tolist())
 

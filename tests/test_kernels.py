@@ -1,5 +1,5 @@
 """The batch frame kernels against the scalar frame chain, the batch t = 2
-corrector against the scalar decoder on every syndrome, and the GF(2)
+corrector against the reference decoder on every syndrome, and the GF(2)
 parity map the kernels evaluate as a matrix product."""
 
 import hashlib
@@ -15,15 +15,16 @@ from rs3127 import (CORRECTED, OK, UNCORRECTABLE, build_frame, chien_search,
                     compute_syndromes, decode, default_parity_matrix, encode_reference,
                     forney, is_codeword, lfsr_encode, parity_bits, solve_locator, unframe)
 from rs3127 import decoder, framing, rs_core, serial_encoder
-from rs3127.decoder import decode_words
+from rs3127.decoder import block_fixes
 from rs3127.framing import (HEADER_BITS, PAYLOAD_BITS, decode_frames, encode_frames,
                             frame_words, interleave)
 from rs3127.parallel_gen import (LinearMap, _gf2_rank, bits_to_symbol_array,
                                  build_xor3_network, expected_depth)
 from rs3127.serial_encoder import LfsrEncoder, shift_in_block
 
-from oracles import (clean_info_reference, frame_reference, interleave_reference,
-                     rs_encode_reference)
+from oracles import (clean_info_reference, decode_reference, frame_reference,
+                     interleave_reference, packed_syndromes, parity_region_syndromes,
+                     rs_encode_reference, syndrome_map)
 from packing import decode_bit_frames
 
 ENCODERS = ("parallel", "reference", "lfsr")
@@ -257,8 +258,8 @@ def test_decoding_depends_on_the_error_pattern_alone(cases):
     """The fact the simulator rests on: decoding the frame of payload p
     with flips e gives the ok and nu of decoding Z ^ e, Z the frame of
     the all-zero payload, and info that differs from Z ^ e's by p; and
-    decode_words on e's bare error words, as the simulator decodes them,
-    gives the same ok and nu, and those wrong info bits as messages."""
+    decoding e itself as a frame, as the simulator decodes the flips,
+    gives the same ok and nu, and those wrong info bits XOR the PRBS."""
     payload = _as_block([info for info, *_ in cases], 270)
     errors = _as_block([_error_frame(*case[1:]) for case in cases], 320)
     zero = encode_frames(np.zeros((1, 270), np.uint8))
@@ -266,8 +267,8 @@ def test_decoding_depends_on_the_error_pattern_alone(cases):
     wrong, ok_zero, nu_zero, _ = decode_bit_frames(zero ^ errors)
     assert np.array_equal(info ^ payload, wrong)
     assert np.array_equal(ok, ok_zero) and np.array_equal(nu, nu_zero)
-    ok_bare, bits, nu_bare = decode_words(frame_words(errors))
-    assert np.array_equal(bits[:, :27].reshape(len(cases), 270), info ^ payload)
+    bare, ok_bare, nu_bare, _ = decode_frames(np.packbits(errors, axis=1))
+    assert np.array_equal(bare ^ framing.PRBS_BYTES, np.packbits(info ^ payload, axis=1))
     assert np.array_equal(ok_bare, ok) and np.array_equal(nu_bare, nu)
 
 
@@ -343,11 +344,12 @@ def test_decode_frames_corrects_every_single_symbol_error():
 def test_the_syndrome_table_on_every_one_byte_frame():
     """Entry [b, v] is header << 40 | A's packed syndromes << 20 | B's of
     the frame whose byte b is v and every other byte 0: all 40 x 256 of
-    them, against packed_syndromes of the frame's codewords in bits."""
+    them, against compute_syndromes of the frame's codewords (the
+    `packed_syndromes` oracle)."""
     frames = np.zeros((40, 256, 40), np.uint8)
     frames[np.arange(40), :, np.arange(40)] = np.arange(256, dtype=np.uint8)
     bits = np.unpackbits(frames.reshape(-1, 40), axis=1)
-    synd = decoder.packed_syndromes(frame_words(bits)).reshape(-1, 2)
+    synd = packed_syndromes(frame_words(bits)).reshape(-1, 2)
     header = bits[:, :HEADER_BITS] @ (1 << np.arange(HEADER_BITS)[::-1])
     want = header << 40 | synd[:, 0] << 20 | synd[:, 1]
     assert np.array_equal(framing._byte_tables().syndromes, want.astype(np.uint64))
@@ -441,10 +443,12 @@ def test_decode_frames_runs_no_bit_kernel_once_its_tables_are_built(monkeypatch)
 SYNDROMES = 1 << 20
 
 
-def _parity_region_words(ks):
-    words = np.zeros((len(ks), 155), np.uint8)
-    words[:, 135:] = (ks[:, None] >> np.arange(20)) & 1
-    return words
+def _parity_region_symbols(ks):
+    """uint8[len(ks), 31]: word k, its message 0 and parity symbol 27 + s
+    k >> 5*s & 31, as `parity_region_syndromes` orders them."""
+    symbols = np.zeros((len(ks), 31), np.uint8)
+    symbols[:, 27:] = ks[:, None] >> 5 * np.arange(4) & 31
+    return symbols
 
 
 def _parity_region_index(symbols):
@@ -495,34 +499,38 @@ def _error_keys(received, symbols):
 
 
 def test_corrector_on_every_syndrome():
-    """decode_words corrects exactly the 961 + 446,865 syndromes of weight-1 and
-    weight-2 error patterns, each with its own pattern and count, and flags
-    all the others; the scalar decoder agrees on every 97th syndrome (a
-    full scalar sweep agrees too, but its 2^20 decode calls took 43 s on a
-    2-core Xeon)."""
+    """block_fixes, given the packed syndromes of the parity-region words
+    (from compute_syndromes), corrects exactly the 961 + 446,865 syndromes
+    of weight-1 and weight-2 error patterns, each with its own pattern and
+    count, and flags all the others; the reference decoder agrees on every
+    97th syndrome (a full sweep of it agrees too, but its 2^20 decode calls
+    took 43 s on a 2-core Xeon)."""
     want_nu, want_key = _coset_leaders()
     assert (want_nu == 1).sum() == 961 and (want_nu == 2).sum() == 446_865
+    synd = parity_region_syndromes()
     chunk = 1 << 14
     for lo in range(0, SYNDROMES, chunk):
         ks = np.arange(lo, lo + chunk)
-        words = _parity_region_words(ks)
-        ok, bits, nu = decode_words(words)
-        symbols = bits_to_symbol_array(bits.reshape(-1, 155))
-        count, key = _error_keys(bits_to_symbol_array(words), symbols)
-        assert symbols.shape == (chunk, 31)
+        ok, nu, rows, first, y1, last, y2 = block_fixes(synd[ks])
+        received = _parity_region_symbols(ks)
+        symbols = received.copy()
+        symbols[rows, first] ^= y1
+        symbols[rows, last] ^= y2
+        count, key = _error_keys(received, symbols)
         assert (ok == (want_nu[ks] >= 0)).all()
         assert (nu == np.maximum(want_nu[ks], 0)).all() and (count == nu).all()
         assert (key == np.where(nu > 0, want_key[ks], 0)).all()
         for r in range(-lo % 97, chunk, 97):
-            res = decode(bits_to_symbol_array(words[r]).tolist())
+            res = decode_reference(received[r].tolist())
             status = (CORRECTED if nu[r] else OK) if ok[r] else UNCORRECTABLE
             assert (res.status, res.corrected_symbols, res.message) == (
                 status, nu[r], symbols[r, :27].tolist())
 
 
 def test_lookup_lists_equals_the_array_lookup_on_every_syndrome():
-    """The simulator's lookup gives the fix decode_words' lookup gives, row
-    for row, on all 2^20 - 1 nonzero packed syndromes."""
+    """The scalar lookup (scalar `decode`, the simulator's sparse blocks)
+    gives the fix the array lookup (`block_fixes`) gives, row for row, on
+    all 2^20 - 1 nonzero packed syndromes."""
     packed = np.arange(1, SYNDROMES)
     want = np.stack(decoder._lookup_arrays(packed), axis=1)
     assert np.array_equal(np.array(decoder.lookup_lists(packed.tolist())), want)
@@ -538,7 +546,7 @@ def test_the_correction_table_is_pinned():
 
 
 def _scalar_exit(word):
-    """Which of decode's checks settles a dirty word, step by step."""
+    """Which of the reference decoder's checks settles a dirty word, step by step."""
     loc = solve_locator(compute_syndromes(word))
     lam, omega = loc.lam, loc.omega
     nu = len(np.trim_zeros(np.array(lam), "b")) - 1
@@ -554,13 +562,13 @@ def _scalar_exit(word):
 
 
 def test_each_uncorrectable_exit_passes_the_message_through():
-    """One syndrome for each exit of decode (locator degree > t, root-count
-    mismatch, post-correction re-check), moved into codeword A of a frame
-    with a random message part so the passed-through message differs from
-    the sent one."""
+    """One syndrome for each exit of the reference decoder (locator degree
+    > t, root-count mismatch, post-correction re-check), moved into
+    codeword A of a frame with a random message part so the passed-through
+    message differs from the sent one."""
     found = {}
     for k in range(1, SYNDROMES):
-        word = bits_to_symbol_array(_parity_region_words(np.array([k])))[0].tolist()
+        word = _parity_region_symbols(np.array([k]))[0].tolist()
         found.setdefault(_scalar_exit(word), word)
         if {"degree", "roots", "recheck"} <= found.keys():
             break
@@ -614,7 +622,7 @@ def test_scattered_dirty_rows_reach_the_array_lookup(monkeypatch, n_dirty, n_fra
                         lambda synd: given.append(synd) or solve(synd))
     results, _ = _assert_matches_unframe(frames)
     given = np.concatenate(given)
-    synd = decoder.packed_syndromes(frame_words(frames))
+    synd = packed_syndromes(frame_words(frames))
     assert len(given) == n_dirty and given.all() and np.array_equal(given, synd[synd != 0])
     statuses = [r.status for r in results]
     assert len(statuses) - statuses.count(OK) == n_dirty
@@ -626,7 +634,7 @@ def test_scattered_dirty_rows_reach_the_array_lookup(monkeypatch, n_dirty, n_fra
 def test_both_forms_give_identical_arrays(n_dirty, n_frames):
     """Empty blocks, clean blocks and blocks with a few dirty codewords give
     the values of the scalar form (`unframe`, `decode`) from the batch form
-    (`decode_frames`, `decode_words`), in arrays of fixed shapes and
+    (`decode_frames`, `block_fixes`), in arrays of fixed shapes and
     dtypes."""
     frames = _dirty_block(n_dirty, 23)[:n_frames]
     _assert_matches_unframe(frames)
@@ -635,29 +643,31 @@ def test_both_forms_give_identical_arrays(n_dirty, n_frames):
     assert (info.dtype, ok.dtype, nu.dtype, header_ok.dtype) == (np.uint8, bool, int, bool)
 
 
-def _decode_rows_one_by_one(words):
-    """decode_words on each row as a block of one, stacked back."""
-    ok, bits, nu = zip(*(decode_words(words[r:r + 1]) for r in range(len(words))))
-    return np.concatenate(ok), np.concatenate(bits), np.concatenate(nu)
+def _decode_rows_one_by_one(wire):
+    """decode_frames on each frame as a block of one, stacked back."""
+    return [np.concatenate(arrays) for arrays in
+            zip(*(decode_frames(wire[r:r + 1]) for r in range(len(wire))))]
 
 
-@pytest.mark.parametrize("corrector", [decode_words, _decode_rows_one_by_one],
+@pytest.mark.parametrize("corrector", [decode_frames, _decode_rows_one_by_one],
                          ids=["array", "per-row"])
 def test_the_corrector_never_writes_into_its_input(corrector):
-    """decode_words, given the whole block or each row as a block of its
-    own, corrects a copy, in which exactly nu 5-bit groups of a row differ
-    from the received word, and decode_frames leaves the caller's wire
-    bytes as they were."""
+    """decode_frames, given the whole block or each frame as a block of its
+    own, gives the same arrays and leaves the caller's wire bytes as they
+    were, and block_fixes leaves the syndromes it is given as they were."""
     frames = _dirty_block(6, 29)
-    words = frame_words(frames)
     wire = np.packbits(frames, axis=1)
-    wire_before, words_before = wire.copy(), words.copy()
-    ok, bits, nu = corrector(words)
-    assert np.array_equal(words, words_before) and (nu > 0).any()
-    changed = (bits != words.reshape(-1, 31, 5)).any(axis=2).sum(axis=1)
-    assert (changed == nu).all()
-    assert not decode_frames(wire)[1].all()
+    wire_before = wire.copy()
+    got = corrector(wire)
     assert np.array_equal(wire, wire_before)
+    assert not got[1].all() and (got[2] > 0).any()
+    info, *arrays = decode_bit_frames(frames)
+    assert np.array_equal(np.unpackbits(got[0], axis=1)[:, :270], info)
+    assert all(np.array_equal(g, w) for g, w in zip(got[1:], arrays))
+    synd = packed_syndromes(frame_words(frames))
+    synd_before = synd.copy()
+    block_fixes(synd)
+    assert np.array_equal(synd, synd_before)
 
 
 def test_decode_frames_never_calls_the_scalar_decoder(monkeypatch):
@@ -717,23 +727,20 @@ def test_parity_array_equals_the_rows_and_parity_bits():
 
 def test_syndrome_map_is_a_rank_20_linear_map_over_155_bits():
     """The constructor checks rank 20; every row of a random block maps to
-    the syndromes compute_syndromes gives its symbols, which
-    packed_syndromes packs S1 << 15 | S2 << 10 | S3 << 5 | S4."""
-    synd = decoder._syndrome_map()
+    the syndromes compute_syndromes gives its symbols."""
+    synd = syndrome_map()
     assert isinstance(synd, LinearMap)
     assert (synd.n_in, len(synd.bitmasks)) == (155, 20)
     assert _gf2_rank(synd.bitmasks) == 20
     words = np.random.default_rng(3003).integers(0, 2, (300, 155), dtype=np.uint8)
     got = bits_to_symbol_array(synd.products(words)).tolist()
     assert got == [compute_syndromes(w) for w in bits_to_symbol_array(words).tolist()]
-    assert decoder.packed_syndromes(words).tolist() == [
-        s1 << 15 | s2 << 10 | s3 << 5 | s4 for s1, s2, s3, s4 in got]
 
 
 def test_xor3_trees_of_the_syndrome_map_give_back_its_masks():
     """A network over 155 inputs reads each input's mask off its index.
     Every syndrome row has fan-in 80, so every tree has depth 4."""
-    synd = decoder._syndrome_map()
+    synd = syndrome_map()
     net = build_xor3_network(synd)
     assert net.bitmasks == synd.bitmasks
     assert {mask.bit_count() for mask in synd.bitmasks} == {80}

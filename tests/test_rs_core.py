@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rs3127 import (GENERATOR_POLY, K_SYMBOLS, N_SYMBOLS, build_generator_poly,
@@ -129,4 +130,25 @@ def test_a_symbol_outside_0_to_31_raises_value_error(call, symbol):
         word = [0] * size
         word[place] = symbol
         with pytest.raises(ValueError, match=r"symbols must be in 0\.\.31"):
+            function(word)
+
+
+@pytest.mark.parametrize("symbol", [1.0, 0.0, np.float64(3.0)], ids=["1.0", "0.0", "float64-3.0"])
+@pytest.mark.parametrize("call", sorted(SCALAR_WORD_CALLS))
+def test_a_float_symbol_raises_value_error(call, symbol):
+    """A float equal to a symbol is refused like one outside 0..31, at the
+    first and at the last symbol; the same value as an int, a numpy int
+    or (for 0 and 1) a bool passes. Unchecked, 1.0 == 1 let it through:
+    decode then indexed a table with it (TypeError), the encoders and
+    syndromes XORed it (TypeError), and encode_reference returned a
+    codeword holding 0.0."""
+    function, size = SCALAR_WORD_CALLS[call]
+    for place in (0, size - 1):
+        word = [0] * size
+        word[place] = symbol
+        with pytest.raises(ValueError, match=r"symbols must be in 0\.\.31"):
+            function(word)
+        for same in (int(symbol), np.int64(symbol), np.uint8(symbol)) + (
+                (bool(symbol),) if symbol in (0, 1) else ()):
+            word[place] = same
             function(word)
