@@ -6,9 +6,9 @@ one frame occupy record bits 0..269 (big-endian bit order) and the
 trailing 50 bits must be zero. A final partial record is zero-padded.
 With that convention `encode | decode` round-trips byte-identically.
 Both commands push the records through the batch kernels in blocks of
-framing.BLOCK_FRAMES frames. `decode` hands each block of frames to
-`decode_frames` as read and writes the record bytes it returns, with no
-bit array on the way; only `encode` unpacks the records into bits.
+framing.BLOCK_FRAMES frames as bytes, the info bytes of each record to
+`encode_frames` and the frames as read to `decode_frames`: neither
+unpacks a bit.
 Every output file is rewritten in place and then, if it was longer, cut
 to length, never truncated first: on ext4 mounted with `discard`,
 freeing a file's blocks (truncate, unlink or rename over it) took
@@ -139,10 +139,8 @@ _PADDING_MASK = np.frombuffer(
 def _cmd_encode(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
-    if len(data) % FRAME_BYTES:
-        data += bytes(FRAME_BYTES - len(data) % FRAME_BYTES)
+    data += bytes(-len(data) % FRAME_BYTES)
     records = np.frombuffer(data, np.uint8).reshape(-1, FRAME_BYTES)
-    encoder = _ENCODER_NAMES[args.encoder]
     # Check every record first, so a bad one leaves no partial output file.
     bad = np.flatnonzero((records & _PADDING_MASK).any(axis=1))
     if len(bad):
@@ -151,9 +149,8 @@ def _cmd_encode(args) -> int:
             f"(bits {INFO_BITS_PER_FRAME}..319 must be zero)")
     with _output(args.output) as fh:
         for block in frame_blocks(0, len(records)):
-            info = np.unpackbits(records[block.start:block.stop], axis=1)
-            frames = encode_frames(info[:, :INFO_BITS_PER_FRAME], encoder=encoder)
-            fh.write(np.packbits(frames, axis=1).tobytes())
+            info = records[block.start:block.stop, :INFO_BYTES]
+            fh.write(encode_frames(info, encoder=_ENCODER_NAMES[args.encoder]))
     return 0
 
 

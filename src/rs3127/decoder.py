@@ -202,6 +202,12 @@ def _correction_table() -> np.ndarray:
     return table
 
 
+@functools.cache
+def _lookup_views() -> tuple[memoryview, memoryview]:
+    """Flat views of _SCALED and the class table, made once for lookup_lists."""
+    return memoryview(_SCALED.ravel()), memoryview(_correction_table()).cast("B")
+
+
 def block_fixes(synd: np.ndarray) -> tuple[np.ndarray, ...]:
     """(ok bool[M], nu int[M], rows, first, y1, last, y2) of packed
     syndromes int[M]: rows are the dirty ones (nonzero syndrome), and
@@ -239,7 +245,7 @@ def lookup_lists(synd: list[int]) -> list[tuple[int, int, int, int, int]]:
     first and y2 at last (y2 = 0 when nu is 1) are XORed in. This is
     `_lookup_arrays` one row at a time, on ints and flat memoryviews of
     _SCALED and of the table, cheaper per item than numpy for a few rows."""
-    scaled, table = memoryview(_SCALED.ravel()), memoryview(_correction_table()).cast("B")
+    scaled, table = _lookup_views()
     fixes = []
     for s in synd:
         lead = s >> 15 or s >> 10 & 31

@@ -13,34 +13,24 @@ shifts out its MSB, so the PRBS is seven ones, then bit n-7 XOR bit n-6.
 Off the wire a codeword is 155 bits in info/parity order (bit 5*s + i is
 bit i of symbol s, as parallel_gen's converters give it), and one index
 states the layout: payload bit k is bit `_TO_WIRE[k]` of [codeword A |
-codeword B], and `_FROM_WIRE` inverts it. Every frame is laid out and
-read back by that index: `interleave`/`deinterleave` and the batch
-kernels gather by it, and the scalar chain reads its tables off it. Its
-independent oracles are `interleave_reference` and `frame_reference` in
-the tests, written bit by bit from the layout above.
-`build_frame`/`unframe` take one frame as lists of bits and work on it
-as one 320-bit int, frame bit 0 the MSB. build_frame scrambles, packs
-the scrambled info into 34 bytes and XORs one entry per byte of
-`_frame_table`, 34 x 256 frames probed once from `encode_frames`, as
-table-driven software CRCs do (Sarwate, CACM 1988). unframe packs the
-frame, takes each symbol of both codewords as a 5-bit field of it
-(`_SYMBOL_SHIFTS`, read off `_FROM_WIRE`), decodes both with the scalar
-`decode`, and descrambles decode's two messages. A round trip took about
-33 us, where converting bit lists took 53 (2-core Xeon, Python 3.11).
-The batch kernel `encode_frames` takes `uint8[N, 270]` info bits and
-gives `uint8[N, 320]` frame bits: scrambling is an XOR with the PRBS and
-interleaving one gather by the index, and it runs the chosen encoder's
-own algorithm across the block, never a scalar encoder. `decode_frames`
-takes the wire bytes, `uint8[N, 40]`, and gives the info as record
-bytes, `uint8[N, 34]`. Its header check, syndromes and clean info are
-XORs of byte-table entries (`_byte_tables`, probed on the unit frames
-through `frame_words` and `flip_table`, so the layout is still stated
-once), the dirty codewords are looked up in one `decoder.block_fixes`
-call, and each fix is a mask of record bytes: no step unpacks a bit.
-The simulator's dense blocks decode their flips through it too.
-`frame_words`, every frame's two codewords in bits, serves the probes.
-The CLI and the simulator feed the kernels in blocks of at most
-BLOCK_FRAMES frames, which bounds their memory.
+codeword B], and `_FROM_WIRE` inverts it. `interleave`/`deinterleave`
+gather by it, and all else moves each symbol as the 5-bit frame field
+read off it (`_SYMBOL_FIELDS`). Its independent oracles are
+`interleave_reference` and `frame_reference` in the tests.
+
+`build_frame`/`unframe` work on one frame as a 320-bit int: build_frame
+XORs one `_frame_table` entry (probed once from `encode_frames`) per
+scrambled info byte, as table-driven CRCs do (Sarwate, CACM 1988).
+
+The batch kernels work on bytes; none unpacks a bit. `encode_frames`
+reads the scrambled info's 54 message symbols as 5-bit fields
+(`_read_fields`), runs the chosen block encoder on all 2N messages, and
+writes the header and the 62 symbols as fields of the wire bytes
+(`_write_fields`). `decode_frames` is its inverse: header, syndromes and
+clean info are XORs of byte-table entries (`_byte_tables`), the dirty
+codewords are looked up in one `decoder.block_fixes` call, and each fix
+is a mask of record bytes. The CLI and the simulator call them on blocks
+of at most BLOCK_FRAMES frames.
 """
 
 from __future__ import annotations
@@ -51,10 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import DecodeResult, _syndrome_columns, block_fixes, decode
-from .parallel_gen import (BITS_PER_SYMBOL, SYMBOL_BITS, WORD_BITS, bits_to_symbol_array,
-                           bits_to_symbols, default_parity_matrix, parity_by_symbols,
-                           symbols_to_bits)
-from .rs_core import N_SYMBOLS, divide_block
+from .parallel_gen import (BITS_PER_SYMBOL, N_PARITY_BITS, SYMBOL_BITS, WORD_BITS, bits_to_symbols,
+                           default_parity_matrix, symbols_to_bits)
+from .rs_core import K_SYMBOLS, N_SYMBOLS, divide_block
 from .serial_encoder import shift_in_block
 
 FRAME_BITS = 320
@@ -65,13 +54,11 @@ HALF_INFO_BITS = 135
 FRAME_BYTES = 40
 
 DEFAULT_SYNC_HEADER = 0b1101010010
-# Its 10 bits, MSB first: the first 10 bits of every frame.
-_HEADER = [DEFAULT_SYNC_HEADER >> (HEADER_BITS - 1 - i) & 1 for i in range(HEADER_BITS)]
 
-# Frames per kernel call in the CLI and the simulator. A block's parity
-# or syndrome product then has at most 256 rows, which numpy's bundled
-# OpenBLAS runs on the calling thread; at 512 rows it wakes a second
-# thread, which slows `simulate --jobs 2`.
+# Frames per kernel call in the CLI and the simulator, which bounds their
+# memory. On a 4,096-frame file CLI encode took 1.17, 0.85, 0.69 and 0.58 us
+# a frame, clean decode 0.79, 0.50, 0.39 and 0.35, at 64, 128, 256 and 512
+# (2-core Xeon): numpy's cost per call. 128 stays, as _FEW_FLIPS is tuned at it.
 BLOCK_FRAMES = 128
 
 _PRBS_FRAME = [1] * 7
@@ -89,11 +76,12 @@ _TO_WIRE = WORD_BITS * (_k // 5 % 2) + 5 * (_k // 10) + 4 - _k % 5
 _FROM_WIRE = np.empty_like(_TO_WIRE)
 _FROM_WIRE[_TO_WIRE] = _k
 del _k
-# The scalar chain holds a frame as one 320-bit int, frame bit 0 its MSB.
-# Each symbol is a 5-bit field of it, MSB first on the wire: symbol s of
-# [codeword A | codeword B] is `frame >> _SYMBOL_SHIFTS[s] & 31`, the shift
-# putting its bit 0 (info/parity bit 5*s) at bit 0.
-_SYMBOL_SHIFTS = (FRAME_BITS - 1 - HEADER_BITS - _FROM_WIRE[::5]).tolist()
+# A frame is 64 5-bit fields, MSB first: the header is fields 0 and 1, and
+# symbol s of [codeword A | codeword B] is field _SYMBOL_FIELDS[s], so of a
+# frame as one 320-bit int (bit 0 its MSB) it is `frame >> _SYMBOL_SHIFTS[s] & 31`.
+FRAME_FIELDS = FRAME_BITS // BITS_PER_SYMBOL
+_SYMBOL_FIELDS = 2 + _FROM_WIRE[::BITS_PER_SYMBOL] // BITS_PER_SYMBOL
+_SYMBOL_SHIFTS = (FRAME_BITS - BITS_PER_SYMBOL * (1 + _SYMBOL_FIELDS)).tolist()
 # 0/1 bytes to binary digits and back; every other byte becomes "x", which
 # int(..., 2) rejects (a space, "_" or "+" could be read as part of a number).
 _TO_DIGITS = b"01" + b"x" * 254
@@ -166,16 +154,10 @@ def _frame_table() -> list[list[int]]:
     scrambled info byte j holding v (info bit 8*j + 7 - b is bit b of v,
     and bits 270, 271 are 0), with the header in every entry of row 0, so
     a frame is the XOR of one entry per byte. Probed from encode_frames on
-    the zero row and the 270 unit rows of scrambled info (each XORed with
-    the PRBS that encode_frames applies), in blocks of BLOCK_FRAMES, and
-    each row built by doubling from its 8 columns."""
-    ints = []
-    for block in frame_blocks(0, 1 + INFO_BITS_PER_FRAME):
-        # row r of the block: the unit row of bit block.start + r - 1 (none for -1)
-        units = np.eye(len(block), INFO_BITS_PER_FRAME, block.start - 1, np.uint8) ^ _PRBS_ARRAY
-        ints += [int.from_bytes(row.tobytes(), "big")
-                 for row in np.packbits(encode_frames(units), axis=1)]
-    base, *ints = ints
+    the zero and the 270 unit-bit scrambled infos (the PRBS XORed in, as
+    encode_frames XORs it out), each row built by doubling from 8 columns."""
+    units = np.packbits(np.eye(1 + INFO_BITS_PER_FRAME, INFO_BITS_PER_FRAME, -1, np.uint8), axis=1)
+    base, *ints = [int.from_bytes(row, "big") for row in encode_frames(units ^ PRBS_BYTES)]
     columns = [column ^ base for column in ints] + [0] * _PAD_BITS
     table = []
     for j in range(INFO_BYTES):
@@ -240,10 +222,17 @@ def bytes_to_frame(data: bytes) -> list[int]:
 
 # --- batch kernels -------------------------------------------------------------
 
-_PRBS_ARRAY = np.array(_PRBS_FRAME, dtype=np.uint8)
 # The PRBS packed as decode_frames packs the info: uint8[34].
-PRBS_BYTES = np.packbits(_PRBS_ARRAY)
-_HEADER_ARRAY = np.array(_HEADER, np.uint8)
+PRBS_BYTES = np.packbits(_PRBS_FRAME)
+
+# Record field j holds message symbol j of A, then of B, bit-reversed (info
+# bit 5j + i is bit i of symbol j): _RECORD_FIELD maps either to the other.
+_RECORD_FIELD = np.packbits(SYMBOL_BITS, axis=1)[:, 0] >> 8 - BITS_PER_SYMBOL
+# Field f starts in byte _FIELD_BYTE[f] and is bits _FIELD_SHIFT[f].. of the
+# 16-bit window of that byte and the next.
+_FIELD_BYTE, _FIELD_SHIFT = np.divmod(BITS_PER_SYMBOL * np.arange(FRAME_FIELDS), 8)
+_FIELD_SHIFT = (16 - BITS_PER_SYMBOL - _FIELD_SHIFT).astype(np.uint16)[:, None]
+_SYMBOL_ROWS = (np.arange(K_SYMBOLS, dtype=np.uint16) << BITS_PER_SYMBOL)[:, None]  # flat table
 
 # Flat index of byte value 0 in row b of a [40, 256] table, one row per
 # frame byte, as uint16: int64 offsets would promote the whole index array.
@@ -259,42 +248,61 @@ def frame_blocks(start: int, stop: int):
         yield range(lo, min(lo + BLOCK_FRAMES, stop))
 
 
-def _parity(messages: np.ndarray) -> np.ndarray:
-    """uint8[M, 20] parity bits of uint8[M, 135] message bits."""
-    return default_parity_matrix().products(messages)
+def _read_fields(by_byte: np.ndarray, count: int) -> np.ndarray:
+    """uint8[count, N]: the first `count` 5-bit fields, MSB first, of N
+    records given byte-major, uint8[B, N], each shifted out of the 16-bit
+    window of its first byte and the next; one starting in the last byte ends there."""
+    windows = by_byte.astype(np.uint16, order="C") << 8
+    windows[:-1] |= by_byte[1:]
+    return (windows.take(_FIELD_BYTE[:count], axis=0) >> _FIELD_SHIFT[:count] & 31).astype(np.uint8)
+
+
+def _write_fields(fields: np.ndarray) -> np.ndarray:
+    """The inverse of _read_fields: uint8[ceil(5F / 8), N] holding fields
+    uint8[F, N], any bits after the last 0. No two even fields start in
+    one byte, nor two odd ones, so two assignments sum the 16-bit windows
+    starting at each byte; a byte is the high half of its sum and the low
+    half of the one before."""
+    windows = fields.astype(np.uint16) << _FIELD_SHIFT[:len(fields)]
+    starts = np.zeros((-(-BITS_PER_SYMBOL * len(fields) // 8), fields.shape[1]), np.uint16)
+    starts[_FIELD_BYTE[:len(fields):2]] = windows[0::2]
+    starts[_FIELD_BYTE[1:len(fields):2]] |= windows[1::2]
+    out = (starts >> 8).astype(np.uint8)
+    out[1:] |= starts[:-1].astype(np.uint8)
+    return out
+
+
+def xor_block(msg: np.ndarray) -> np.ndarray:
+    """uint8[M, 31] codewords of uint8[M, 27] message symbols: a row's 20
+    parity bits are the XOR of the parity matrix's `symbol_table` entries
+    of its symbols, parity symbol s their bits 5s..5s+4."""
+    table = default_parity_matrix().symbol_table
+    parity = np.bitwise_xor.reduce(table.take(msg.T + _SYMBOL_ROWS), axis=0)[:, None]
+    parity = parity >> np.arange(0, N_PARITY_BITS, BITS_PER_SYMBOL, dtype=np.uint32) & 31
+    return np.concatenate([msg, parity.astype(np.uint8)], axis=1)
 
 
 def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
-    """uint8[N, 320] frames from uint8[N, 270] info bits; row n equals
-    build_frame(info[n]) whichever encoder computes the parity.
-    `parallel` is one GF(2) matrix product on bits; `reference` (long
-    division, `divide_block`) and `lfsr` (the shift-register recurrence,
-    `shift_in_block`) each run 27 steps across all 2N codewords at once on
-    GF(32) symbols. Each half then gets its 20 parity bits appended, and
-    one gather by _TO_WIRE puts every encoder's codewords on the wire."""
+    """uint8[N, 40] wire bytes from uint8[N, 34] info bytes as decode_frames
+    returns them (bits 270, 271 zero): row n is build_frame of row n's
+    bits, packed, whichever encoder runs on all 2N messages at once: the
+    parity matrix table (`xor_block`), long division (`divide_block`) or
+    the shift register (`shift_in_block`)."""
     info = np.asarray(info, dtype=np.uint8)
-    if info.ndim != 2 or info.shape[1] != INFO_BITS_PER_FRAME:
-        raise ValueError(f"expected shape (N, {INFO_BITS_PER_FRAME}), got {info.shape}")
-    n = len(info)
-    halves = (info ^ _PRBS_ARRAY).reshape(2 * n, HALF_INFO_BITS)
-    if encoder == "parallel":
-        parity = _parity(halves)
-    elif encoder in ("reference", "lfsr"):
-        encode = divide_block if encoder == "reference" else shift_in_block
-        parity = parity_by_symbols(encode, halves)
-    else:
+    if info.ndim != 2 or info.shape[1] != INFO_BYTES:
+        raise ValueError(f"expected shape (N, {INFO_BYTES}), got {info.shape}")
+    if (info[:, -1] & (1 << _PAD_BITS) - 1).any():
+        raise ValueError(f"info bits {INFO_BITS_PER_FRAME}..{8 * INFO_BYTES - 1} must be 0")
+    encode = {"parallel": xor_block, "reference": divide_block, "lfsr": shift_in_block}.get(encoder)
+    if encode is None:
         raise ValueError(f"unknown encoder {encoder!r}")
-    words = np.concatenate([halves, parity], axis=1)
-    frames = np.empty((n, FRAME_BITS), np.uint8)
-    frames[:, :HEADER_BITS] = _HEADER_ARRAY
-    frames[:, HEADER_BITS:] = words.reshape(n, 2 * WORD_BITS)[:, _TO_WIRE]
-    return frames
-
-
-def frame_words(frames: np.ndarray) -> np.ndarray:
-    """uint8[2N, 155]: codewords A and B of each frame in turn, in
-    info/parity bit order, gathered off the wire by _FROM_WIRE."""
-    return frames[:, HEADER_BITS:][:, _FROM_WIRE].reshape(2 * len(frames), WORD_BITS)
+    n = len(info)
+    fields = _read_fields((info ^ PRBS_BYTES).T, 2 * K_SYMBOLS)
+    words = encode(_RECORD_FIELD.take(fields.T).reshape(2 * n, K_SYMBOLS))
+    frame_fields = np.empty((FRAME_FIELDS, n), np.uint8)
+    frame_fields[0], frame_fields[1] = divmod(DEFAULT_SYNC_HEADER, 1 << BITS_PER_SYMBOL)
+    frame_fields[_SYMBOL_FIELDS] = words.reshape(n, 2 * N_SYMBOLS).T
+    return np.ascontiguousarray(_write_fields(frame_fields).T)
 
 
 @functools.cache
@@ -304,18 +312,14 @@ def flip_table() -> list:
     B (half 1), it XORs value into the symbol at index symbol, and column
     into that codeword's packed syndromes: the decoder's
     `_syndrome_columns` entry of that value at that symbol. Probed on the
-    unit frames through `frame_words`, so the wire layout is stated once,
-    by _TO_WIRE."""
-    words = frame_words(np.eye(FRAME_BITS, dtype=np.uint8))
-    rows = np.flatnonzero(words.any(axis=1))  # 2 * frame bit + half, per payload bit
-    symbols = bits_to_symbol_array(words[rows])
-    at = symbols.argmax(axis=1)
+    unit frames by the field reader, so _TO_WIRE states the layout once."""
+    units = np.packbits(np.eye(FRAME_BITS, dtype=np.uint8), axis=1).T
+    symbols = _read_fields(units, FRAME_FIELDS)[_SYMBOL_FIELDS]  # [62, frame bit]
+    at = symbols.argmax(axis=0)
+    values = symbols[at, np.arange(FRAME_BITS)]
     columns = _syndrome_columns()
-    table = [None] * FRAME_BITS
-    for row, symbol, value in zip(rows.tolist(), at.tolist(),
-                                  symbols[np.arange(len(rows)), at].tolist()):
-        table[row // 2] = (row % 2, columns[symbol][value], symbol, value)
-    return table
+    return [(s // N_SYMBOLS, columns[s % N_SYMBOLS][v], s % N_SYMBOLS, v) if v else None
+            for s, v in zip(at.tolist(), values.tolist())]
 
 
 def _span(effects: np.ndarray) -> np.ndarray:
@@ -357,9 +361,8 @@ def _byte_tables() -> _ByteTables:
     GF(2)-affine in its bits, so each is the XOR of one table entry per
     frame byte, as table-driven software CRCs are (Sarwate, CACM 1988).
     All are probed on the unit frames: the header bits at their place
-    in DEFAULT_SYNC_HEADER, the syndromes through `flip_table`, and the
-    info (the message bits of both codewords, `frame_words`) packed into
-    record bytes. A record byte's bits come from 2 to 4 frame bytes, so the
+    in DEFAULT_SYNC_HEADER, the syndromes and info bits through
+    `flip_table`. A record byte's bits come from 2 to 4 frame bytes, so the
     info table keeps only those 105 (record byte, frame byte) pairs, with
     the PRBS XORed into each record byte's first pair. Slot s holds the
     s-th pair of each record byte that has one, record bytes with more
@@ -370,8 +373,14 @@ def _byte_tables() -> _ByteTables:
     effects = flip_table()
     synd = [1 << 2 * _SYNDROME_BITS + HEADER_BITS - 1 - bit if bit < HEADER_BITS else
             e[1] << _SYNDROME_BITS * (1 - e[0]) for bit, e in enumerate(effects)]
-    info_bits = frame_words(np.eye(FRAME_BITS, dtype=np.uint8))[:, :HALF_INFO_BITS]
-    info_bytes = np.packbits(info_bits.reshape(FRAME_BITS, INFO_BITS_PER_FRAME), axis=1)
+    # [31c + j, i]: bit i of symbol j of codeword c in record bytes, none for parity
+    symbol_bits = np.zeros((2 * N_SYMBOLS, BITS_PER_SYMBOL, INFO_BYTES), np.uint8)
+    symbol_bits.reshape(2, N_SYMBOLS, -1)[:, :K_SYMBOLS] = np.packbits(
+        np.eye(INFO_BITS_PER_FRAME, dtype=np.uint8), axis=1).reshape(2, K_SYMBOLS, -1)
+    info_bytes = np.zeros((FRAME_BITS, INFO_BYTES), np.uint8)
+    for bit, e in enumerate(effects):
+        if e is not None:
+            info_bytes[bit] = symbol_bits[N_SYMBOLS * e[0] + e[2], e[3].bit_length() - 1]
     info_rows = _byte_rows(info_bytes)
     used = info_rows.any(axis=1).T  # [34, 40]: the (record byte, frame byte) pairs
     counts = used.sum(axis=1)
@@ -384,11 +393,6 @@ def _byte_tables() -> _ByteTables:
     record, source = np.array(pairs).T
     info = info_rows[source, :, record]
     info[:INFO_BYTES] ^= PRBS_BYTES[order, None]  # the zero frame's info
-    symbol_bits = np.zeros((2 * N_SYMBOLS, BITS_PER_SYMBOL, INFO_BYTES), np.uint8)
-    for bit, e in enumerate(effects):
-        if e is not None:
-            half, _, at, value = e
-            symbol_bits[N_SYMBOLS * half + at, value.bit_length() - 1] = info_bytes[bit]
     return _ByteTables(_byte_rows(np.array(synd, np.uint64)[:, None]).ravel(), source,
                        (np.arange(len(source), dtype=np.uint16) << 8)[:, None], info.ravel(),
                        tuple(slots), np.argsort(order), _span(symbol_bits).reshape(-1, INFO_BYTES))

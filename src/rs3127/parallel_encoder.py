@@ -2,9 +2,9 @@
 single evaluation of the output masks of a `LinearMap` (the parity
 matrix) or of an `XorNetwork` (an emitted netlist).
 
-The matrix is the production encoder; a network's masks exist to
-validate emitted netlists, and differential tests hold the two (and the
-two serial encoders) bit-identical.
+The matrix is the production encoder (on a block of symbols,
+`framing.xor_block`); a network's masks exist to validate emitted
+netlists, and tests hold the two (and the serial encoders) bit-identical.
 """
 
 from __future__ import annotations

@@ -1,18 +1,18 @@
 """Reads the 20x135 GF(2) parity matrix off the serial encoder and
 schedules it as XOR3 trees, emitting a structural netlist. `LinearMap`
 holds a fixed GF(2) map as one input-bit mask per output: the parity
-matrix (135 -> 20) and the decoder's syndrome map (155 -> 20) are both
+matrix (135 -> 20) and the tests' syndrome map (155 -> 20) are both
 LinearMaps, both read off the unit vectors by `LinearMap.probe`, and an
-XorNetwork reads the same masks off its gates. The parity matrix is
-probed from the block LFSR (`serial_encoder.shift_in_block`), which is
-GF(2)-linear in the message bits.
+XorNetwork reads the same masks off its gates; a block of symbols goes
+through a map as the XOR of its `symbol_table` entries. The parity matrix
+is probed from the block LFSR (`serial_encoder.shift_in_block`), which
+is GF(2)-linear in the message bits.
 
 Bit indexing: information bit 5*j + i is bit i (LSB = x^0 coefficient)
 of message symbol j; parity bit 5*jp + i likewise for parity symbol jp.
-`symbols_to_bits`/`bits_to_symbols` (lists) and `SYMBOL_BITS`/
-`bits_to_symbol_array` (arrays) convert in this one order, and no other
-module shifts symbol bits itself. Where those bits go on the wire is
-framing's business alone (`_TO_WIRE`).
+`symbols_to_bits`/`bits_to_symbols` (lists) and `SYMBOL_BITS` (an array,
+row s the bits of symbol s) convert in this one order. Where those bits
+go on the wire is framing's business alone (`_TO_WIRE`).
 
 Netlist text format (one item per line, `#` starts a comment)::
 
@@ -72,25 +72,8 @@ def bits_to_symbols(bits) -> list[int]:
         raise ValueError("bits must be 0 or 1") from None
 
 
-# The same order as arrays, probed from the converter pair: row s holds the
-# five bits of symbol s, and a symbol is its bits times _BIT_WEIGHTS.
+# The same order as an array: row s holds the five bits of symbol s.
 SYMBOL_BITS = np.array(symbols_to_bits(range(32)), np.uint8).reshape(32, BITS_PER_SYMBOL)
-_BIT_WEIGHTS = np.array(bits_to_symbols(np.eye(BITS_PER_SYMBOL, dtype=int).ravel().tolist()),
-                        np.float32)
-
-
-def bits_to_symbol_array(bits: np.ndarray) -> np.ndarray:
-    """uint8 symbols from bits in info/parity order along the last axis:
-    one float32 BLAS product (exact: its sums are at most 31)."""
-    symbols = (bits.reshape(-1, BITS_PER_SYMBOL) @ _BIT_WEIGHTS).astype(np.uint8)
-    return symbols.reshape(*bits.shape[:-1], bits.shape[-1] // BITS_PER_SYMBOL)
-
-
-def parity_by_symbols(encode, messages: np.ndarray) -> np.ndarray:
-    """uint8[M, 20] parity bits of uint8[M, 135] message bits by `encode`,
-    a block encoder of uint8[M, 27] message symbols into [M, 31] codewords."""
-    parity = SYMBOL_BITS.take(encode(bits_to_symbol_array(messages))[:, K_SYMBOLS:], axis=0)
-    return parity.reshape(len(messages), N_PARITY_BITS)
 
 
 ZERO = "ZERO"
@@ -142,24 +125,34 @@ class LinearMap:
         return cls(tuple(int.from_bytes(row.tobytes(), "little") for row in rows), n_in)
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """float32[n_in, n_out]: entry [c, r] is 1 iff input bit c feeds output r."""
-        bits = [[m >> c & 1 for m in self.bitmasks] for c in range(self.n_in)]
-        return np.array(bits, np.float32)
-
-    def products(self, bits: np.ndarray) -> np.ndarray:
-        """uint8[M, n_out] outputs of uint8[M, n_in] bits: one float32 BLAS
-        product (exact: its sums are of at most n_in ones), then `& 1`."""
-        return (bits.astype(np.float32) @ self.array).astype(np.uint8) & 1
+    def symbol_table(self) -> np.ndarray:
+        """uint32[ceil(n_in / 5), 32]: [j, v] packs the outputs (output r at
+        bit r, at most 32) of the input holding symbol v at bits 5j..5j+4
+        (bit i of v at 5j + i), the XOR of those bits' columns, built by
+        doubling; any input's outputs are the XOR of one entry per symbol."""
+        columns = [sum((mask >> c & 1) << r for r, mask in enumerate(self.bitmasks))
+                   for c in range(self.n_in)] + [0] * (-self.n_in % BITS_PER_SYMBOL)
+        columns = np.array(columns, np.uint32).reshape(-1, BITS_PER_SYMBOL)
+        table = np.zeros((len(columns), 1), np.uint32)
+        for bit in range(BITS_PER_SYMBOL):
+            table = np.concatenate([table, table ^ columns[:, bit:bit + 1]], axis=1)
+        return table
 
     @property
     def max_fanin(self) -> int:
         return max(m.bit_count() for m in self.bitmasks)
 
 
+def _lfsr_parity_bits(bits: np.ndarray) -> np.ndarray:
+    """uint8[M, 20] parity bits of uint8[M, 135] message bits by the block
+    LFSR, each symbol's five bits packed LSB first."""
+    symbols = np.packbits(bits.reshape(-1, K_SYMBOLS, BITS_PER_SYMBOL), axis=2, bitorder="little")
+    return SYMBOL_BITS[shift_in_block(symbols[:, :, 0])[:, K_SYMBOLS:]].reshape(len(bits), -1)
+
+
 def derive_parity_matrix() -> LinearMap:
     """The parity bits of the block LFSR, probed on the 135 unit-bit messages."""
-    return LinearMap.probe(functools.partial(parity_by_symbols, shift_in_block), N_INFO_BITS)
+    return LinearMap.probe(_lfsr_parity_bits, N_INFO_BITS)
 
 
 @functools.cache

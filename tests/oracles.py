@@ -184,6 +184,19 @@ def clean_info_reference(frame: list[int]) -> list[int]:
     return [x ^ p for x, p in zip(info, prbs_reference(270))]
 
 
+def frame_words_reference(frames) -> np.ndarray:
+    """uint8[2N, 155]: codewords A and B of each of N frames of bits in
+    turn, in info/parity bit order (bit 5*s + i is bit i of symbol s),
+    read bit by bit from the layout in the framing module docstring."""
+    frames = np.asarray(frames, np.uint8)
+    words = np.zeros((2 * len(frames), 155), np.uint8)
+    for s in range(31):
+        for c in range(2):
+            for i in range(5):
+                words[c::2, 5 * s + i] = frames[:, 10 + 10 * s + 5 * c + 4 - i]
+    return words
+
+
 def word_symbols(words) -> np.ndarray:
     """int64[M, 31] symbols of uint8[M, 155] words in info/parity bit order
     (bit 5*s + i is bit i of symbol s), by integer shifts."""

@@ -551,6 +551,7 @@ def test_a_failure_mid_write_leaves_the_blocks_written(tmp_path, capsys, monkeyp
     encode_frames, calls = framing.encode_frames, []
 
     def fail_on_the_second_block(info, encoder):
+        assert info.shape == (1, framing.INFO_BYTES)  # the record's info bytes
         calls.append(len(info))
         if len(calls) == 2:
             raise ValueError("injected failure")

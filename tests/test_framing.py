@@ -10,7 +10,7 @@ from rs3127 import (CORRECTED, OK, UNCORRECTABLE, DEFAULT_SYNC_HEADER, build_fra
                     bytes_to_frame, default_parity_matrix, deinterleave, descramble,
                     encode_parallel, encode_reference, frame_to_bytes, interleave,
                     message_to_bits, scramble, unframe)
-from rs3127.framing import _HEADER, HEADER_BITS, PAYLOAD_BITS
+from rs3127.framing import HEADER_BITS, PAYLOAD_BITS
 from rs3127.parallel_gen import symbols_to_bits
 
 from oracles import frame_reference, interleave_reference, prbs_reference
@@ -137,12 +137,15 @@ def random_payload(rnd):
     return [rnd.getrandbits(1) for _ in range(270)]
 
 
+# The header's 10 bits, MSB first.
+SYNC_BITS = [DEFAULT_SYNC_HEADER >> (HEADER_BITS - 1 - i) & 1 for i in range(HEADER_BITS)]
+
+
 def test_frame_is_320_bits_with_the_sync_header():
     rnd = random.Random(6002)
     frame = build_frame(random_payload(rnd))
     assert len(frame) == 320
-    assert frame[:HEADER_BITS] == [DEFAULT_SYNC_HEADER >> (HEADER_BITS - 1 - i) & 1
-                                   for i in range(HEADER_BITS)]
+    assert frame[:HEADER_BITS] == SYNC_BITS
 
 
 @given(bit_lists_270)
@@ -153,8 +156,8 @@ def test_build_frame_equals_the_symbol_composition(info):
     and interleaving them gave."""
     scrambled = scramble(info)
     matrix = default_parity_matrix()
-    want = _HEADER + interleave(encode_parallel(scrambled[:135], matrix),
-                                encode_parallel(scrambled[135:], matrix))
+    want = SYNC_BITS + interleave(encode_parallel(scrambled[:135], matrix),
+                                   encode_parallel(scrambled[135:], matrix))
     assert build_frame(info) == want
 
 

@@ -18,10 +18,11 @@ from rs3127 import (UNCORRECTABLE, ChannelConfig, TrialStats, apply_channel,
                     build_frame, emit_stats, frame_rng, run_simulation, run_sweep,
                     unframe)
 from rs3127 import framing, harness
-from rs3127.framing import BLOCK_FRAMES, encode_frames, frame_blocks
+from rs3127.framing import BLOCK_FRAMES, frame_blocks
 from rs3127.harness import _draw_block, channel_flips
 
-from oracles import interleave_reference
+from oracles import frame_words_reference, interleave_reference
+from packing import encode_bit_frames
 
 
 def test_config_validation():
@@ -462,7 +463,7 @@ def _hand_made(case):
         # both halves, so each is taken as clean, with wrong info bits
         payloads = np.random.default_rng(3).integers(0, 2, (2, 3, 270), dtype=np.uint8)
         payloads[1, 2, 135:] = payloads[0, 2, 135:]  # frame 2: codeword B the same
-        return encode_frames(payloads[0]) ^ encode_frames(payloads[1])
+        return encode_bit_frames(payloads[0]) ^ encode_bit_frames(payloads[1])
     if case == "single-bits":
         flips = np.zeros((12, 320), np.uint8)
         for row in range(12):
@@ -494,7 +495,7 @@ def test_sparse_path_equals_dense_path_and_the_chain(monkeypatch, case):
     if case == "uncorrectable":
         assert stats.detected_uncorrectable and stats.miscorrections
     if case == "codeword":
-        parity_flips = int(framing.frame_words(flips)[:, 135:].sum())
+        parity_flips = int(frame_words_reference(flips)[:, 135:].sum())
         assert stats.detected_uncorrectable == 0 and stats.frames_recovered == 0
         assert stats.miscorrections == 5 and stats.frames_err_post == 3
         assert stats.bit_err_post == stats.bit_err_pre - parity_flips > 0

@@ -213,11 +213,13 @@ def test_probe_reads_a_hand_map_off_the_unit_vectors():
 
     linear = LinearMap.probe(fn, 4)
     assert linear == LinearMap((0b0101, 0b0010, 0b1011), 4)
-    assert linear.array.dtype == np.float32
-    assert linear.array.tolist() == [[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 0, 1]]
     assert linear.max_fanin == 3
-    inputs = np.array([[x >> c & 1 for c in range(4)] for x in range(16)], np.uint8)
-    assert linear.products(inputs).tolist() == fn(inputs)
+    # one symbol of 5 input bits, the 5th beyond n_in: entry v packs fn of v's low 4 bits
+    table = linear.symbol_table
+    assert table.dtype == np.uint32 and table.shape == (1, 32)
+    inputs = np.array([[x >> c & 1 for c in range(4)] for x in range(32)], np.uint8)
+    assert table[0].tolist() == [sum(bit << r for r, bit in enumerate(out))
+                                 for out in fn(inputs)]
 
 
 @pytest.mark.parametrize("n_in", [N_INFO_BITS, 155])
@@ -232,12 +234,15 @@ def test_linear_map_rejects_an_empty_row_a_wide_bit_and_a_dependent_row(n_in):
         LinearMap(good[:-1] + (good[0] ^ good[1],), n_in)
 
 
-def test_products_equal_parity_bits_row_for_row():
+def test_symbol_table_gives_parity_bits_row_for_row():
+    """The XOR of one symbol table entry per message symbol, unpacked,
+    is parity_bits of the message's bits."""
     matrix = derive_parity_matrix()
     bits = np.random.default_rng(3002).integers(0, 2, (500, N_INFO_BITS), dtype=np.uint8)
     bits[0], bits[1] = 0, 1
-    got = matrix.products(bits)
-    assert got.dtype == np.uint8 and got.shape == (500, N_PARITY_BITS)
+    symbols = np.array([bits_to_symbols(row) for row in bits.tolist()])
+    packed = np.bitwise_xor.reduce(matrix.symbol_table[np.arange(27), symbols], axis=1)
+    got = packed[:, None] >> np.arange(N_PARITY_BITS) & 1
     assert got.tolist() == [parity_bits(row, matrix) for row in bits.tolist()]
 
 
