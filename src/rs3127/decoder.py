@@ -1,15 +1,16 @@
 """RS(31,27) decoder: every decode is a lookup in one class table on
 packed syndromes, S1..S4 packed into one 20-bit int, S1 highest.
 `decode` on one codeword of symbols reads its packed syndrome as the XOR
-of one single-symbol syndrome per symbol (`_syndrome_columns`), and
-looks a dirty one up with `lookup_lists`, as the simulator's sparse
-blocks do. `block_fixes` takes a block's packed syndromes however they
-were made (by byte tables in `framing.decode_frames`, which the CLI and
-the simulator's dense blocks call) and looks up the dirty ones at once,
-each step a `take` from a table read as flat. The table is keyed by the
-classes of the packed syndromes, divided by their lead through one
-scaling table. Both correct up to 2 symbol errors; anything else is
-flagged uncorrectable with the received message region left untouched.
+of one single-symbol syndrome per symbol (`_syndrome_columns`, the
+syndrome map's `symbol_table`), and looks a dirty one up with
+`lookup_lists`, as the simulator's sparse blocks do. `block_fixes` takes
+a block's packed syndromes however they were made (by byte tables in
+`framing.decode_frames`, which the CLI and the simulator's dense blocks
+call) and looks up the dirty ones at once, each step a `take` from a
+table read as flat. The table is keyed by the classes of the packed
+syndromes, divided by their lead through one scaling table. Both
+correct up to 2 symbol errors; anything else is flagged uncorrectable
+with the received message region left untouched.
 
 `solve_locator`, `chien_search` and `forney` are the reference decoder
 the table is tested against: inverse-free Berlekamp-Massey, Chien search
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf32 import EXP, GROUP_ORDER, MUL, gf_div, gf_inv
+from .parallel_gen import syndrome_map
 from .rs_core import K_SYMBOLS, N_SYMBOLS, T_CORRECT, check_symbols, compute_syndromes, poly_eval
 
 OK = "ok"
@@ -165,18 +167,9 @@ def _class_of(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _syndrome_columns() -> list[list[int]]:
-    """Entry [j][v] is the packed syndrome of value v at position j alone:
-    those of 1 at j (compute_syndromes) scaled by v through _SCALED, as
-    lookup_lists reads it. Syndromes are linear in the symbols, so a
-    word's is the XOR of its 31 entries. Plain ints, built without numpy
-    temporaries: the scalar chain's first decode costs no array memory."""
-    scaled = memoryview(_SCALED.ravel())
-    columns = []
-    for j in range(N_SYMBOLS):
-        s1, s2, s3, s4 = compute_syndromes([0] * j + [1] + [0] * (N_SYMBOLS - 1 - j))
-        columns.append([scaled[v << 10 | s1 << 5 | s2] << 10 | scaled[v << 10 | s3 << 5 | s4]
-                        for v in range(32)])
-    return columns
+    """[j][v]: the packed syndrome of value v alone at position j, as ints
+    (`syndrome_map().symbol_table`); a word's is the XOR of its 31 entries."""
+    return syndrome_map().symbol_table.tolist()
 
 
 @functools.cache

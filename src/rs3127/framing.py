@@ -29,8 +29,9 @@ writes the header and the 62 symbols as fields of the wire bytes
 (`_write_fields`). `decode_frames` is its inverse: header, syndromes and
 clean info are XORs of byte-table entries (`_byte_tables`), the dirty
 codewords are looked up in one `decoder.block_fixes` call, and each fix
-is a mask of record bytes. The CLI and the simulator call them on blocks
-of at most BLOCK_FRAMES frames.
+is a mask of record bytes. Both refuse a value that is not a byte
+(`_byte_records`). The CLI and the simulator call them on blocks of at
+most BLOCK_FRAMES frames.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .decoder import DecodeResult, _syndrome_columns, block_fixes, decode
 from .parallel_gen import (BITS_PER_SYMBOL, N_PARITY_BITS, SYMBOL_BITS, WORD_BITS, bits_to_symbols,
-                           default_parity_matrix, symbols_to_bits)
+                           default_parity_matrix, span, symbols_to_bits)
 from .rs_core import K_SYMBOLS, N_SYMBOLS, divide_block
 from .serial_encoder import shift_in_block
 
@@ -272,6 +273,22 @@ def _write_fields(fields: np.ndarray) -> np.ndarray:
     return out
 
 
+def _byte_records(data, width: int) -> np.ndarray:
+    """uint8[N, width] of an array or nested lists of bytes; ValueError for
+    another shape, a dtype that is not an integer one (a float, a bool) or a
+    value outside 0..255. A uint8 array passes after one dtype test."""
+    data = np.asarray(data)
+    if data.ndim != 2 or data.shape[1] != width:
+        raise ValueError(f"expected shape (N, {width}), got {data.shape}")
+    if data.dtype != np.uint8:
+        if data.dtype.kind not in "iu":
+            raise ValueError(f"expected integer bytes, got dtype {data.dtype}")
+        if data.size and (data.min() < 0 or data.max() > 255):
+            raise ValueError("bytes must be in 0..255")
+        data = data.astype(np.uint8)
+    return data
+
+
 def xor_block(msg: np.ndarray) -> np.ndarray:
     """uint8[M, 31] codewords of uint8[M, 27] message symbols: a row's 20
     parity bits are the XOR of the parity matrix's `symbol_table` entries
@@ -288,9 +305,7 @@ def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     bits, packed, whichever encoder runs on all 2N messages at once: the
     parity matrix table (`xor_block`), long division (`divide_block`) or
     the shift register (`shift_in_block`)."""
-    info = np.asarray(info, dtype=np.uint8)
-    if info.ndim != 2 or info.shape[1] != INFO_BYTES:
-        raise ValueError(f"expected shape (N, {INFO_BYTES}), got {info.shape}")
+    info = _byte_records(info, INFO_BYTES)
     if (info[:, -1] & (1 << _PAD_BITS) - 1).any():
         raise ValueError(f"info bits {INFO_BITS_PER_FRAME}..{8 * INFO_BYTES - 1} must be 0")
     encode = {"parallel": xor_block, "reference": divide_block, "lfsr": shift_in_block}.get(encoder)
@@ -322,20 +337,10 @@ def flip_table() -> list:
             for s, v in zip(at.tolist(), values.tolist())]
 
 
-def _span(effects: np.ndarray) -> np.ndarray:
-    """[R, 2^k, X] from effects [R, k, X] of value bits 0..k-1: entry
-    [r, v] is the XOR of the effects of the set bits of v. Built by
-    doubling, one bit at a time."""
-    table = np.zeros((len(effects), 1, effects.shape[2]), effects.dtype)
-    for bit in range(effects.shape[1]):
-        table = np.concatenate([table, table ^ effects[:, bit:bit + 1]], axis=1)
-    return table
-
-
 def _byte_rows(effects: np.ndarray) -> np.ndarray:
     """[40, 256, X] from the effects [320, X] of single frame bits: frame
     bit 8b + i is bit 7 - i of the value of byte b."""
-    return _span(effects.reshape(FRAME_BYTES, 8, -1)[:, ::-1])
+    return span(effects.reshape(FRAME_BYTES, 8, -1)[:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -395,7 +400,7 @@ def _byte_tables() -> _ByteTables:
     info[:INFO_BYTES] ^= PRBS_BYTES[order, None]  # the zero frame's info
     return _ByteTables(_byte_rows(np.array(synd, np.uint64)[:, None]).ravel(), source,
                        (np.arange(len(source), dtype=np.uint16) << 8)[:, None], info.ravel(),
-                       tuple(slots), np.argsort(order), _span(symbol_bits).reshape(-1, INFO_BYTES))
+                       tuple(slots), np.argsort(order), span(symbol_bits).reshape(-1, INFO_BYTES))
 
 
 def _clean_info(by_byte: np.ndarray, tables: _ByteTables) -> np.ndarray:
@@ -425,9 +430,7 @@ def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     gather takes a row. The dirty codewords are looked up all at once
     (`decoder.block_fixes`), and each fix is two masks XORed into its
     frame's info. No step unpacks a bit."""
-    frames = np.asarray(frames, dtype=np.uint8)
-    if frames.ndim != 2 or frames.shape[1] != FRAME_BYTES:
-        raise ValueError(f"expected shape (N, {FRAME_BYTES}), got {frames.shape}")
+    frames = _byte_records(frames, FRAME_BYTES)
     tables = _byte_tables()
     by_byte = np.ascontiguousarray(frames.T)
     pairs = np.bitwise_xor.reduce(tables.syndromes.take(by_byte + _BYTE_OFFSETS), axis=0)

@@ -1,12 +1,12 @@
 """Reads the 20x135 GF(2) parity matrix off the serial encoder and
 schedules it as XOR3 trees, emitting a structural netlist. `LinearMap`
-holds a fixed GF(2) map as one input-bit mask per output: the parity
-matrix (135 -> 20) and the tests' syndrome map (155 -> 20) are both
-LinearMaps, both read off the unit vectors by `LinearMap.probe`, and an
-XorNetwork reads the same masks off its gates; a block of symbols goes
-through a map as the XOR of its `symbol_table` entries. The parity matrix
-is probed from the block LFSR (`serial_encoder.shift_in_block`), which
-is GF(2)-linear in the message bits.
+holds a fixed GF(2) map as one input-bit mask per output. A map on
+symbols is read off the unit-bit inputs by `probe_symbols`: the parity
+matrix (135 -> 20) from the block LFSR (`shift_in_block`), the syndrome
+map (155 -> 20, the decoder's packing) from `compute_syndromes`. A block
+of symbols goes through a map as the XOR of its `symbol_table` entries,
+spanned from its columns by `span`; an XorNetwork reads the same masks
+off its gates.
 
 Bit indexing: information bit 5*j + i is bit i (LSB = x^0 coefficient)
 of message symbol j; parity bit 5*jp + i likewise for parity symbol jp.
@@ -39,7 +39,7 @@ from itertools import chain
 import numpy as np
 
 from .gf32 import PRIMITIVE_POLY
-from .rs_core import FIRST_ROOT, K_SYMBOLS, N_PARITY, N_SYMBOLS
+from .rs_core import FIRST_ROOT, K_SYMBOLS, N_PARITY, N_SYMBOLS, compute_syndromes
 from .serial_encoder import shift_in_block
 
 BITS_PER_SYMBOL = 5
@@ -97,6 +97,15 @@ def _gf2_rank(masks) -> int:
     return rank
 
 
+def span(effects: np.ndarray) -> np.ndarray:
+    """[R, 2^k, X] from effects [R, k, X] of value bits 0..k-1, by doubling:
+    entry [r, v] is the XOR of the effects of the set bits of v."""
+    table = np.zeros((len(effects), 1, effects.shape[2]), effects.dtype)
+    for bit in range(effects.shape[1]):
+        table = np.concatenate([table, table ^ effects[:, bit:bit + 1]], axis=1)
+    return table
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """A GF(2)-linear map from n_in bits to len(bitmasks) bits: output r is
@@ -124,41 +133,48 @@ class LinearMap:
         rows = np.packbits(columns.T, axis=1, bitorder="little")  # bit c: bit c % 8 of byte c // 8
         return cls(tuple(int.from_bytes(row.tobytes(), "little") for row in rows), n_in)
 
+    @classmethod
+    def probe_symbols(cls, fn, n_symbols: int) -> LinearMap:
+        """`probe` of a GF(2)-linear fn from uint8[M, n_symbols] symbols to M
+        rows of symbols, input (output) bit 5*j + i being bit i of symbol j."""
+        def on_bits(bits: np.ndarray) -> np.ndarray:
+            symbols = np.packbits(bits.reshape(len(bits), n_symbols, -1), axis=2, bitorder="little")
+            return SYMBOL_BITS[np.asarray(fn(symbols[:, :, 0]))].reshape(len(bits), -1)
+
+        return cls.probe(on_bits, n_symbols * BITS_PER_SYMBOL)
+
     @cached_property
     def symbol_table(self) -> np.ndarray:
         """uint32[ceil(n_in / 5), 32]: [j, v] packs the outputs (output r at
         bit r, at most 32) of the input holding symbol v at bits 5j..5j+4
-        (bit i of v at 5j + i), the XOR of those bits' columns, built by
-        doubling; any input's outputs are the XOR of one entry per symbol."""
+        (bit i of v at 5j + i), the `span` of those bits' columns; any
+        input's outputs are the XOR of one entry per symbol."""
         columns = [sum((mask >> c & 1) << r for r, mask in enumerate(self.bitmasks))
                    for c in range(self.n_in)] + [0] * (-self.n_in % BITS_PER_SYMBOL)
-        columns = np.array(columns, np.uint32).reshape(-1, BITS_PER_SYMBOL)
-        table = np.zeros((len(columns), 1), np.uint32)
-        for bit in range(BITS_PER_SYMBOL):
-            table = np.concatenate([table, table ^ columns[:, bit:bit + 1]], axis=1)
-        return table
+        return span(np.array(columns, np.uint32).reshape(-1, BITS_PER_SYMBOL, 1))[:, :, 0]
 
     @property
     def max_fanin(self) -> int:
         return max(m.bit_count() for m in self.bitmasks)
 
 
-def _lfsr_parity_bits(bits: np.ndarray) -> np.ndarray:
-    """uint8[M, 20] parity bits of uint8[M, 135] message bits by the block
-    LFSR, each symbol's five bits packed LSB first."""
-    symbols = np.packbits(bits.reshape(-1, K_SYMBOLS, BITS_PER_SYMBOL), axis=2, bitorder="little")
-    return SYMBOL_BITS[shift_in_block(symbols[:, :, 0])[:, K_SYMBOLS:]].reshape(len(bits), -1)
-
-
 def derive_parity_matrix() -> LinearMap:
     """The parity bits of the block LFSR, probed on the 135 unit-bit messages."""
-    return LinearMap.probe(_lfsr_parity_bits, N_INFO_BITS)
+    return LinearMap.probe_symbols(lambda msg: shift_in_block(msg)[:, K_SYMBOLS:], K_SYMBOLS)
 
 
 @functools.cache
 def default_parity_matrix() -> LinearMap:
     """The matrix for the active field constants, derived once per process."""
     return derive_parity_matrix()
+
+
+@functools.cache
+def syndrome_map() -> LinearMap:
+    """compute_syndromes, probed on the 155 unit-bit words: output bit r is
+    bit r of the packed syndrome S1 << 15 | S2 << 10 | S3 << 5 | S4."""
+    return LinearMap.probe_symbols(
+        lambda words: [compute_syndromes(w)[::-1] for w in words.tolist()], N_SYMBOLS)
 
 
 @dataclass(frozen=True)

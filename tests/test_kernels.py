@@ -15,7 +15,7 @@ from rs3127 import (CORRECTED, OK, UNCORRECTABLE, build_frame, chien_search,
                     compute_syndromes, decode, default_parity_matrix, encode_parallel,
                     encode_reference, forney, is_codeword, lfsr_encode, parity_bits,
                     solve_locator, unframe)
-from rs3127 import decoder, framing, rs_core, serial_encoder
+from rs3127 import decoder, framing, parallel_gen, rs_core, serial_encoder
 from rs3127.decoder import block_fixes
 from rs3127.framing import (HEADER_BITS, PAYLOAD_BITS, decode_frames, encode_frames,
                             interleave, xor_block)
@@ -195,6 +195,23 @@ def test_kernel_contracts():
         decode_frames(np.zeros((1, 39), np.uint8))
     with pytest.raises(ValueError):
         decode_frames(np.zeros(40, np.uint8))
+    # a float, a bool, bytes or a value outside 0..255 is refused, not cast
+    for kernel, width in ((encode_frames, 34), (decode_frames, 40)):
+        for first in (0.5, -1, 256, 300):
+            with pytest.raises(ValueError):
+                kernel([[first] + [0] * (width - 1)])
+        with pytest.raises(ValueError, match="dtype float64"):
+            kernel(np.zeros((1, width)))
+        with pytest.raises(ValueError, match="dtype bool"):
+            kernel(np.zeros((1, width), bool))
+        with pytest.raises(ValueError):
+            kernel([bytes(width)])
+    # any integer dtype holding bytes is taken as it is
+    info = np.full((2, 34), 12, np.uint8)
+    frames = encode_frames(info)
+    for dtype in (np.int64, np.uint16):
+        assert np.array_equal(encode_frames(info.astype(dtype)), frames)
+        assert np.array_equal(decode_frames(frames.astype(dtype))[0], info)
 
 
 def test_wire_gather_puts_every_source_bit_where_the_layout_oracle_does():
@@ -772,25 +789,44 @@ def test_parity_array_equals_the_rows_and_parity_bits():
                  for r in range(20)) == matrix.bitmasks
 
 
+# The tests' syndrome map puts S1 in output symbol 0, the package's (the
+# decoder's packing) in output symbol 3: each with the order of its outputs.
+SYNDROME_MAPS = ((syndrome_map, slice(None)), (parallel_gen.syndrome_map, slice(None, None, -1)))
+
+
 def test_syndrome_map_is_a_rank_20_linear_map_over_155_bits():
-    """The constructor checks rank 20; every row of a random block maps,
-    through the XOR of one symbol table entry per symbol, to the
-    syndromes compute_syndromes gives its symbols."""
-    synd = syndrome_map()
-    assert isinstance(synd, LinearMap)
-    assert (synd.n_in, len(synd.bitmasks)) == (155, 20)
-    assert _gf2_rank(synd.bitmasks) == 20
+    """For the tests' map and the package's: the constructor checks rank
+    20; every row of a random block maps, through the XOR of one symbol
+    table entry per symbol, to the syndromes compute_syndromes gives its
+    symbols."""
     words = word_symbols(np.random.default_rng(3003).integers(0, 2, (300, 155), dtype=np.uint8))
-    packed = np.bitwise_xor.reduce(synd.symbol_table[np.arange(31), words], axis=1)
-    got = (packed[:, None] >> 5 * np.arange(4) & 31).tolist()
-    assert got == [compute_syndromes(w) for w in words.tolist()]
+    want = [compute_syndromes(w) for w in words.tolist()]
+    for make, order in SYNDROME_MAPS:
+        synd = make()
+        assert isinstance(synd, LinearMap)
+        assert (synd.n_in, len(synd.bitmasks)) == (155, 20)
+        assert _gf2_rank(synd.bitmasks) == 20
+        packed = np.bitwise_xor.reduce(synd.symbol_table[np.arange(31), words], axis=1)
+        assert (packed[:, None] >> 5 * np.arange(4) & 31)[:, order].tolist() == want
+
+
+def test_the_package_syndrome_map_is_the_oracle_with_its_syndromes_reversed():
+    """Output 5s + b of the package's map is bit b of S(4-s), the oracle's
+    output 5(3 - s) + b; and the decoder's columns are its symbol table."""
+    oracle = syndrome_map().bitmasks
+    synd = parallel_gen.syndrome_map()
+    assert synd.bitmasks == tuple(oracle[5 * (3 - s) + b] for s in range(4) for b in range(5))
+    assert decoder._syndrome_columns() == synd.symbol_table.tolist()
 
 
 def test_xor3_trees_of_the_syndrome_map_give_back_its_masks():
-    """A network over 155 inputs reads each input's mask off its index.
-    Every syndrome row has fan-in 80, so every tree has depth 4."""
-    synd = syndrome_map()
-    net = build_xor3_network(synd)
-    assert net.bitmasks == synd.bitmasks
-    assert {mask.bit_count() for mask in synd.bitmasks} == {80}
-    assert expected_depth(80) == 4 and net.depths == (4,) * 20
+    """For the tests' map and the package's: a network over 155 inputs
+    reads each input's mask off its index. Every syndrome row has fan-in
+    80, so every tree has depth 4."""
+    assert expected_depth(80) == 4
+    for make, _ in SYNDROME_MAPS:
+        synd = make()
+        net = build_xor3_network(synd)
+        assert net.bitmasks == synd.bitmasks
+        assert {mask.bit_count() for mask in synd.bitmasks} == {80}
+        assert net.depths == (4,) * 20

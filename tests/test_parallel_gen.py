@@ -222,6 +222,24 @@ def test_probe_reads_a_hand_map_off_the_unit_vectors():
                                  for out in fn(inputs)]
 
 
+def test_probe_symbols_reads_a_symbol_map_in_bits():
+    """Two symbols in; their XOR and the first symbol's bits rotated up by
+    one out: output bit 5s + i reads input bits 5j + i."""
+    def fn(symbols):
+        first = symbols[:, 0]
+        return np.stack([first ^ symbols[:, 1], (first << 1 | first >> 4) & 31], axis=1)
+
+    linear = LinearMap.probe_symbols(fn, 2)
+    assert linear.n_in == 10
+    assert linear.bitmasks == (tuple(1 << i | 1 << 5 + i for i in range(5))
+                               + tuple(1 << (i - 1) % 5 for i in range(5)))
+    pairs = np.array([(a, b) for a in range(32) for b in range(32)], np.uint8)
+    table = linear.symbol_table
+    got = table[0, pairs[:, 0]] ^ table[1, pairs[:, 1]]
+    want = fn(pairs).astype(np.uint32)
+    assert got.tolist() == (want[:, 0] | want[:, 1] << 5).tolist()
+
+
 @pytest.mark.parametrize("n_in", [N_INFO_BITS, 155])
 def test_linear_map_rejects_an_empty_row_a_wide_bit_and_a_dependent_row(n_in):
     good = tuple(1 << c for c in range(n_in - N_PARITY_BITS, n_in))
