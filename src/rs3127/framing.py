@@ -19,19 +19,25 @@ read off it (`_SYMBOL_FIELDS`). Its independent oracles are
 `interleave_reference` and `frame_reference` in the tests.
 
 `build_frame`/`unframe` work on one frame as a 320-bit int: build_frame
-XORs one `_frame_table` entry (probed once from `encode_frames`) per
-scrambled info byte, as table-driven CRCs do (Sarwate, CACM 1988).
+XORs one `_frame_table` entry per scrambled info byte, as table-driven
+CRCs do (Sarwate, CACM 1988).
 
-The batch kernels work on bytes; none unpacks a bit. `encode_frames`
-reads the scrambled info's 54 message symbols as 5-bit fields
-(`_read_fields`), runs the chosen block encoder on all 2N messages, and
+The batch kernels work on bytes; none unpacks a bit. The field codec,
+`_encode_fields`, reads the scrambled info's 54 message symbols as 5-bit
+fields (`_read_fields`), runs a block encoder on all 2N messages, and
 writes the header and the 62 symbols as fields of the wire bytes
-(`_write_fields`). `decode_frames` is its inverse: header, syndromes and
-clean info are XORs of byte-table entries (`_byte_tables`), the dirty
-codewords are looked up in one `decoder.block_fixes` call, and each fix
-is a mask of record bytes. Both refuse a value that is not a byte
-(`_byte_records`). The CLI and the simulator call them on blocks of at
-most BLOCK_FRAMES frames.
+(`_write_fields`); `encode_frames` runs it for `reference` and `lfsr`.
+With `parallel`, record bytes to wire bytes is one GF(2)-affine map, so
+it is read off one probe, `_unit_frames`: the field codec through
+`xor_block` on the zero record and the 270 unit-bit records. Two spans
+of its columns serve the two chains: `_wire_table`, an array that makes
+a block one gather and one reduction, and `_frame_table`, Python ints,
+so the scalar chain builds no array. `decode_frames` is its inverse:
+header, syndromes and clean info are XORs of byte-table entries
+(`_byte_tables`), the dirty codewords are looked up in one
+`decoder.block_fixes` call, and each fix is a mask of record bytes.
+Both refuse a value that is not a byte (`_byte_records`). The CLI and
+the simulator call them on blocks of at most BLOCK_FRAMES frames.
 """
 
 from __future__ import annotations
@@ -150,19 +156,27 @@ def deinterleave(bits: list[int]) -> tuple[list[int], list[int]]:
 
 
 @functools.cache
+def _unit_frames() -> np.ndarray:
+    """uint8[271, 40]: the frames of the zero record and of the 270
+    unit-bit records (row 1 + k has info bit k set) through `xor_block`,
+    the probe that `_wire_table` and `_frame_table` are spanned from."""
+    units = np.packbits(np.eye(1 + INFO_BITS_PER_FRAME, INFO_BITS_PER_FRAME, -1, np.uint8), axis=1)
+    return _encode_fields(units, xor_block)
+
+
+@functools.cache
 def _frame_table() -> list[list[int]]:
     """34 rows of 256 frames as ints: entry [j][v] is the frame part of
     scrambled info byte j holding v (info bit 8*j + 7 - b is bit b of v,
     and bits 270, 271 are 0), with the header in every entry of row 0, so
-    a frame is the XOR of one entry per byte. Probed from encode_frames on
-    the zero and the 270 unit-bit scrambled infos (the PRBS XORed in, as
-    encode_frames XORs it out), each row built by doubling from 8 columns."""
-    units = np.packbits(np.eye(1 + INFO_BITS_PER_FRAME, INFO_BITS_PER_FRAME, -1, np.uint8), axis=1)
-    base, *ints = [int.from_bytes(row, "big") for row in encode_frames(units ^ PRBS_BYTES)]
-    columns = [column ^ base for column in ints] + [0] * _PAD_BITS
+    a frame is the XOR of one entry per byte. Each row is built by
+    doubling from 8 columns, a unit frame XOR the zero frame each
+    (`_unit_frames`); the scrambled zero info's frame is the header."""
+    zero, *ints = [int.from_bytes(row, "big") for row in _unit_frames()]
+    columns = [column ^ zero for column in ints] + [0] * _PAD_BITS
     table = []
     for j in range(INFO_BYTES):
-        row = [0 if j else base]
+        row = [0 if j else DEFAULT_SYNC_HEADER << PAYLOAD_BITS]
         for column in reversed(columns[8 * j:8 * j + 8]):
             row += [r ^ column for r in row]
         table.append(row)
@@ -299,18 +313,9 @@ def xor_block(msg: np.ndarray) -> np.ndarray:
     return np.concatenate([msg, parity.astype(np.uint8)], axis=1)
 
 
-def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
-    """uint8[N, 40] wire bytes from uint8[N, 34] info bytes as decode_frames
-    returns them (bits 270, 271 zero): row n is build_frame of row n's
-    bits, packed, whichever encoder runs on all 2N messages at once: the
-    parity matrix table (`xor_block`), long division (`divide_block`) or
-    the shift register (`shift_in_block`)."""
-    info = _byte_records(info, INFO_BYTES)
-    if (info[:, -1] & (1 << _PAD_BITS) - 1).any():
-        raise ValueError(f"info bits {INFO_BITS_PER_FRAME}..{8 * INFO_BYTES - 1} must be 0")
-    encode = {"parallel": xor_block, "reference": divide_block, "lfsr": shift_in_block}.get(encoder)
-    if encode is None:
-        raise ValueError(f"unknown encoder {encoder!r}")
+def _encode_fields(info: np.ndarray, encode) -> np.ndarray:
+    """encode_frames of checked info bytes through the field codec and
+    the block encoder `encode`."""
     n = len(info)
     fields = _read_fields((info ^ PRBS_BYTES).T, 2 * K_SYMBOLS)
     words = encode(_RECORD_FIELD.take(fields.T).reshape(2 * n, K_SYMBOLS))
@@ -318,6 +323,39 @@ def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     frame_fields[0], frame_fields[1] = divmod(DEFAULT_SYNC_HEADER, 1 << BITS_PER_SYMBOL)
     frame_fields[_SYMBOL_FIELDS] = words.reshape(n, 2 * N_SYMBOLS).T
     return np.ascontiguousarray(_write_fields(frame_fields).T)
+
+
+@functools.cache
+def _wire_table() -> tuple[np.ndarray, np.ndarray]:
+    """(uint64[34 * 256, 5], uint64[5]): entry 256 * j + v is the wire
+    bytes, as five words, that record byte j holding v XORs into a frame
+    (info bit 8*j + 7 - b is bit b of v), spanned from `_unit_frames`;
+    the base is the zero record's frame."""
+    frames = _unit_frames()
+    columns = np.zeros((8 * INFO_BYTES, FRAME_BYTES), np.uint8)
+    columns[:INFO_BITS_PER_FRAME] = frames[1:] ^ frames[0]
+    table = span(columns.reshape(INFO_BYTES, 8, FRAME_BYTES)[:, ::-1])
+    return table.view(np.uint64).reshape(-1, FRAME_BYTES // 8), frames[0].view(np.uint64)
+
+
+def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
+    """uint8[N, 40] wire bytes from uint8[N, 34] info bytes as decode_frames
+    returns them (bits 270, 271 zero): row n is build_frame of row n's
+    bits, packed. `parallel` is one gather and one reduction over
+    `_wire_table`; `reference` and `lfsr` run long division
+    (`divide_block`) or the shift register (`shift_in_block`) on all 2N
+    messages at once through the field codec (`_encode_fields`)."""
+    info = _byte_records(info, INFO_BYTES)
+    if (info[:, -1] & (1 << _PAD_BITS) - 1).any():
+        raise ValueError(f"info bits {INFO_BITS_PER_FRAME}..{8 * INFO_BYTES - 1} must be 0")
+    if encoder == "parallel":
+        table, base = _wire_table()
+        parts = table.take(info.T + _BYTE_OFFSETS[:INFO_BYTES], axis=0)
+        return (np.bitwise_xor.reduce(parts, axis=0) ^ base).view(np.uint8)
+    encode = {"reference": divide_block, "lfsr": shift_in_block}.get(encoder)
+    if encode is None:
+        raise ValueError(f"unknown encoder {encoder!r}")
+    return _encode_fields(info, encode)
 
 
 @functools.cache

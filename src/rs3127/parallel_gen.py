@@ -149,9 +149,12 @@ class LinearMap:
         bit r, at most 32) of the input holding symbol v at bits 5j..5j+4
         (bit i of v at 5j + i), the `span` of those bits' columns; any
         input's outputs are the XOR of one entry per symbol."""
-        columns = [sum((mask >> c & 1) << r for r, mask in enumerate(self.bitmasks))
-                   for c in range(self.n_in)] + [0] * (-self.n_in % BITS_PER_SYMBOL)
-        return span(np.array(columns, np.uint32).reshape(-1, BITS_PER_SYMBOL, 1))[:, :, 0]
+        width = self.n_in + -self.n_in % BITS_PER_SYMBOL  # whole symbols, the rest 0
+        data = b"".join(mask.to_bytes(-(-width // 8), "little") for mask in self.bitmasks)
+        bits = np.unpackbits(np.frombuffer(data, np.uint8).reshape(len(self.bitmasks), -1),
+                             axis=1, count=width, bitorder="little")  # [r, c]: bit c of mask r
+        columns = (np.uint32(1) << np.arange(len(bits), dtype=np.uint32)) @ bits.astype(np.uint32)
+        return span(columns.reshape(-1, BITS_PER_SYMBOL, 1))[:, :, 0]
 
     @property
     def max_fanin(self) -> int:

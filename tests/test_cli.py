@@ -321,8 +321,15 @@ def test_main_reuses_one_parser_with_a_fresh_namespace_per_call(tmp_path, capsys
     assert main(["encode", "-i", str(payload), "-o", str(frames)]) == 0
     parser = build_parser()
     assert build_parser() is parser
-    parse_args, seen = parser.parse_args, []
-    monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(parse_args(argv)) or seen[-1])
+    decode_parser, seen = parser.commands["decode"], []
+    parse_known_args = decode_parser.parse_known_args
+
+    def spy(*args):
+        result = parse_known_args(*args)
+        seen.append(result[0])
+        return result
+
+    monkeypatch.setattr(decode_parser, "parse_known_args", spy)
     assert main(["decode", "-i", str(frames), "-o", str(out), "--stats", str(stats)]) == 0
     assert len(stats.read_text().splitlines()) == 2
     stats.unlink()
@@ -332,6 +339,47 @@ def test_main_reuses_one_parser_with_a_fresh_namespace_per_call(tmp_path, capsys
     assert "required" in capsys.readouterr().err
     assert len(seen) == 2 and seen[0] is not seen[1]
     assert seen[0].stats == str(stats) and seen[1].stats is None
+
+
+def test_main_parses_as_the_full_parser_does(tmp_path, capsys, monkeypatch):
+    """main parses a codec command with that subcommand's own parser and
+    falls back to the full one; on every argv shape, a good one or a
+    usage error, it gives the exit code, stdout and stderr that the full
+    parser's path gives."""
+    payload, frames, out, stats = (str(tmp_path / name)
+                                   for name in ("p.bin", "f.bin", "o.bin", "s.txt"))
+    Path(payload).write_bytes(bytes(80))
+    assert main(["encode", "-i", payload, "-o", frames]) == 0
+    shapes = [
+        [],
+        ["bogus"],
+        ["--bogus"],
+        ["-h"],
+        ["encode", "-h"],
+        ["encode"],
+        ["encode", "-o", out],
+        ["encode", "-i", payload],
+        ["encode", "-i", payload, "-o", out, "--bogus"],
+        ["encode", "-i", payload, "-o", out, "extra"],
+        ["encode", "--in", payload, "-o", out],
+        ["encode", "-i", payload, "-o", out, "--encoder", "bogus"],
+        ["encode", "-i", str(tmp_path / "missing.bin"), "-o", out],
+        ["decode", "-i", frames, "-o", out, "--stat", stats],
+        ["simulate", "--ber", "0", "--frames", "1", "--jobs", "0"],
+        ["sweep", "--ber-list", "0", "--frames", "2", "--csv"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    got = [run(argv) for argv in shapes]
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    want = [run(argv) for argv in shapes]
+    for argv, mine, full in zip(shapes, got, want):
+        assert mine == full, argv
+    assert {code for code, _, _ in got} == {0, 1, 2}
 
 
 def test_simulate_zero_ber(capsys):

@@ -142,9 +142,23 @@ def test_packed_tables_hold_byte_d_in_bits_8d(packed, table):
     assert not got[:, table.shape[1]:].any()
 
 
-def test_each_encoder_runs_its_own_algorithm(monkeypatch):
+@pytest.fixture
+def fresh_parallel_tables():
+    """`parallel`'s probe and its table are built again on first use in
+    the test, and again after it."""
+    caches = (framing._unit_frames, framing._wire_table)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_each_encoder_runs_its_own_algorithm(monkeypatch, fresh_parallel_tables):
     """The three encoders give the same frames but stay three
-    architectures: none is an alias of another's kernel."""
+    architectures: none is an alias of another's kernel. `parallel`
+    probes its table through `xor_block` on its first block alone; every
+    later block is a gather of that table and calls no encoder kernel."""
     ran = []
     for kernel in ("xor_block", "divide_block", "shift_in_block"):
         original = getattr(framing, kernel)
@@ -152,11 +166,34 @@ def test_each_encoder_runs_its_own_algorithm(monkeypatch):
                             lambda x, kernel=kernel, original=original:
                             ran.append(kernel) or original(x))
     info = np.zeros((2, 34), np.uint8)
-    for encoder, kernel in (("parallel", "xor_block"), ("reference", "divide_block"),
-                            ("lfsr", "shift_in_block")):
+    encode_frames(info, encoder="parallel")
+    assert ran == ["xor_block"]
+    for encoder, kernels in (("parallel", []), ("reference", ["divide_block"]),
+                             ("lfsr", ["shift_in_block"]), ("parallel", [])):
         ran.clear()
         encode_frames(info, encoder=encoder)
-        assert ran == [kernel]
+        assert ran == kernels
+
+
+def test_a_flipped_parity_tap_changes_the_parallel_frames_alone(monkeypatch,
+                                                                fresh_parallel_tables):
+    """`parallel`'s table is probed through the parity matrix, so a matrix
+    with one tap flipped gives other `parallel` frames; `reference` and
+    `lfsr` read no matrix and give the same frames as before."""
+    rng = np.random.default_rng(23)
+    info = rng.integers(0, 256, (16, 34), dtype=np.uint8)
+    info[:, -1] &= 0xFC
+    want = {encoder: encode_frames(info, encoder=encoder) for encoder in ENCODERS}
+    matrix = default_parity_matrix()
+    broken = LinearMap((matrix.bitmasks[0] ^ 1, *matrix.bitmasks[1:]), matrix.n_in)
+    monkeypatch.setattr(framing, "default_parity_matrix", lambda: broken)
+    framing._unit_frames.cache_clear()
+    framing._wire_table.cache_clear()
+    got = {encoder: encode_frames(info, encoder=encoder) for encoder in ENCODERS}
+    assert not np.array_equal(got["parallel"], want["parallel"])
+    assert np.array_equal(got["reference"], want["reference"])
+    assert np.array_equal(got["lfsr"], want["lfsr"])
+    assert np.array_equal(want["parallel"], want["reference"])
 
 
 def test_encode_frames_never_calls_a_scalar_encoder(monkeypatch):
