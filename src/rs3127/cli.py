@@ -13,6 +13,11 @@ Every output file is rewritten in place and then, if it was longer, cut
 to length, never truncated first: on ext4 mounted with `discard`,
 freeing a file's blocks (truncate, unlink or rename over it) took
 40-150 ms, against well under 1 ms to overwrite them.
+Files are read and written on their raw descriptors, with no buffered
+file object, which about halved the fixed I/O cost of a 128-frame call.
+A read is sized by the file's size, not by a fixed buffer, so a regular
+file is read, and held, once; a pipe or FIFO, whose size reads 0, is
+read a pipe's buffer at a time to its end.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error.
 """
@@ -20,7 +25,6 @@ Exit codes: 0 success, 1 usage error, 2 data/format error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import os
@@ -42,6 +46,9 @@ REFERENCE_DESIGN_FANIN = 70
 REFERENCE_DESIGN_DEPTH = 4
 
 _ENCODER_NAMES = {"ref": "reference", "lfsr": "lfsr", "parallel": "parallel"}
+# Bytes per read of an input whose size reads 0 (a FIFO or device): a
+# Linux pipe's default buffer.
+_PIPE_BUFFER = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,28 +59,56 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@contextlib.contextmanager
-def _output(path: str):
-    """Binary handle on path, created if missing. An existing file is
-    overwritten in place and then, if it was longer, truncated at the last
-    byte written, so it ends with the bytes, inode and mode that opening
-    with O_TRUNC gives, without freeing its blocks first. Only a regular
-    file is truncated, so devices and pipes work too. Its size on disk
-    before the final flush is at most the bytes written unless it was
-    longer, so a same-size rewrite makes no truncate call."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+class _Output:
+    """A binary output on path's raw descriptor, the file created if
+    missing; `write` writes all of its bytes (or array), looping over
+    short writes. An existing file is overwritten in place and then, if it
+    was longer, truncated at the last byte written, so it ends with the
+    bytes, inode and mode that opening with O_TRUNC gives, without freeing
+    its blocks first. Only a regular file is truncated, so devices and
+    pipes work too, and a same-size rewrite makes no truncate call."""
+
+    def __init__(self, path: str) -> None:
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        self.written = 0
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def write(self, data) -> None:
+        view = memoryview(data).cast("B")
+        while view:
+            count = os.write(self.fd, view)
+            view = view[count:]
+            self.written += count
+
+    def __exit__(self, *exc_info) -> None:
         try:
-            yield fh
+            status = os.fstat(self.fd)
+            if stat.S_ISREG(status.st_mode) and status.st_size > self.written:
+                os.ftruncate(self.fd, self.written)
         finally:
-            status = os.fstat(fh.fileno())
-            if stat.S_ISREG(status.st_mode) and status.st_size > fh.tell():
-                fh.truncate()
+            os.close(self.fd)
+
+
+def _read(path: str) -> bytes:
+    """The bytes of the file at path, read on its raw descriptor to its
+    end. Each read asks for one byte more than fstat's size, so a regular
+    file takes one read and one that finds its end; a FIFO or device,
+    which reports size 0, is read a pipe's buffer at a time."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks, size = [], os.fstat(fd).st_size
+        while chunk := os.read(fd, size + 1 if size else _PIPE_BUFFER):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
 
 
 def _read_ascii(path: str) -> str:
     """A netlist or matrix file's text; a non-ASCII byte names its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read(path)
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -88,7 +123,7 @@ def _load_matrix(path: str | None):
 
 
 def _cmd_gen_matrix(args) -> int:
-    with _output(args.output) as fh:
+    with _Output(args.output) as fh:
         fh.write(matrix_to_text(derive_parity_matrix()).encode("ascii"))
     return 0
 
@@ -96,7 +131,7 @@ def _cmd_gen_matrix(args) -> int:
 def _cmd_emit_netlist(args) -> int:
     matrix = _load_matrix(args.matrix)
     net = build_xor3_network(matrix)
-    with _output(args.output) as fh:
+    with _Output(args.output) as fh:
         fh.write(emit_netlist(net).encode("ascii"))
     print(f"max fan-in: {matrix.max_fanin} (reference design: {REFERENCE_DESIGN_FANIN})")
     print(f"max XOR3 depth: {net.max_depth} (reference design: {REFERENCE_DESIGN_DEPTH})")
@@ -130,24 +165,25 @@ _STATS_SUFFIX = tuple(
     for (status_a, count_a), (status_b, count_b), good in itertools.product(
         _STATES, _STATES, (0, 1)))
 
-# Record bits INFO_BITS_PER_FRAME..319 (the low bits, big-endian) must be zero.
+# Record bits INFO_BITS_PER_FRAME..319 (the low bits, big-endian) must be
+# zero; they lie in the record's last FRAME_BYTES - INFO_BYTES + 1 bytes.
 _PADDING_MASK = np.frombuffer(
     ((1 << (8 * FRAME_BYTES - INFO_BITS_PER_FRAME)) - 1).to_bytes(FRAME_BYTES, "big"),
-    np.uint8)
+    np.uint8)[INFO_BYTES - 1:]
 
 
 def _cmd_encode(args) -> int:
-    with open(args.input, "rb") as fh:
-        data = fh.read()
+    data = _read(args.input)
     data += bytes(-len(data) % FRAME_BYTES)
     records = np.frombuffer(data, np.uint8).reshape(-1, FRAME_BYTES)
     # Check every record first, so a bad one leaves no partial output file.
-    bad = np.flatnonzero((records & _PADDING_MASK).any(axis=1))
-    if len(bad):
+    padding = records[:, INFO_BYTES - 1:] & _PADDING_MASK
+    if padding.any():
+        bad = np.flatnonzero(padding.any(axis=1))[0]
         raise ValueError(
-            f"payload record at byte {bad[0] * FRAME_BYTES} has nonzero padding bits "
+            f"payload record at byte {bad * FRAME_BYTES} has nonzero padding bits "
             f"(bits {INFO_BITS_PER_FRAME}..319 must be zero)")
-    with _output(args.output) as fh:
+    with _Output(args.output) as fh:
         for block in frame_blocks(0, len(records)):
             info = records[block.start:block.stop, :INFO_BYTES]
             fh.write(encode_frames(info, encoder=_ENCODER_NAMES[args.encoder]))
@@ -155,13 +191,12 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    with open(args.input, "rb") as fh:
-        data = fh.read()
+    data = _read(args.input)
     if len(data) % FRAME_BYTES:
         raise ValueError(f"frame stream length {len(data)} is not a multiple of {FRAME_BYTES}")
     frames = np.frombuffer(data, np.uint8).reshape(-1, FRAME_BYTES)
     stats_lines = []
-    with _output(args.output) as fh:
+    with _Output(args.output) as fh:
         for block in frame_blocks(0, len(frames)):
             info, ok, nu, header_ok = decode_frames(frames[block.start:block.stop])
             records = np.zeros((len(block), FRAME_BYTES), np.uint8)
@@ -173,7 +208,7 @@ def _cmd_decode(args) -> int:
                 stats_lines += [f"frame={index}{_STATS_SUFFIX[code]}"
                                 for index, code in zip(block, suffix)]
     if args.stats:
-        with _output(args.stats) as fh:
+        with _Output(args.stats) as fh:
             fh.write("".join(stats_lines).encode("ascii"))
     return 0
 

@@ -72,32 +72,31 @@ def encode_reference(msg: list[int]) -> list[int]:
     return list(msg) + work[K_SYMBOLS:]
 
 
-# Row q: q times g(x)'s coefficients x^0..x^4, and the same row padded to
-# 8 bytes and packed with x^d in byte d.
-_DIVISION_TAPS = np.array(MUL, np.uint8)[:, GENERATOR_POLY]
-_DIVISION_TAPS64 = np.ascontiguousarray(np.pad(_DIVISION_TAPS, ((0, 0), (0, 3)))).view("<u8")[:, 0]
+# Row i, column q: q times g(x)'s coefficient of x^(3-i), the symbols that
+# subtracting q * g(x) from a window led by q XORs into the 4 after q.
+_DIVISION_TAPS = np.ascontiguousarray(
+    np.array(MUL, np.uint8)[:, GENERATOR_POLY[N_PARITY - 1::-1]].T)
 
 
 def divide_block(msg: np.ndarray) -> np.ndarray:
     """uint8[M, 31] codewords of uint8[M, 27] message symbols by long
-    division, encode_reference's algorithm on all rows at once. Each row's
-    window of 5 consecutive symbols is one uint64, the last in byte 0, as a
-    table-driven software CRC holds its register: step j brings down
-    symbol j + 4 of m(x) x^4 and subtracts q * g(x) (packed as in
-    _DIVISION_TAPS64) with q = symbol j, in byte 4, which clears it. After
-    step 26 the window holds the remainder. So a step is a few numpy calls
-    on M words, not on M x 5 bytes: on 256 messages (2-core Xeon) that cut
-    the 27 steps from about 300 us to 120 us. The taps are read with
-    `take`: indexing by a uint64 array casts it to intp first, which made
-    the 27 steps 20-60% slower."""
-    dividend = np.zeros((N_SYMBOLS, len(msg)), np.uint64)
-    dividend[:K_SYMBOLS] = msg.T
-    work = np.ascontiguousarray(msg[:, :N_PARITY]).view(">u4")[:, 0].astype(np.uint64)
-    for col in dividend[N_PARITY:]:
-        work <<= 8
-        work |= col
-        work ^= _DIVISION_TAPS64.take(work >> 32)
-    return np.concatenate([msg, work.astype(">u4").view(np.uint8).reshape(-1, N_PARITY)], axis=1)
+    division, encode_reference's algorithm on all rows at once, as
+    synthetic division over a byte window: row j of a uint8[31, M] buffer
+    holds the coefficient of x^(30-j) of m(x) x^4, and step j XORs
+    q * g(x)'s lower four coefficients (_DIVISION_TAPS), with q = row j,
+    into rows j+1..j+4. After step 26 rows 27..30 hold the remainder.
+    A step is two numpy calls on M bytes each, one `take` and one XOR in
+    place, since at M = 256 numpy's cost per call dominates a step: on
+    256 messages (2-core Xeon) that cut the 27 steps from about 120 us,
+    with each row's window packed into one uint64 (five calls a step), to
+    about 75 us. The XOR goes through a named view, because
+    `buf[a:b] ^= x` also writes the result back over itself."""
+    buf = np.zeros((N_SYMBOLS, len(msg)), np.uint8)
+    buf[:K_SYMBOLS] = msg.T
+    for j in range(K_SYMBOLS):
+        window = buf[j + 1:j + 1 + N_PARITY]
+        window ^= _DIVISION_TAPS.take(buf[j], axis=1)
+    return np.concatenate([msg, buf[K_SYMBOLS:].T], axis=1)
 
 
 def poly_eval(coeffs, x: int) -> int:

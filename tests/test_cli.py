@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +576,61 @@ def test_outputs_to_the_null_device(tmp_path, capsys):
     for argv in _WRITERS.values():
         assert _run_writer(argv, paths) == 0
     capsys.readouterr()
+
+
+def test_outputs_stay_exact_under_short_writes(tmp_path, capsys, monkeypatch):
+    """With every os.write taking at most 7 bytes, as a pipe or a signal
+    can cut a write short, each command writes what it writes unpatched."""
+    inputs = _writer_inputs(tmp_path)
+    want = {}
+    for name, argv in _WRITERS.items():
+        paths = {**inputs, "out": tmp_path / f"{name}.out", "stats": tmp_path / f"{name}.stats"}
+        assert _run_writer(argv, paths) == 0
+        want[name] = [p.read_bytes() for p in (paths["out"], paths["stats"]) if p.exists()]
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(min(len(data), 7))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    for name, argv in _WRITERS.items():
+        paths = {**inputs, "out": tmp_path / f"{name}.short", "stats": tmp_path / f"{name}.st"}
+        sizes.clear()
+        assert _run_writer(argv, paths) == 0
+        got = [p.read_bytes() for p in (paths["out"], paths["stats"]) if p.exists()]
+        assert got == want[name]
+        assert sum(sizes) == sum(map(len, got)) and max(sizes) == 7
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_input_is_read_whole(tmp_path):
+    """A FIFO's fstat size is 0, so its bytes come in reads after the
+    first: 2,000 records (80,000 bytes) fed by a thread, more than a
+    pipe's buffer, encode as the same records in a regular file do."""
+    rnd = np.random.default_rng(31)
+    records = rnd.integers(0, 256, (2000, 40), dtype=np.uint8)
+    records[:, 33] &= 0xFC
+    records[:, 34:] = 0
+    payload, fifo = tmp_path / "p.bin", tmp_path / "p.fifo"
+    payload.write_bytes(records.tobytes())
+    os.mkfifo(fifo)
+    assert os.stat(fifo).st_size == 0
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            for k in range(0, len(records), 300):
+                fh.write(records[k:k + 300].tobytes())
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    assert main(["encode", "-i", str(fifo), "-o", str(tmp_path / "fifo.bin")]) == 0
+    feeder.join(timeout=30)
+    assert not feeder.is_alive()
+    assert main(["encode", "-i", str(payload), "-o", str(tmp_path / "file.bin")]) == 0
+    assert (tmp_path / "fifo.bin").read_bytes() == (tmp_path / "file.bin").read_bytes()
+    assert len((tmp_path / "fifo.bin").read_bytes()) == 80_000
 
 
 def test_a_bad_record_leaves_an_existing_output_untouched(tmp_path, capsys):

@@ -25,7 +25,8 @@ from rs3127.serial_encoder import LfsrEncoder, shift_in_block
 
 from oracles import (clean_info_reference, decode_reference, frame_reference,
                      frame_words_reference, interleave_reference, packed_syndromes,
-                     parity_region_syndromes, rs_encode_reference, syndrome_map, word_symbols)
+                     parity_region_syndromes, probe_matrix_from_reference_encoder,
+                     rs_encode_reference, syndrome_map, word_symbols)
 from packing import decode_bit_frames, encode_bit_frames
 
 ENCODERS = ("parallel", "reference", "lfsr")
@@ -127,10 +128,31 @@ def test_batch_encoders_equal_the_scalar_encoders_on_a_full_block():
             assert got.tolist() == [scalar(msg) for msg in rows.tolist()]
 
 
+@pytest.mark.parametrize("kernel", [rs_core.divide_block, shift_in_block],
+                         ids=["divide_block", "shift_in_block"])
+def test_sequential_kernels_read_a_strided_view_as_its_copy(kernel):
+    """The two kernels that step through the symbols give the same
+    codewords on a view with any strides as on its contiguous copy: every
+    third row, the column of a 3-D block (as `LinearMap.probe_symbols`
+    passes `symbols[:, :, 0]`), and the block in Fortran order. The
+    parity matrix probed through either, as `derive_parity_matrix` probes
+    `shift_in_block`, is the one read off the scalar long division. An
+    empty block gives uint8[0, 31]."""
+    rnd = np.random.default_rng(29)
+    wide = rnd.integers(0, 32, (2 * framing.BLOCK_FRAMES, 27, 3), dtype=np.uint8)
+    for view in (wide[::3, :, 0], wide[:, :, 1], np.asfortranarray(wide[:, :, 2])):
+        got = kernel(view)
+        assert got.dtype == np.uint8 and got.shape == (len(view), 31)
+        assert np.array_equal(got, kernel(np.ascontiguousarray(view)))
+    for empty in (np.zeros((0, 27), np.uint8), wide[:0, :, 0]):
+        got = kernel(empty)
+        assert got.dtype == np.uint8 and got.shape == (0, 31)
+    probed = LinearMap.probe_symbols(lambda msg: kernel(msg)[:, 27:], 27)
+    assert probed.bitmasks == probe_matrix_from_reference_encoder()
+
+
 @pytest.mark.parametrize("packed, table", [
-    (serial_encoder._TAPS32, serial_encoder._TAPS),
-    (rs_core._DIVISION_TAPS64, rs_core._DIVISION_TAPS)],
-    ids=["lfsr-taps", "division-taps"])
+    (serial_encoder._TAPS32, serial_encoder._TAPS)], ids=["lfsr-taps"])
 def test_packed_tables_hold_byte_d_in_bits_8d(packed, table):
     """Byte d of each packed row, read back by shifts, is column d of the
     uint8 table it packs, and the bytes above the table are zero, on a
