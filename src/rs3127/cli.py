@@ -1,23 +1,12 @@
 """Command-line front end: codegen, codec, framing and simulation as
 subcommands.
 
-Payload files are streamed in 40-byte records: the 270 payload bits of
+Payload files are streams of 40-byte records: the 270 payload bits of
 one frame occupy record bits 0..269 (big-endian bit order) and the
 trailing 50 bits must be zero. A final partial record is zero-padded.
-With that convention `encode | decode` round-trips byte-identically.
-Both commands push the records through the batch kernels in blocks of
-framing.BLOCK_FRAMES frames as bytes, the info bytes of each record to
-`encode_frames` and the frames as read to `decode_frames`: neither
-unpacks a bit.
-Every output file is rewritten in place and then, if it was longer, cut
-to length, never truncated first: on ext4 mounted with `discard`,
-freeing a file's blocks (truncate, unlink or rename over it) took
-40-150 ms, against well under 1 ms to overwrite them.
-Files are read and written on their raw descriptors, with no buffered
-file object, which about halved the fixed I/O cost of a 128-frame call.
-A read is sized by the file's size, not by a fixed buffer, so a regular
-file is read, and held, once; a pipe or FIFO, whose size reads 0, is
-read a pipe's buffer at a time to its end.
+`encode` writes one 40-byte frame per record and `decode` gives the
+records back, so `encode | decode` round-trips byte-identically;
+`decode --stats` adds one status line per frame.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error.
 """
@@ -60,13 +49,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Output:
-    """A binary output on path's raw descriptor, the file created if
-    missing; `write` writes all of its bytes (or array), looping over
-    short writes. An existing file is overwritten in place and then, if it
-    was longer, truncated at the last byte written, so it ends with the
-    bytes, inode and mode that opening with O_TRUNC gives, without freeing
-    its blocks first. Only a regular file is truncated, so devices and
-    pipes work too, and a same-size rewrite makes no truncate call."""
+    """A binary output on path's raw descriptor, with no buffered file
+    object, which about halved the fixed I/O cost of a 128-frame call; the
+    file is created if missing, and `write` writes all of its bytes (or
+    array), looping over short writes. An existing file is overwritten in
+    place and then, if it was longer, truncated at the last byte written,
+    so it ends with the bytes, inode and mode that opening with O_TRUNC
+    gives, without freeing its blocks first: on ext4 mounted with
+    `discard`, freeing a file's blocks (truncate, unlink or rename over it)
+    took 40-150 ms, against well under 1 ms to overwrite them. Only a
+    regular file is truncated, so devices and pipes work too, and a
+    same-size rewrite makes no truncate call."""
 
     def __init__(self, path: str) -> None:
         self.fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -92,10 +85,12 @@ class _Output:
 
 
 def _read(path: str) -> bytes:
-    """The bytes of the file at path, read on its raw descriptor to its
-    end. Each read asks for one byte more than fstat's size, so a regular
-    file takes one read and one that finds its end; a FIFO or device,
-    which reports size 0, is read a pipe's buffer at a time."""
+    """The bytes of the file at path, read on its raw descriptor (no
+    buffered file object) to its end. A read is sized by the file's size,
+    not by a fixed buffer: each asks for one byte more than fstat's size,
+    so a regular file is read, and held, once, and one more read finds its
+    end; a FIFO or device, which reports size 0, is read a pipe's buffer
+    at a time."""
     fd = os.open(path, os.O_RDONLY)
     try:
         chunks, size = [], os.fstat(fd).st_size
@@ -172,6 +167,9 @@ _PADDING_MASK = np.frombuffer(
     np.uint8)[INFO_BYTES - 1:]
 
 
+# encode and decode push the records through the batch kernels as bytes,
+# in blocks of BLOCK_FRAMES frames: the info bytes of each record to
+# `encode_frames`, the frames as read to `decode_frames`.
 def _cmd_encode(args) -> int:
     data = _read(args.input)
     data += bytes(-len(data) % FRAME_BYTES)

@@ -29,12 +29,13 @@ writes the header and the 62 symbols as fields of the wire bytes
 (`_write_fields`); `encode_frames` runs it for `reference` and `lfsr`.
 With `parallel`, record bytes to wire bytes is one GF(2)-affine map, so
 it is read off one probe, `_unit_frames`: the field codec through
-`xor_block` on the zero record and the 270 unit-bit records. Two spans
-of its columns serve the two chains: `_wire_table`, an array that makes
-a block one gather and one reduction, and `_frame_table`, Python ints,
-so the scalar chain builds no array. `decode_frames` is its inverse:
-header, syndromes and clean info are XORs of byte-table entries
-(`_byte_tables`), the dirty codewords are looked up in one
+`xor_block` on the zero record and the 270 unit-bit records. `_byte_rows`
+spans its columns into a table of one entry per byte value, twice:
+`_wire_table`, an array, and `_frame_table`, Python ints, so the scalar
+chain builds no array. `decode_frames` is its inverse: wire bytes to
+header, syndromes and clean info is one affine map too, `_decode_table`,
+and `_affine` (one gather and one reduction) reads both arrays; info is
+a view into the gathered words. The dirty codewords are looked up in one
 `decoder.block_fixes` call, and each fix is a mask of record bytes.
 Both refuse a value that is not a byte (`_byte_records`). The CLI and
 the simulator call them on blocks of at most BLOCK_FRAMES frames.
@@ -169,18 +170,14 @@ def _frame_table() -> list[list[int]]:
     """34 rows of 256 frames as ints: entry [j][v] is the frame part of
     scrambled info byte j holding v (info bit 8*j + 7 - b is bit b of v,
     and bits 270, 271 are 0), with the header in every entry of row 0, so
-    a frame is the XOR of one entry per byte. Each row is built by
-    doubling from 8 columns, a unit frame XOR the zero frame each
-    (`_unit_frames`); the scrambled zero info's frame is the header."""
+    a frame is the XOR of one entry per byte. `_byte_rows` spans it, on
+    Python ints, from the unit frames XOR the zero frame (`_unit_frames`);
+    the scrambled zero info's frame is the header."""
     zero, *ints = [int.from_bytes(row, "big") for row in _unit_frames()]
-    columns = [column ^ zero for column in ints] + [0] * _PAD_BITS
-    table = []
-    for j in range(INFO_BYTES):
-        row = [0 if j else DEFAULT_SYNC_HEADER << PAYLOAD_BITS]
-        for column in reversed(columns[8 * j:8 * j + 8]):
-            row += [r ^ column for r in row]
-        table.append(row)
-    return table
+    columns = np.array([column ^ zero for column in ints] + [0] * _PAD_BITS, object)
+    table = _byte_rows(columns[:, None]).reshape(INFO_BYTES, 256)
+    table[0] ^= DEFAULT_SYNC_HEADER << PAYLOAD_BITS
+    return table.tolist()
 
 
 def build_frame(info: list[int]) -> list[int]:
@@ -325,6 +322,22 @@ def _encode_fields(info: np.ndarray, encode) -> np.ndarray:
     return np.ascontiguousarray(_write_fields(frame_fields).T)
 
 
+def _byte_rows(effects: np.ndarray) -> np.ndarray:
+    """[B * 256, X] from the effects [8B, X] of single bits: bit 8b + i is
+    bit 7 - i of the value of byte b, and entry 256 * b + v the XOR of the
+    effects of the bits that v sets."""
+    width = effects.shape[1]
+    return span(effects.reshape(-1, 8, width)[:, ::-1]).reshape(-1, width)
+
+
+def _affine(table: np.ndarray, base: np.ndarray, records: np.ndarray) -> np.ndarray:
+    """uint64[N, X]: the affine map of uint8[N, B] records that `table`
+    (from `_byte_rows`) and `base` give, the XOR of one table row per
+    record byte: one gather and one reduction."""
+    parts = table.take(records.T + _BYTE_OFFSETS[:records.shape[1]], axis=0)
+    return np.bitwise_xor.reduce(parts, axis=0) ^ base
+
+
 @functools.cache
 def _wire_table() -> tuple[np.ndarray, np.ndarray]:
     """(uint64[34 * 256, 5], uint64[5]): entry 256 * j + v is the wire
@@ -334,24 +347,21 @@ def _wire_table() -> tuple[np.ndarray, np.ndarray]:
     frames = _unit_frames()
     columns = np.zeros((8 * INFO_BYTES, FRAME_BYTES), np.uint8)
     columns[:INFO_BITS_PER_FRAME] = frames[1:] ^ frames[0]
-    table = span(columns.reshape(INFO_BYTES, 8, FRAME_BYTES)[:, ::-1])
-    return table.view(np.uint64).reshape(-1, FRAME_BYTES // 8), frames[0].view(np.uint64)
+    return _byte_rows(columns.view(np.uint64)), frames[0].view(np.uint64)
 
 
 def encode_frames(info, encoder: str = "parallel") -> np.ndarray:
     """uint8[N, 40] wire bytes from uint8[N, 34] info bytes as decode_frames
     returns them (bits 270, 271 zero): row n is build_frame of row n's
     bits, packed. `parallel` is one gather and one reduction over
-    `_wire_table`; `reference` and `lfsr` run long division
+    `_wire_table` (`_affine`); `reference` and `lfsr` run long division
     (`divide_block`) or the shift register (`shift_in_block`) on all 2N
     messages at once through the field codec (`_encode_fields`)."""
     info = _byte_records(info, INFO_BYTES)
     if (info[:, -1] & (1 << _PAD_BITS) - 1).any():
         raise ValueError(f"info bits {INFO_BITS_PER_FRAME}..{8 * INFO_BYTES - 1} must be 0")
     if encoder == "parallel":
-        table, base = _wire_table()
-        parts = table.take(info.T + _BYTE_OFFSETS[:INFO_BYTES], axis=0)
-        return (np.bitwise_xor.reduce(parts, axis=0) ^ base).view(np.uint8)
+        return _affine(*_wire_table(), info).view(np.uint8)
     encode = {"reference": divide_block, "lfsr": shift_in_block}.get(encoder)
     if encode is None:
         raise ValueError(f"unknown encoder {encoder!r}")
@@ -375,81 +385,43 @@ def flip_table() -> list:
             for s, v in zip(at.tolist(), values.tolist())]
 
 
-def _byte_rows(effects: np.ndarray) -> np.ndarray:
-    """[40, 256, X] from the effects [320, X] of single frame bits: frame
-    bit 8b + i is bit 7 - i of the value of byte b."""
-    return span(effects.reshape(FRAME_BYTES, 8, -1)[:, ::-1])
-
-
-@dataclass(frozen=True)
-class _ByteTables:
-    """decode_frames' tables (see `_byte_tables`). The flat ones are
-    [rows, 256] tables raveled, indexed by 256 * row + byte value."""
-
-    syndromes: np.ndarray   # uint64[40 * 256]: header << 40 | A's packed syndrome << 20 | B's
-    info_from: np.ndarray   # intp[P]: the frame byte of each (record byte, frame byte) pair
-    info_at: np.ndarray     # uint16[P, 1]: 256 * p, the offset of pair p's row
-    info: np.ndarray        # uint8[P * 256]: [p, v], the record byte bits of pair p
-    info_slots: tuple       # (start, stop) of the pairs of each slot
-    info_order: np.ndarray  # intp[34]: the row of each record byte in the slots
-    masks: np.ndarray       # uint8[2 * 31 * 32, 34]: [c, j, y], a fix in record bytes
-
-
 @functools.cache
-def _byte_tables() -> _ByteTables:
-    """The maps from the 40 wire bytes of a frame, probed from the layout
-    and built once, on the first decode_frames call.
-
-    The header, the syndromes and the clean info of a frame are
-    GF(2)-affine in its bits, so each is the XOR of one table entry per
-    frame byte, as table-driven software CRCs are (Sarwate, CACM 1988).
-    All are probed on the unit frames: the header bits at their place
-    in DEFAULT_SYNC_HEADER, the syndromes and info bits through
-    `flip_table`. A record byte's bits come from 2 to 4 frame bytes, so the
-    info table keeps only those 105 (record byte, frame byte) pairs, with
-    the PRBS XORed into each record byte's first pair. Slot s holds the
-    s-th pair of each record byte that has one, record bytes with more
-    pairs first, so summing a slot into the first is a slice. A fix of
-    value y at symbol j of codeword c flips the info bits of that
-    symbol's frame bits selected by y (their `flip_table` values), so its
-    mask is the XOR of their packed info; parity symbols have none."""
-    effects = flip_table()
-    synd = [1 << 2 * _SYNDROME_BITS + HEADER_BITS - 1 - bit if bit < HEADER_BITS else
-            e[1] << _SYNDROME_BITS * (1 - e[0]) for bit, e in enumerate(effects)]
-    # [31c + j, i]: bit i of symbol j of codeword c in record bytes, none for parity
+def _fix_masks() -> np.ndarray:
+    """uint8[2 * 31 * 32, 34]: entry [c, j, y] is the info bits, in record
+    bytes, that value y at symbol j of codeword c flips: y's bits at info
+    bits 135c + 5j.. for a message symbol, none for a parity symbol."""
     symbol_bits = np.zeros((2 * N_SYMBOLS, BITS_PER_SYMBOL, INFO_BYTES), np.uint8)
     symbol_bits.reshape(2, N_SYMBOLS, -1)[:, :K_SYMBOLS] = np.packbits(
         np.eye(INFO_BITS_PER_FRAME, dtype=np.uint8), axis=1).reshape(2, K_SYMBOLS, -1)
-    info_bytes = np.zeros((FRAME_BITS, INFO_BYTES), np.uint8)
-    for bit, e in enumerate(effects):
-        if e is not None:
-            info_bytes[bit] = symbol_bits[N_SYMBOLS * e[0] + e[2], e[3].bit_length() - 1]
-    info_rows = _byte_rows(info_bytes)
-    used = info_rows.any(axis=1).T  # [34, 40]: the (record byte, frame byte) pairs
-    counts = used.sum(axis=1)
-    order = np.argsort(-counts, kind="stable")
-    pairs, slots = [], []
-    for rank in range(counts.max()):
-        slot = [(r, np.flatnonzero(used[r])[rank]) for r in order if counts[r] > rank]
-        slots.append((len(pairs), len(pairs) + len(slot)))
-        pairs += slot
-    record, source = np.array(pairs).T
-    info = info_rows[source, :, record]
-    info[:INFO_BYTES] ^= PRBS_BYTES[order, None]  # the zero frame's info
-    return _ByteTables(_byte_rows(np.array(synd, np.uint64)[:, None]).ravel(), source,
-                       (np.arange(len(source), dtype=np.uint16) << 8)[:, None], info.ravel(),
-                       tuple(slots), np.argsort(order), span(symbol_bits).reshape(-1, INFO_BYTES))
+    return span(symbol_bits).reshape(-1, INFO_BYTES)
 
 
-def _clean_info(by_byte: np.ndarray, tables: _ByteTables) -> np.ndarray:
-    """uint8[N, 34]: the info of frames given byte-major, uint8[40, N], as
-    if no codeword had an error: per record byte, the XOR of one
-    `tables.info` entry per pair, summed slot by slot into the first."""
-    parts = tables.info.take(by_byte[tables.info_from] + tables.info_at)
-    sums = parts[:INFO_BYTES]
-    for start, stop in tables.info_slots[1:]:
-        sums[:stop - start] ^= parts[start:stop]
-    return np.ascontiguousarray(sums[tables.info_order].T)
+@functools.cache
+def _decode_table() -> tuple[np.ndarray, np.ndarray]:
+    """(uint64[40 * 256, 6], uint64[6]): the map from the 40 wire bytes of
+    a frame, built once, on the first decode_frames call, as `_affine`
+    reads it. Words 0-4 are the info bytes as if no codeword had an error
+    (bytes 34-39 zero), the PRBS their base; word 5 is header << 40 | A's
+    packed syndromes << 20 | B's, base 0.
+
+    All are GF(2)-affine in the frame bits, so each is the XOR of one table
+    entry per frame byte, as table-driven software CRCs are (Sarwate, CACM
+    1988). They are probed on the unit frames: the header bits at their
+    place in DEFAULT_SYNC_HEADER, the syndromes and info bits through
+    `flip_table`, a frame bit's info being the `_fix_masks` entry of its
+    one-bit value at its symbol."""
+    effects = np.zeros((FRAME_BITS, FRAME_BYTES // 8 + 1), np.uint64)
+    info = effects.view(np.uint8)[:, :INFO_BYTES]
+    for bit, e in enumerate(flip_table()):
+        if e is None:
+            effects[bit, -1] = 1 << 2 * _SYNDROME_BITS + HEADER_BITS - 1 - bit
+        else:
+            half, column, symbol, value = e
+            effects[bit, -1] = column << _SYNDROME_BITS * (1 - half)
+            info[bit] = _fix_masks()[(N_SYMBOLS * half + symbol) << BITS_PER_SYMBOL | value]
+    base = np.zeros(effects.shape[1], np.uint64)
+    base.view(np.uint8)[:INFO_BYTES] = PRBS_BYTES
+    return _byte_rows(effects), base
 
 
 def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -461,26 +433,24 @@ def decode_frames(frames) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     reports uncorrectable, whose received message passes through, and nu
     is the number of symbols corrected.
 
-    Each step is a gather of `_byte_tables` by the frame bytes: the
-    header and the packed syndromes of both codewords are the XOR of one
-    entry per frame byte, the clean info the XOR of one entry per (record
-    byte, frame byte) pair, read from a byte-major copy so that each
-    gather takes a row. The dirty codewords are looked up all at once
-    (`decoder.block_fixes`), and each fix is two masks XORed into its
-    frame's info. No step unpacks a bit."""
+    The header, the packed syndromes of both codewords and the clean info
+    are one gather of `_decode_table` by the frame bytes (`_affine`), and
+    info is a view into its words. The dirty codewords are looked up all
+    at once (`decoder.block_fixes`), and each fix is two `_fix_masks`
+    entries XORed into its frame's info. No step unpacks a bit."""
     frames = _byte_records(frames, FRAME_BYTES)
-    tables = _byte_tables()
-    by_byte = np.ascontiguousarray(frames.T)
-    pairs = np.bitwise_xor.reduce(tables.syndromes.take(by_byte + _BYTE_OFFSETS), axis=0)
+    words = _affine(*_decode_table(), frames)
+    pairs = words[:, -1]
     header_ok = pairs >> 2 * _SYNDROME_BITS == DEFAULT_SYNC_HEADER
     synd = np.empty(2 * len(frames), np.int64)
     synd[0::2], synd[1::2] = pairs >> _SYNDROME_BITS & _SYNDROME_MASK, pairs & _SYNDROME_MASK
-    info = _clean_info(by_byte, tables)
+    info = words.view(np.uint8)[:, :INFO_BYTES]
     ok, nu, rows, first, y1, last, y2 = block_fixes(synd)
     if len(rows):
+        masks = _fix_masks()
         base = (rows & 1) * (N_SYMBOLS << BITS_PER_SYMBOL)
-        fixes = tables.masks.take(base + 32 * first + y1, axis=0)
-        fixes ^= tables.masks.take(base + 32 * last + y2, axis=0)
+        fixes = masks.take(base + 32 * first + y1, axis=0)
+        fixes ^= masks.take(base + 32 * last + y2, axis=0)
         errors = np.zeros((len(synd), INFO_BYTES), np.uint8)
         errors[rows] = fixes
         info ^= errors[0::2] ^ errors[1::2]

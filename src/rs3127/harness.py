@@ -194,14 +194,14 @@ def _thread_generator() -> np.random.Generator:
 # over 20 blocks, the two alternating, 2-core Xeon):
 #
 #     F          0     4     8    16    32    48    64    80    96   128
-#   8  sparse    6    15    21    33    45    55    63    71    76    96
-#   8  dense    48    81    81    87    83    84    84    85    82    84
-#   128 sparse  11    23    31    47    79   103   126   151   175   219
-#   128 dense  114   156   153   153   164   160   161   159   157   161
+#   8  sparse    5    12    18    26    38    45    53    59    66    79
+#   8  dense    33    62    62    63    63    63    63    63    62    63
+#   128 sparse   8    19    27    39    65    86   108   128   150   198
+#   128 dense   89   122   123   125   127   128   129   133   134   140
 #
-# Sparse costs about 0.7 us a flip at 8 frames and 1.6 us at 128 (more
+# Sparse costs about 0.6 us a flip at 8 frames and 1.5 us at 128 (more
 # dirty codewords to look up), dense about the same at any count: sparse
-# is faster up to 80 at both sizes, and slower from 96 at 128 frames.
+# is faster up to 80 at both sizes, and slower from 96.
 _FEW_FLIPS = 80
 
 

@@ -316,6 +316,18 @@ def test_decode_stats_lines_cover_every_state_and_equal_unframe(
     assert len({line.split(" ", 1)[1] for line in lines}) == 32
 
 
+def test_help_states_the_user_contract_alone(capsys):
+    """`rs3127 -h` gives the record format, the round trip and the exit
+    codes, and none of the implementation notes kept in the code."""
+    assert main(["-h"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "Exit codes: 0 success, 1 usage error, 2 data/format error." in out
+    assert "streams of 40-byte records" in out and "record bits 0..269" in out
+    assert "trailing 50 bits must be zero" in out and "`encode | decode` round-trips" in out
+    for note in ("ext4", "BLOCK_FRAMES", "encode_frames"):
+        assert note not in out
+
+
 def test_main_reuses_one_parser_with_a_fresh_namespace_per_call(tmp_path, capsys, monkeypatch):
     payload, frames, out, stats = (tmp_path / name for name in ("p.bin", "f.bin", "o.bin", "s.txt"))
     payload.write_bytes(bytes(80))

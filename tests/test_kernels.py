@@ -463,28 +463,30 @@ def test_decode_frames_corrects_every_single_symbol_error():
 # --- the byte tables of decode_frames ---------------------------------------------
 
 def test_the_syndrome_table_on_every_one_byte_frame():
-    """Entry [b, v] is header << 40 | A's packed syndromes << 20 | B's of
-    the frame whose byte b is v and every other byte 0: all 40 x 256 of
-    them, against compute_syndromes of the frame's codewords (the
-    `packed_syndromes` oracle)."""
+    """Word 5 of entry 256b + v is header << 40 | A's packed syndromes
+    << 20 | B's of the frame whose byte b is v and every other byte 0: all
+    40 x 256 of them, against compute_syndromes of the frame's codewords
+    (the `packed_syndromes` oracle)."""
     frames = np.zeros((40, 256, 40), np.uint8)
     frames[np.arange(40), :, np.arange(40)] = np.arange(256, dtype=np.uint8)
     bits = np.unpackbits(frames.reshape(-1, 40), axis=1)
     synd = packed_syndromes(frame_words_reference(bits)).reshape(-1, 2)
     header = bits[:, :HEADER_BITS] @ (1 << np.arange(HEADER_BITS)[::-1])
     want = header << 40 | synd[:, 0] << 20 | synd[:, 1]
-    assert np.array_equal(framing._byte_tables().syndromes, want.astype(np.uint64))
+    table, base = framing._decode_table()
+    assert np.array_equal(table[:, 5], want.astype(np.uint64)) and base[5] == 0
 
 
 def test_the_info_table_on_the_zero_frame_and_every_unit_frame():
     """The info read as if no codeword had an error is affine in the frame
-    bits, so the zero frame and the 320 unit frames pin it; against
-    clean_info_reference, written bit by bit from the layout."""
+    bits, so the zero frame and the 320 unit frames pin it: words 0-4 of
+    the gather, bytes 34-39 zero, against clean_info_reference, written
+    bit by bit from the layout."""
     bits = np.vstack([np.zeros((1, 320), np.uint8), np.eye(320, dtype=np.uint8)])
-    by_byte = np.ascontiguousarray(np.packbits(bits, axis=1).T)
-    got = framing._clean_info(by_byte, framing._byte_tables())
-    want = [clean_info_reference(frame) + [0, 0] for frame in bits.tolist()]
-    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    words = framing._affine(*framing._decode_table(), np.packbits(bits, axis=1))
+    got = words[:, :5].view(np.uint8)
+    want = [clean_info_reference(frame) + [0] * 50 for frame in bits.tolist()]
+    assert words.dtype == np.uint64 and words.shape == (321, 6)
     assert np.array_equal(got, np.packbits(np.array(want, np.uint8), axis=1))
 
 
@@ -509,7 +511,7 @@ def test_every_fix_mask_on_every_single_symbol_error():
     message symbol, none for a parity symbol or y = 0. And decoding each
     of the 1,922 errors on a random frame corrects it with that mask: the
     info comes back, with nu 1 on the hit codeword and 0 on the other."""
-    masks = framing._byte_tables().masks.reshape(2, 31, 32, 34)
+    masks = framing._fix_masks().reshape(2, 31, 32, 34)
     assert not masks[:, :, 0].any()
     hits, flips = _single_symbol_errors()
     for (half, pos, value) in hits:
@@ -528,7 +530,7 @@ def test_every_fix_mask_on_every_single_symbol_error():
 
 
 def test_decode_frames_runs_no_bit_kernel_once_its_tables_are_built(monkeypatch):
-    """Once `_byte_tables` is built, decoding a noisy block unpacks and
+    """Once `_decode_table` is built, decoding a noisy block unpacks and
     packs no bits: numpy's `unpackbits` and `packbits` are refused, and
     the outputs do not change."""
     rnd = random.Random(43)
